@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -70,12 +69,6 @@ def _alpha_arg(value: str | None, k: int) -> Fraction:
         raise CliError(f"bad alpha {value!r}; use a fraction like 3/4") from None
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    return int(os.environ.get("KOPT_THREADS", "1"))
-
-
 def _move_payload(k: int, res: dpengine.SolveResult) -> dict:
     payload = {"k": k, "gain": res.gain, "improving": res.improving}
     if res.move is not None:
@@ -89,9 +82,7 @@ def cmd_find_move(args) -> int:
     tour = _read_tour(args.tour)
     a = _alpha_arg(args.alpha, args.k)
     if args.mode == "dp":
-        res = dpengine.best_move(
-            inst, tour, args.k, alpha=a, policy=args.policy, threads=_threads(args)
-        )
+        res = dpengine.best_move(inst, tour, args.k, alpha=a, policy=args.policy)
     else:
         ores = oracle.naive_best_move(inst, tour, args.k)
         res = dpengine.SolveResult(
@@ -113,7 +104,6 @@ def cmd_local_search(args) -> int:
         alpha=a,
         policy=args.policy,
         max_steps=args.max_steps,
-        threads=_threads(args),
     )
     payload = {
         "k": args.k,
@@ -254,10 +244,7 @@ def cmd_bench(args) -> int:
         for mode in modes:
             start = time.perf_counter()
             if mode == "dp":
-                res = dpengine.best_move(
-                    inst, tour, args.k, alpha=a, threads=_threads(args)
-                )
-                gain = res.gain
+                gain = dpengine.best_move(inst, tour, args.k, alpha=a).gain
             elif mode == "naive":
                 gain = oracle.naive_best_move(inst, tour, args.k).value
             else:
@@ -276,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kopt", description="k-move search for TSP tours"
     )
-    parser.add_argument("--threads", type=int, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_move_args(p):

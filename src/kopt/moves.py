@@ -23,6 +23,11 @@ class DegenerateMoveError(RuntimeError):
     """The (pattern, embedding) pair does not describe a genuine k-move."""
 
 
+class InvariantError(RuntimeError):
+    """A check that guards an answer failed: the solver or an oracle disagrees
+    with itself. Raised, not asserted, so that `python -O` keeps it."""
+
+
 def slot_of_endpoint(e: int) -> int:
     """Move slot owning endpoint id e (1-based)."""
     return (e + 1) // 2

@@ -21,6 +21,7 @@ from .decomp import DepGraph
 from .instance import Instance, ReductionInput, Tour
 from .moves import (
     ConnectionPattern,
+    InvariantError,
     apply_move,
     as_kmove,
     endpoint_is_right,
@@ -87,7 +88,8 @@ def naive_best_move(
     embedding = tuple(int(v) + 1 for v in combos[row])
     move = as_kmove(inst, tour, pattern, embedding)
     apply_move(inst, tour, pattern, embedding)
-    assert move.gain == best_gain
+    if move.gain != best_gain:
+        raise InvariantError(f"oracle witness gains {move.gain}, not {best_gain}")
     return OracleResult(value=best_gain, witness=move)
 
 

@@ -1,7 +1,11 @@
 """The tree-decomposition DP solver and driver."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -168,30 +172,18 @@ def _reference_tables(inst, tour, m, assignment, part, nice):
 
 
 def _compare_all_tables(inst, tour, m, assignment, part, nice, reference):
-    import numpy as np
-
-    from kopt.dpengine import _run_dp
+    from kopt.dpengine import _Cells, _run_plan, compile_plan
 
     arrays = TourArrays(inst, tour)
-    obs = order_edges(assignment)
-    domains = {
-        slot: np.arange(
-            part.bounds(assignment[slot - 1])[0] - 1,
-            part.bounds(assignment[slot - 1])[1],
-        )
-        for slot in range(1, m.k + 1)
-    }
-    tables, _ = _run_dp(
-        arrays, m, obs, nice, domains, want_args=False, keep_tables=True
-    )
-    for t in nice.postorder():
+    plan = compile_plan(m, order_edges(assignment))
+    _, _, tables = _run_plan(plan, _Cells(arrays, part, [assignment]), keep_tables=True)
+    for t, got in zip(nice.postorder(), tables, strict=True):
         bag = sorted(nice.nodes[t].bag)
-        got = tables[t]
         ref = reference[t]
         domain_lists = [list(part.indices(assignment[s - 1])) for s in bag]
         for idx in product(*[range(len(d)) for d in domain_lists]):
             key = tuple(domain_lists[ax][i] for ax, i in enumerate(idx))
-            value = float(got[idx]) if idx else float(got)
+            value = float(got[(0,) + idx])
             if key in ref:
                 assert value == ref[key], (t, key)
             else:
@@ -290,17 +282,16 @@ def test_best_move_first_policy_returns_improving_move():
         assert first.gain == best.gain
 
 
-def test_best_move_deterministic_and_threaded_identical():
+def test_best_move_deterministic():
     inst = gen_random(10, 62, 100)
     tour = random_tour(10, 63)
     a = best_move(inst, tour, 3, alpha=Fraction(1, 2))
     b = best_move(inst, tour, 3, alpha=Fraction(1, 2))
-    c = best_move(inst, tour, 3, alpha=Fraction(1, 2), threads=4)
     assert (a.gain, a.embedding, a.move.pattern.pairs) == (
         b.gain,
         b.embedding,
         b.move.pattern.pairs,
-    ) == (c.gain, c.embedding, c.move.pattern.pairs)
+    )
 
 
 def test_best_move_guards():
@@ -332,3 +323,201 @@ def test_local_search_strictly_decreasing_and_terminates_locally_optimal():
     weights = [tour_weight(inst, tour)] + [h.tour_weight for h in history]
     assert all(a > b for a, b in zip(weights, weights[1:]))
     assert naive_best_move(inst, final, 3).value <= 0
+
+
+# ---------------------------------------------------------------------------
+# The batched kernel against per-cell references
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_batched_root_values_match_exhaustive_enumeration(k):
+    """Buckets of 4, 4 and 2 edges: the short last bucket is padded."""
+    from kopt.buckets import BucketPartition
+    from kopt.dpengine import _GroupRuns
+
+    inst = gen_random(10, 30 + k, 100)
+    tour = random_tour(10, 40 + k)
+    part = BucketPartition(n=10, size=4)
+    assignments = list(enumerate_assignments(k, part.count))
+    arrays = TourArrays(inst, tour)
+    runs = _GroupRuns(arrays, part, assignments)
+    assert any(cells.batch > 1 for cells in runs.cells.values())
+    for m in valid_patterns(k):
+        for assignment in assignments:
+            got = solve_fixed(inst, tour, m, assignment, part, arrays=arrays, runs=runs)
+            brute = enumerate_b_monotone_max(inst, tour, m, assignment, part).value
+            assert (got.gain, got.embedding) == (brute, None), (m.pairs, assignment)
+
+
+def _reference_best_move(inst, tour, k, alpha, policy):
+    """Per-cell loop over solve_fixed in canonical (pattern, assignment) order."""
+    part = make_buckets(inst.n, alpha)
+    best = None
+    for m in valid_patterns(k):
+        for assignment in enumerate_assignments(k, part.count):
+            res = solve_fixed(inst, tour, m, assignment, part)
+            if res.gain is None:
+                continue
+            if policy == "first" and res.improving:
+                return res
+            if best is None or res.gain > best.gain:
+                best = res
+    return best
+
+
+REFERENCE_CASES = [
+    (k, n, alpha, seed)
+    for seed in range(7)
+    for k, n, alpha in ((2, 8, Fraction(1, 2)), (3, 10, Fraction(1, 2)),
+                        (3, 9, Fraction(2, 3)), (4, 10, Fraction(2, 3)))
+] + [(5, 10, Fraction(2, 3), 0), (5, 11, Fraction(3, 4), 1)]
+
+
+@pytest.mark.parametrize("k, n, alpha, seed", REFERENCE_CASES)
+def test_best_move_matches_the_per_cell_reference(k, n, alpha, seed):
+    assert make_buckets(n, alpha).count >= 2
+    inst = gen_random(n, 500 + seed, 100)
+    tour = random_tour(n, 600 + seed)
+    for policy in ("best", "first"):
+        got = best_move(inst, tour, k, alpha=alpha, policy=policy)
+        want = _reference_best_move(inst, tour, k, alpha, policy)
+        assert (got.gain, got.move.pattern, got.embedding) == (
+            want.gain, want.move.pattern, want.embedding), policy
+
+
+@pytest.mark.parametrize("size", [4, 2])
+def test_all_cells_tie_on_equal_weights(size):
+    """Every legal embedding gains 0, so the tie-break alone picks the move:
+    pattern 0, its lowest feasible assignment, the solver's embedding."""
+    from kopt.buckets import BucketPartition
+    from kopt.instance import Instance
+
+    n, k = 12, 3
+    inst = Instance(n=n, weights=[[7] * n for _ in range(n)])
+    tour = random_tour(n, 3)
+    part = BucketPartition(n=n, size=size)
+    alpha = Fraction(1, 2) if size == 4 else Fraction(1, 4)
+    assert make_buckets(n, alpha) == part
+    assignments = list(enumerate_assignments(k, part.count))
+    lowest = next(a for a in assignments if max(a.count(b) for b in a) <= size)
+    assert (lowest == assignments[0]) == (size == 4)
+    m0 = valid_patterns(k)[0]
+    want = solve_fixed(inst, tour, m0, lowest, part)
+    for policy in ("best", "first"):
+        got = best_move(inst, tour, k, alpha=alpha, policy=policy)
+        assert got.gain == 0
+        assert got.move.pattern == m0
+        assert got.embedding == want.embedding
+        assert part.bucket_of(got.embedding[0]) == lowest[0]
+
+
+@pytest.mark.parametrize("max_entries", [1 << 22, 1])
+def test_first_max_positions_is_argmax(monkeypatch, max_entries):
+    """Ties resolve to the first position, as argmax does, also in all -inf
+    lines; past MAX_BATCH_ENTRIES the positions are found slice by slice."""
+    import numpy as np
+
+    from kopt import dpengine
+
+    monkeypatch.setattr(dpengine, "MAX_BATCH_ENTRIES", max_entries)
+    rng = np.random.default_rng(0)
+    child = rng.integers(0, 3, size=(2, 4, 5, 3)).astype(float)
+    child[0, :, 2, 1] = float("-inf")
+    for axis in (1, 2, 3):
+        table = child.max(axis=axis)
+        got = dpengine._first_max_positions(child, table, axis)
+        assert np.array_equal(got, child.argmax(axis=axis))
+
+
+def test_chunked_batches_give_the_unchunked_answers(monkeypatch):
+    from kopt import dpengine
+    from kopt.buckets import BucketPartition
+
+    inst = gen_random(12, 80, 100)
+    tour = random_tour(12, 81)
+    part = BucketPartition(n=12, size=3)
+    assignments = list(enumerate_assignments(3, part.count))
+    arrays = TourArrays(inst, tour)
+
+    def answers():
+        runs = dpengine._GroupRuns(arrays, part, assignments)
+        assert max(cells.batch for cells in runs.cells.values()) > 1
+        gains = [solve_fixed(inst, tour, m, a, part, arrays=arrays, runs=runs).gain
+                 for m in valid_patterns(3) for a in assignments]
+        moves = [best_move(inst, tour, 3, alpha=Fraction(1, 2), policy=p)
+                 for p in ("best", "first")]
+        return gains, [(r.gain, r.move.pattern, r.embedding) for r in moves]
+
+    whole = answers()
+    monkeypatch.setattr(dpengine, "MAX_BATCH_ENTRIES", 1)
+    assert answers() == whole
+
+
+def test_local_search_applies_each_move_once(monkeypatch):
+    from kopt import dpengine
+
+    calls = []
+    real = dpengine.apply_move
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(dpengine, "apply_move", counting)
+    inst = gen_random(10, 90, 100)
+    _, history = local_search(inst, random_tour(10, 91), 2, alpha=1)
+    assert history
+    assert len(calls) == len(history) + 1  # one per search, the last not improving
+
+
+# ---------------------------------------------------------------------------
+# Answer guards survive python -O
+# ---------------------------------------------------------------------------
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _run_optimized(code: str) -> str:
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+def test_reconstruction_check_raises_under_python_O():
+    stdout = _run_optimized(
+        "import sys\n"
+        "assert False\n"
+        "import kopt\n"
+        "from kopt import dpengine\n"
+        "real = dpengine.gain_partial\n"
+        "dpengine.gain_partial = lambda *args: real(*args) + 1\n"
+        "inst, tour = kopt.gen_random(10, 1, 100), kopt.random_tour(10, 2)\n"
+        "try:\n"
+        "    dpengine.best_move(inst, tour, 3)\n"
+        "except kopt.InvariantError as exc:\n"
+        "    print('raised', sys.flags.optimize, exc)\n"
+    )
+    assert stdout.startswith("raised 1 reconstructed embedding gain")
+
+
+def test_oracle_anchor_subset_under_python_O():
+    stdout = _run_optimized(
+        "import sys\n"
+        "from kopt import best_move, gen_random, naive_best_move, random_tour\n"
+        "bad = []\n"
+        "for k in (2, 3, 4):\n"
+        "    for n in (8, 10):\n"
+        "        for seed in range(3):\n"
+        "            inst = gen_random(n, seed * 7 + k, 1000)\n"
+        "            tour = random_tour(n, seed * 13 + n)\n"
+        "            dp = best_move(inst, tour, k).gain\n"
+        "            if dp != naive_best_move(inst, tour, k).value:\n"
+        "                bad.append((k, n, seed))\n"
+        "print(sys.flags.optimize, bad)\n"
+    )
+    assert stdout.strip() == "1 []"
