@@ -1,113 +1,23 @@
 """k-move search for TSP tours: bucketed embeddings, connection patterns, and
-dynamic programming over tree decompositions of the dependence graph."""
+dynamic programming over tree decompositions of the dependence graph.
 
-from .alpha import AlphaSolution, WidthProfile, c_of_k, optimal_alpha, width_profile
-from .buckets import (
-    BucketPartition,
-    check_b_monotone,
-    enumerate_assignments,
-    make_buckets,
-    order_edges,
-)
-from .decomp import (
-    DepGraph,
-    NiceTreeDecomposition,
-    TreeDecomposition,
-    decomposition_from_order,
-    dependence_graph,
-    to_nice,
-    treewidth_exact,
-    validate_decomposition,
-)
-from .dpengine import SolveResult, best_move, local_search, solve_fixed
-from .instance import (
-    Instance,
-    ReductionInput,
-    Tour,
-    edge_weight,
-    gen_negative_triangle_reduction,
-    gen_random,
-    instance_from_json,
-    instance_to_json,
-    parse_tsplib,
-    random_reduction_input,
-    random_tour,
-    tour_from_json,
-    tour_to_json,
-    tour_weight,
-    write_tsplib,
-)
-from .moves import (
-    ConnectionPattern,
-    InterferenceGraph,
-    InvariantError,
-    KMove,
-    apply_move,
-    enumerate_matchings,
-    gain_partial,
-    interference_graph,
-    is_valid_pattern,
-    valid_patterns,
-)
-from .oracle import (
-    OracleResult,
-    enumerate_b_monotone_max,
-    has_negative_triangle,
-    naive_best_move,
-    treewidth_bruteforce,
-)
+The package exports the solver's entry points; everything else lives in its
+submodules (`kopt.decomp`, `kopt.dpengine`, `kopt.oracle`, ...)."""
+
+from .dpengine import best_move, local_search
+from .instance import Instance, Tour, gen_random, random_tour, tour_weight
+from .moves import InvariantError, apply_move
+from .oracle import naive_best_move
 
 __all__ = [
-    "AlphaSolution",
-    "BucketPartition",
-    "ConnectionPattern",
-    "DepGraph",
     "Instance",
-    "InterferenceGraph",
     "InvariantError",
-    "KMove",
-    "NiceTreeDecomposition",
-    "OracleResult",
-    "ReductionInput",
-    "SolveResult",
     "Tour",
-    "TreeDecomposition",
-    "WidthProfile",
     "apply_move",
     "best_move",
-    "c_of_k",
-    "check_b_monotone",
-    "decomposition_from_order",
-    "dependence_graph",
-    "edge_weight",
-    "enumerate_assignments",
-    "enumerate_b_monotone_max",
-    "enumerate_matchings",
-    "gain_partial",
-    "gen_negative_triangle_reduction",
     "gen_random",
-    "has_negative_triangle",
-    "instance_from_json",
-    "instance_to_json",
-    "interference_graph",
-    "is_valid_pattern",
     "local_search",
-    "make_buckets",
     "naive_best_move",
-    "optimal_alpha",
-    "order_edges",
-    "parse_tsplib",
-    "random_reduction_input",
     "random_tour",
-    "solve_fixed",
-    "to_nice",
-    "tour_from_json",
-    "tour_to_json",
     "tour_weight",
-    "treewidth_bruteforce",
-    "treewidth_exact",
-    "valid_patterns",
-    "validate_decomposition",
-    "width_profile",
-    "write_tsplib",
 ]

@@ -1,9 +1,9 @@
 """Command-line front end: move finding, local search, exponent reports,
-instance generation, oracles, and benchmarking.
+instance generation, and oracles.
 
-All machine-readable output (JSON, CSV) goes to stdout; human-readable
-summaries go to stderr. Exit codes: 0 success (find-move: improving move
-found), 1 no improving move, 2 usage or input errors.
+All machine-readable output (JSON) goes to stdout; human-readable summaries
+go to stderr. Exit codes: 0 success (find-move: improving move found), 1 no
+improving move, 2 usage or input errors.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,7 +28,6 @@ from .instance import (
     instance_from_json,
     instance_to_json,
     parse_tsplib,
-    random_tour,
     tour_from_json,
     tour_to_json,
     tour_weight,
@@ -60,9 +58,9 @@ def _emit(payload: dict, out: str | None):
         print(text)
 
 
-def _alpha_arg(value: str | None, k: int) -> Fraction:
+def _alpha_arg(value: str | None) -> Fraction | None:
     if value is None:
-        return dpengine.default_alpha(k)
+        return None
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError):
@@ -73,21 +71,14 @@ def _move_payload(k: int, res: dpengine.SolveResult) -> dict:
     payload = {"k": k, "gain": res.gain, "improving": res.improving}
     if res.move is not None:
         payload.update(res.move.to_dict())
-        payload["improving"] = res.improving
     return payload
 
 
 def cmd_find_move(args) -> int:
     inst = _read_instance(args.infile)
     tour = _read_tour(args.tour)
-    a = _alpha_arg(args.alpha, args.k)
-    if args.mode == "dp":
-        res = dpengine.best_move(inst, tour, args.k, alpha=a, policy=args.policy)
-    else:
-        ores = oracle.naive_best_move(inst, tour, args.k)
-        res = dpengine.SolveResult(
-            gain=ores.value, embedding=ores.witness.embedding, move=ores.witness
-        )
+    a = _alpha_arg(args.alpha)
+    res = dpengine.best_move(inst, tour, args.k, alpha=a, policy=args.policy)
     _emit(_move_payload(args.k, res), args.out)
     print(f"gain {res.gain} (improving: {res.improving})", file=sys.stderr)
     return 0 if res.improving else 1
@@ -96,7 +87,7 @@ def cmd_find_move(args) -> int:
 def cmd_local_search(args) -> int:
     inst = _read_instance(args.infile)
     tour = _read_tour(args.tour)
-    a = _alpha_arg(args.alpha, args.k)
+    a = _alpha_arg(args.alpha)
     final, history = dpengine.local_search(
         inst,
         tour,
@@ -233,32 +224,6 @@ def cmd_oracle(args) -> int:
     raise CliError(f"unknown oracle command {args.oracle_command!r}")
 
 
-def cmd_bench(args) -> int:
-    rows = ["k,n,alpha,mode,wall_ms,gain"]
-    sizes = [int(tok) for tok in args.n_list.split(",")]
-    modes = args.modes.split(",")
-    for n in sizes:
-        inst = gen_random(n, args.seed, args.wmax)
-        tour = random_tour(n, args.seed + 1)
-        a = _alpha_arg(args.alpha, args.k)
-        for mode in modes:
-            start = time.perf_counter()
-            if mode == "dp":
-                gain = dpengine.best_move(inst, tour, args.k, alpha=a).gain
-            elif mode == "naive":
-                gain = oracle.naive_best_move(inst, tour, args.k).value
-            else:
-                raise CliError(f"unknown mode {mode!r}")
-            wall_ms = (time.perf_counter() - start) * 1000.0
-            rows.append(f"{args.k},{n},{a},{mode},{wall_ms:.1f},{gain}")
-    text = "\n".join(rows)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kopt", description="k-move search for TSP tours"
@@ -268,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_move_args(p):
         p.add_argument("--k", type=int, required=True)
         p.add_argument("--alpha", default=None, help='bucket exponent, e.g. "3/4"')
-        p.add_argument("--mode", choices=("dp", "naive"), default="dp")
         p.add_argument("--policy", choices=("best", "first"), default="best")
         p.add_argument("--in", dest="infile", required=True)
         p.add_argument("--tour", required=True)
@@ -319,16 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--in", dest="infile", required=True)
     q.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("bench", help="dp vs naive wall-clock CSV")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n-list", default="40,60,80,100")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--wmax", type=int, default=1000)
-    p.add_argument("--alpha", default=None)
-    p.add_argument("--modes", default="dp,naive")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_bench)
-
     return parser
 
 
@@ -337,7 +291,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (CliError, ValueError, OSError, KeyError) as exc:
+    except (
+        CliError, ValueError, OSError, KeyError, oracle.BudgetExceededError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -474,11 +474,9 @@ def solve_fixed(
         if nice.k != k:
             raise ValueError("decomposition is for a different k")
         dep = dependence_graph(interference_graph(m), obs)
-        bags = [nd.bag for nd in nice.nodes]
-        if set().union(*bags) != set(range(1, k + 1)) or any(
-            not any(a in bag and b in bag for bag in bags) for a, b in dep.edges
-        ):
-            raise ValueError("decomposition does not cover the dependence graph")
+        ok, diags = validate_decomposition(dep, nice)
+        if not ok:
+            raise ValueError(f"invalid decomposition: {'; '.join(diags)}")
         plan = _compile(m, obs, nice)
 
     if runs is not None:

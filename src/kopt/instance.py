@@ -26,9 +26,14 @@ class FormatError(ValueError):
 
 
 def _as_weight_matrix(weights, n: int, allow_negative: bool = True) -> np.ndarray:
-    mat = np.array(weights, dtype=np.int64)
-    if mat.shape != (n, n):
-        raise ValueError(f"weight matrix must be {n}x{n}, got {mat.shape}")
+    raw = np.asarray(weights)
+    if raw.shape != (n, n):
+        raise ValueError(f"weight matrix must be {n}x{n}, got {raw.shape}")
+    if raw.dtype.kind not in "iu":
+        raise ValueError(
+            f"weights must be integers of magnitude <= 2^40, got {raw.dtype} entries"
+        )
+    mat = np.array(raw, dtype=np.int64)
     if np.abs(mat).max(initial=0) > MAX_ABS_WEIGHT:
         raise ValueError("weight magnitude exceeds the 2^40 overflow guard")
     if not np.array_equal(mat, mat.T):
@@ -120,21 +125,12 @@ class Tour:
         return [self.edge(i) for i in range(1, self.n + 1)]
 
 
-def edge_weight(inst: Instance, u: int, v: int) -> int:
-    """Symmetric O(1) weight lookup for edge {u, v}."""
-    return inst.weight(u, v)
-
-
 def tour_weight(inst: Instance, tour: Tour) -> int:
     """Total weight of the tour's n edges."""
     if tour.n != inst.n:
         raise ValueError("tour and instance sizes differ")
     idx = np.asarray(tour.order, dtype=np.int64) - 1
     return int(inst.weights[idx, np.roll(idx, -1)].sum())
-
-
-def identity_tour(n: int) -> Tour:
-    return Tour(tuple(range(1, n + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +298,26 @@ def instance_to_json(inst: Instance) -> str:
     return json.dumps({"n": inst.n, "weights": inst.weights.tolist()})
 
 
-def instance_from_json(text: str) -> Instance:
+def _json_fields(text: str, **types: type) -> list:
+    """The named fields of a JSON object, each checked to have its type."""
     data = json.loads(text)
-    return Instance(n=int(data["n"]), weights=data["weights"])
+    if not isinstance(data, dict):
+        raise FormatError(f"expected a JSON object, got {type(data).__name__}")
+    values = []
+    for key, kind in types.items():
+        if key not in data:
+            raise FormatError(f"missing key {key!r}")
+        if type(data[key]) is not kind:
+            raise FormatError(
+                f"{key!r} must be {kind.__name__}, got {type(data[key]).__name__}"
+            )
+        values.append(data[key])
+    return values
+
+
+def instance_from_json(text: str) -> Instance:
+    n, weights = _json_fields(text, n=int, weights=list)
+    return Instance(n=n, weights=weights)
 
 
 def tour_to_json(tour: Tour) -> str:
@@ -313,8 +326,10 @@ def tour_to_json(tour: Tour) -> str:
 
 
 def tour_from_json(text: str) -> Tour:
-    data = json.loads(text)
-    return Tour(tuple(int(v) for v in data["order"]))
+    (order,) = _json_fields(text, order=list)
+    if any(type(v) is not int for v in order):
+        raise FormatError("tour entries must be integers")
+    return Tour(tuple(order))
 
 
 # ---------------------------------------------------------------------------

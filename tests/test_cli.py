@@ -29,24 +29,6 @@ def run(capsys, argv):
     return code, out
 
 
-def test_find_move_dp_and_naive_agree(tmp_path, capsys):
-    inst = gen_random(10, 5, 100)
-    tour = random_tour(10, 6)
-    ipath, tpath = write_pair(tmp_path, inst, tour)
-    code_dp, out_dp = run(
-        capsys, ["find-move", "--k", "3", "--mode", "dp", "--in", ipath, "--tour", tpath]
-    )
-    code_nv, out_nv = run(
-        capsys,
-        ["find-move", "--k", "3", "--mode", "naive", "--in", ipath, "--tour", tpath],
-    )
-    dp, nv = json.loads(out_dp), json.loads(out_nv)
-    assert dp["gain"] == nv["gain"]
-    assert code_dp == code_nv == (0 if dp["improving"] else 1)
-    for key in ("k", "removed", "added", "gain", "pattern", "embedding"):
-        assert key in dp
-
-
 def test_find_move_exit_1_on_local_optimum(tmp_path, capsys):
     inst = euclidean_instance([(0, 0), (10, 0), (10, 10), (0, 10)])
     ipath, tpath = write_pair(tmp_path, inst, Tour((1, 2, 3, 4)))
@@ -211,44 +193,117 @@ def test_oracle_treewidth(tmp_path, capsys):
     assert json.loads(out)["width"] == 4
 
 
-def test_oracle_best_move_matches_find_move(tmp_path, capsys):
-    inst = gen_random(9, 9, 100)
-    tour = random_tour(9, 10)
+@pytest.mark.parametrize("k,n,seed", [(2, 9, 9), (3, 10, 5)], ids=["k2", "k3"])
+def test_oracle_best_move_matches_find_move(tmp_path, capsys, k, n, seed):
+    inst = gen_random(n, seed, 100)
+    tour = random_tour(n, seed + 1)
     ipath, tpath = write_pair(tmp_path, inst, tour)
-    _, out_dp = run(capsys, ["find-move", "--k", "2", "--in", ipath, "--tour", tpath])
-    _, out_or = run(
-        capsys, ["oracle", "best-move", "--k", "2", "--in", ipath, "--tour", tpath]
-    )
-    assert json.loads(out_dp)["gain"] == json.loads(out_or)["gain"]
+    move_args = ["--k", str(k), "--in", ipath, "--tour", tpath]
+    code_dp, out_dp = run(capsys, ["find-move", *move_args])
+    code_or, out_or = run(capsys, ["oracle", "best-move", *move_args])
+    dp, orc = json.loads(out_dp), json.loads(out_or)
+    assert dp["gain"] == orc["gain"]
+    assert dp["improving"] == orc["improving"]
+    assert code_dp == code_or == (0 if dp["improving"] else 1)
+    for key in ("k", "removed", "added", "gain", "pattern", "embedding"):
+        assert key in dp and key in orc
 
 
-def test_bench_csv_shape_and_determinism(capsys):
-    argv = [
-        "bench",
-        "--k",
-        "2",
-        "--n-list",
-        "8,10",
-        "--seed",
-        "3",
-        "--alpha",
-        "1",
+@pytest.mark.parametrize("command", ["find-move", "local-search"])
+def test_move_commands_reject_mode(tmp_path, command):
+    ipath, tpath = write_pair(tmp_path, gen_random(8, 1, 100), random_tour(8, 2))
+    argv = [command, "--k", "2", "--mode", "naive", "--in", ipath, "--tour", tpath]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+SQUARE_TOUR = '{"order": [1, 2, 3, 4]}'
+SQUARE = instance_to_json(euclidean_instance([(0, 0), (10, 0), (10, 10), (0, 10)]))
+
+
+@pytest.mark.parametrize(
+    "command,files",
+    [
+        pytest.param(
+            ["oracle", "best-move", "--k", "5"],
+            {"--in": instance_to_json(gen_random(200, 0, 100)),
+             "--tour": tour_to_json(random_tour(200, 1))},
+            id="oracle-best-move-over-budget",
+        ),
+        pytest.param(
+            ["oracle", "treewidth"],
+            {"--graph": json.dumps({"k": 9, "edges": [[1, 2]]})},
+            id="oracle-treewidth-over-budget",
+        ),
+        pytest.param(
+            ["find-move", "--k", "2"],
+            {"--in": SQUARE, "--tour": '{"order": 5}'},
+            id="tour-order-not-a-list",
+        ),
+        pytest.param(
+            ["find-move", "--k", "2"],
+            {"--in": SQUARE, "--tour": "[1, 2, 3, 4]"},
+            id="tour-not-an-object",
+        ),
+        pytest.param(
+            ["find-move", "--k", "2"],
+            {"--in": SQUARE, "--tour": '{"tour": [1, 2, 3, 4]}'},
+            id="tour-missing-key",
+        ),
+        pytest.param(
+            ["find-move", "--k", "2"],
+            {"--in": SQUARE, "--tour": '{"order": [2.5, 1, 3, 4]}'},
+            id="tour-entry-not-an-integer",
+        ),
+        pytest.param(
+            ["find-move", "--k", "2"],
+            {"--in": '{"n": 4}', "--tour": SQUARE_TOUR},
+            id="instance-missing-key",
+        ),
+        pytest.param(
+            ["find-move", "--k", "2"],
+            {"--in": SQUARE.replace('"n": 4', '"n": 4.5'), "--tour": SQUARE_TOUR},
+            id="instance-field-of-wrong-type",
+        ),
+        pytest.param(
+            ["find-move", "--k", "2"],
+            {"--in": SQUARE.replace("10,", "10.5,"), "--tour": SQUARE_TOUR},
+            id="instance-weight-not-an-integer",
+        ),
+    ],
+)
+def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, command, files):
+    argv = list(command)
+    for i, (flag, text) in enumerate(files.items()):
+        path = tmp_path / f"input{i}.json"
+        path.write_text(text)
+        argv += [flag, str(path)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+def test_package_exports_only_the_entry_points():
+    import kopt
+
+    assert sorted(kopt.__all__) == [
+        "Instance",
+        "InvariantError",
+        "Tour",
+        "apply_move",
+        "best_move",
+        "gen_random",
+        "local_search",
+        "naive_best_move",
+        "random_tour",
+        "tour_weight",
     ]
-    code, out1 = run(capsys, argv)
-    assert code == 0
-    code, out2 = run(capsys, argv)
-    lines1 = out1.strip().splitlines()
-    lines2 = out2.strip().splitlines()
-    assert lines1[0] == "k,n,alpha,mode,wall_ms,gain"
-    assert len(lines1) == 1 + 2 * 2
-    gains1 = [row.split(",")[-1] for row in lines1[1:]]
-    gains2 = [row.split(",")[-1] for row in lines2[1:]]
-    assert gains1 == gains2
-    for row in lines1[1:]:
-        k, n, alpha, mode, wall_ms, gain = row.split(",")
-        assert mode in ("dp", "naive")
-        float(wall_ms)
-        int(gain)
+    for name in kopt.__all__:
+        assert getattr(kopt, name) is not None
 
 
 def test_tsplib_input_accepted(tmp_path, capsys):

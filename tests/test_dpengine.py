@@ -1,12 +1,14 @@
 """The tree-decomposition DP solver and driver."""
 
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kopt.buckets import enumerate_assignments, make_buckets, order_edges
@@ -24,6 +26,7 @@ from kopt.dpengine import (
     solve_fixed,
 )
 from kopt.instance import (
+    Instance,
     Tour,
     euclidean_instance,
     gen_random,
@@ -35,6 +38,7 @@ from kopt.moves import (
     apply_move,
     gain_partial,
     interference_graph,
+    is_valid_pattern,
     valid_patterns,
 )
 from kopt.oracle import enumerate_b_monotone_max, naive_best_move
@@ -249,6 +253,50 @@ def test_solve_fixed_rejects_wrong_decomposition():
     nice2 = nice_decomposition_for(dep_without_edges)
     with pytest.raises(ValueError):
         solve_fixed(inst, tour, m3, (1, 1, 1), part, nice2)
+    # covers every edge of the 3-cycle, but slot 2 appears at an introduce
+    # node whose child bag lacks it, so no node introduces slot 2
+    skips_slot_2 = NiceTreeDecomposition(
+        k=3,
+        nodes=(
+            NiceNode("leaf", frozenset(), None, ()),
+            NiceNode("introduce", frozenset({1}), 1, (0,)),
+            NiceNode("introduce", frozenset({1, 2, 3}), 3, (1,)),
+            NiceNode("forget", frozenset({2, 3}), 1, (2,)),
+            NiceNode("forget", frozenset({3}), 2, (3,)),
+            NiceNode("forget", frozenset(), 3, (4,)),
+        ),
+        root=5,
+    )
+    with pytest.raises(ValueError, match="introduce node 2 bag rule violated"):
+        solve_fixed(inst, tour, m3, (1, 1, 1), part, skips_slot_2)
+
+
+def test_float64_exact_at_the_weight_bound_with_k10():
+    """Weights span the whole [-2^40, 2^40] range the instance allows, and the
+    gain exceeds 2^40: the float64 tables must still give the exact integer
+    maximum over the cell's bucket-monotone embeddings."""
+    from kopt.buckets import BucketPartition
+
+    rng = random.Random(0)
+    while True:  # first valid pattern of a seeded search
+        ends = list(range(1, 21))
+        rng.shuffle(ends)
+        m = ConnectionPattern(10, tuple(zip(ends[::2], ends[1::2])))
+        if is_valid_pattern(m):
+            break
+    bound = 1 << 40
+    upper = np.triu(
+        np.random.default_rng(0).integers(-bound, bound, size=(20, 20), endpoint=True), 1
+    )
+    upper[0, 1], upper[2, 3] = bound, -bound
+    inst = Instance(n=20, weights=upper + upper.T)
+    tour = random_tour(20, 1)
+    part = BucketPartition(n=20, size=10)
+    assignment = (1,) * 5 + (2,) * 5
+    res = solve_fixed(inst, tour, m, assignment, part)
+    brute = enumerate_b_monotone_max(inst, tour, m, assignment, part)
+    assert res.gain == brute.value and res.gain > bound
+    assert res.embedding == brute.witness
 
 
 @pytest.mark.parametrize("seed", range(6))

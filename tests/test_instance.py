@@ -9,7 +9,6 @@ from kopt.instance import (
     Instance,
     ReductionInput,
     Tour,
-    edge_weight,
     euclidean_instance,
     gen_negative_triangle_reduction,
     gen_random,
@@ -39,9 +38,9 @@ EOF
 def test_parse_345_triangle():
     inst = parse_tsplib(TRIANGLE_345)
     assert inst.n == 3
-    assert edge_weight(inst, 1, 2) == 3
-    assert edge_weight(inst, 1, 3) == 4
-    assert edge_weight(inst, 2, 3) == 5
+    assert inst.weight(1, 2) == 3
+    assert inst.weight(1, 3) == 4
+    assert inst.weight(2, 3) == 5
 
 
 def test_parse_rejects_n_below_3():
@@ -56,10 +55,10 @@ def test_parse_rejects_n_below_3():
 def test_parse_rounding_convention():
     # sqrt(2) rounds down to 1 under the round-half-up integer convention
     inst = euclidean_instance([(0, 0), (1, 1), (5, 5)])
-    assert edge_weight(inst, 1, 2) == 1
+    assert inst.weight(1, 2) == 1
     # and x.5 rounds up
     inst2 = euclidean_instance([(0, 0), (1.5, 0), (0, 5)])
-    assert edge_weight(inst2, 1, 2) == 2
+    assert inst2.weight(1, 2) == 2
 
 
 def test_parse_errors_carry_line_numbers():
@@ -100,11 +99,44 @@ def test_json_round_trip():
     assert tour_from_json(tour_to_json(tour)) == tour
 
 
+@pytest.mark.parametrize(
+    "load,text",
+    [
+        (instance_from_json, "[3, [[0, 1, 2], [1, 0, 3], [2, 3, 0]]]"),
+        (instance_from_json, '{"n": 3, "weights": "0 1 2 1 0 3 2 3 0"}'),
+        (tour_from_json, '{"order": [2.5, 1, 3]}'),
+        (tour_from_json, '{"order": [2.0, 1, 3]}'),
+        (tour_from_json, '{"order": ["2", 1, 3]}'),
+        (tour_from_json, '{"order": [true, 2, 3]}'),
+    ],
+)
+def test_json_loaders_reject_malformed_documents(load, text):
+    with pytest.raises(FormatError):
+        load(text)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        [[0, 1.5, 2], [1.5, 0, 3], [2, 3, 0]],
+        [[0, 1.0, 2], [1.0, 0, 3], [2, 3, 0]],
+        np.array([[0, 1, 2], [1, 0, 3], [2, 3, 0]], dtype=np.float64),
+        [[0, 1 << 70, 2], [1 << 70, 0, 3], [2, 3, 0]],
+    ],
+    ids=["fraction", "integral-float", "float-array", "beyond-int64"],
+)
+def test_non_integer_weights_rejected_not_truncated(weights):
+    with pytest.raises(ValueError, match="integers"):
+        Instance(n=3, weights=weights)
+    with pytest.raises(ValueError, match="integers"):
+        ReductionInput(n=3, weights=weights)
+
+
 def test_edge_weight_contract():
     inst = gen_random(6, 0, 10)
-    assert edge_weight(inst, 2, 5) == edge_weight(inst, 5, 2)
+    assert inst.weight(2, 5) == inst.weight(5, 2)
     with pytest.raises(ValueError):
-        edge_weight(inst, 3, 3)
+        inst.weight(3, 3)
 
 
 def test_tour_weight_triangle():
