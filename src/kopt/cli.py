@@ -20,9 +20,11 @@ from . import alpha as alpha_mod
 from . import dpengine, oracle
 from .decomp import DepGraph
 from .instance import (
+    FormatError,
     Instance,
     ReductionInput,
     Tour,
+    _json_fields,
     gen_negative_triangle_reduction,
     gen_random,
     instance_from_json,
@@ -206,14 +208,16 @@ def cmd_oracle(args) -> int:
         _emit(payload, args.out)
         return 0 if res.value > 0 else 1
     if args.oracle_command == "treewidth":
-        data = json.loads(Path(args.graph).read_text())
-        g = DepGraph(k=int(data["k"]), edges=frozenset(tuple(e) for e in data["edges"]))
+        k, edges = _json_fields(Path(args.graph).read_text(), k=int, edges=list)
+        if any(type(e) is not list or [type(v) for v in e] != [int, int] for e in edges):
+            raise FormatError("'edges' must be a list of [int, int] pairs")
+        g = DepGraph(k=k, edges=frozenset(tuple(e) for e in edges))
         res = oracle.treewidth_bruteforce(g)
         _emit({"width": res.value, "order": list(res.witness)}, None)
         return 0
     if args.oracle_command == "neg-triangle":
-        data = json.loads(Path(args.infile).read_text())
-        g = ReductionInput(n=int(data["n"]), weights=data["weights"])
+        n, weights = _json_fields(Path(args.infile).read_text(), n=int, weights=list)
+        g = ReductionInput(n=n, weights=weights)
         res = oracle.has_negative_triangle(g)
         payload = {"negative_triangle": res.value}
         if res.witness:

@@ -474,8 +474,10 @@ def solve_fixed(
         if nice.k != k:
             raise ValueError("decomposition is for a different k")
         dep = dependence_graph(interference_graph(m), obs)
-        ok, diags = validate_decomposition(dep, nice)
-        if not ok:
+        _, diags = validate_decomposition(dep, nice)
+        stray = set().union(*(nd.bag for nd in nice.nodes)) - set(range(1, k + 1))
+        diags += [f"slot {v} is outside 1..{k}" for v in sorted(stray)]
+        if diags:
             raise ValueError(f"invalid decomposition: {'; '.join(diags)}")
         plan = _compile(m, obs, nice)
 

@@ -33,9 +33,11 @@ def _as_weight_matrix(weights, n: int, allow_negative: bool = True) -> np.ndarra
         raise ValueError(
             f"weights must be integers of magnitude <= 2^40, got {raw.dtype} entries"
         )
-    mat = np.array(raw, dtype=np.int64)
-    if np.abs(mat).max(initial=0) > MAX_ABS_WEIGHT:
+    # bound the raw values before the cast: a uint64 entry would wrap, and
+    # abs(-2^63) overflows back to -2^63
+    if (raw > MAX_ABS_WEIGHT).any() or (raw < -MAX_ABS_WEIGHT).any():
         raise ValueError("weight magnitude exceeds the 2^40 overflow guard")
+    mat = np.array(raw, dtype=np.int64)
     if not np.array_equal(mat, mat.T):
         raise ValueError("weight matrix must be symmetric")
     if not allow_negative and (mat < 0).any():

@@ -237,6 +237,36 @@ SQUARE = instance_to_json(euclidean_instance([(0, 0), (10, 0), (10, 10), (0, 10)
             id="oracle-treewidth-over-budget",
         ),
         pytest.param(
+            ["oracle", "treewidth"],
+            {"--graph": "[[1, 2], [2, 3]]"},
+            id="graph-not-an-object",
+        ),
+        pytest.param(
+            ["oracle", "treewidth"],
+            {"--graph": json.dumps({"k": 3.7, "edges": [[1, 2]]})},
+            id="graph-k-not-an-integer",
+        ),
+        pytest.param(
+            ["oracle", "treewidth"],
+            {"--graph": json.dumps({"k": 3, "edges": [[1, 2.5]]})},
+            id="graph-edge-not-an-integer-pair",
+        ),
+        pytest.param(
+            ["oracle", "neg-triangle"],
+            {"--in": json.dumps({"weights": [[0, 1, -3], [1, 0, 1], [-3, 1, 0]]})},
+            id="reduction-input-missing-key",
+        ),
+        pytest.param(
+            ["oracle", "neg-triangle"],
+            {"--in": json.dumps({"n": 3.0, "weights": [[0, 1, -3], [1, 0, 1], [-3, 1, 0]]})},
+            id="reduction-input-n-not-an-integer",
+        ),
+        pytest.param(
+            ["oracle", "neg-triangle"],
+            {"--in": json.dumps({"n": 3, "weights": [[0, 1.5, -3], [1.5, 0, 1], [-3, 1, 0]]})},
+            id="reduction-input-weight-not-an-integer",
+        ),
+        pytest.param(
             ["find-move", "--k", "2"],
             {"--in": SQUARE, "--tour": '{"order": 5}'},
             id="tour-order-not-a-list",

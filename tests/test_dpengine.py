@@ -269,6 +269,25 @@ def test_solve_fixed_rejects_wrong_decomposition():
     )
     with pytest.raises(ValueError, match="introduce node 2 bag rule violated"):
         solve_fixed(inst, tour, m3, (1, 1, 1), part, skips_slot_2)
+    # a valid decomposition of the 3-cycle that also introduces and forgets
+    # a slot 4 the pattern does not have
+    has_slot_4 = NiceTreeDecomposition(
+        k=3,
+        nodes=(
+            NiceNode("leaf", frozenset(), None, ()),
+            NiceNode("introduce", frozenset({1}), 1, (0,)),
+            NiceNode("introduce", frozenset({1, 2}), 2, (1,)),
+            NiceNode("introduce", frozenset({1, 2, 3}), 3, (2,)),
+            NiceNode("introduce", frozenset({1, 2, 3, 4}), 4, (3,)),
+            NiceNode("forget", frozenset({1, 2, 3}), 4, (4,)),
+            NiceNode("forget", frozenset({2, 3}), 1, (5,)),
+            NiceNode("forget", frozenset({3}), 2, (6,)),
+            NiceNode("forget", frozenset(), 3, (7,)),
+        ),
+        root=8,
+    )
+    with pytest.raises(ValueError, match="slot 4 is outside 1..3"):
+        solve_fixed(inst, tour, m3, (1, 1, 1), part, has_slot_4)
 
 
 def test_float64_exact_at_the_weight_bound_with_k10():

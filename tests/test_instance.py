@@ -244,3 +244,32 @@ def test_weight_magnitude_guard():
     w[0, 1] = w[1, 0] = (1 << 40) + 1
     with pytest.raises(ValueError, match="overflow guard"):
         Instance(n=3, weights=w)
+
+
+def _symmetric(value, dtype=None):
+    w = [[0, value, 2], [value, 0, 3], [2, 3, 0]]
+    return w if dtype is None else np.array(w, dtype=dtype)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        _symmetric(-(1 << 40) - 1),
+        _symmetric(-(1 << 63)),
+        _symmetric(1 << 63, np.uint64),
+        _symmetric((1 << 64) - 3, np.uint64),
+        _symmetric(1 << 63),
+        _symmetric((1 << 64) - 3),
+    ],
+    ids=[
+        "below-minus-2^40", "int64-min", "uint64-2^63", "uint64-2^64-3",
+        "list-2^63", "list-2^64-3",
+    ],
+)
+def test_weight_magnitude_guard_does_not_wrap(weights):
+    # int64-min defeats an abs() check and uint64 entries wrap on a cast to
+    # int64; both must fail rather than load as a different instance
+    with pytest.raises(ValueError, match=r"2\^40"):
+        Instance(n=3, weights=weights)
+    with pytest.raises(ValueError, match=r"2\^40"):
+        ReductionInput(n=3, weights=weights)
