@@ -34,7 +34,7 @@ from .instance import (
     tour_to_json,
     tour_weight,
 )
-from .moves import enumerate_matchings, valid_patterns
+from .moves import matching_count, valid_pattern_count, valid_patterns
 
 
 class CliError(Exception):
@@ -145,6 +145,11 @@ def cmd_ck(args) -> int:
 
 def cmd_patterns(args) -> int:
     if args.list:
+        if args.k > dpengine.MAX_SOLVER_K:
+            raise CliError(
+                f"--list holds {valid_pattern_count(args.k):,} patterns at k={args.k};"
+                f" it takes k <= {dpengine.MAX_SOLVER_K}"
+            )
         payload = {
             "k": args.k,
             "valid": [
@@ -152,11 +157,10 @@ def cmd_patterns(args) -> int:
             ],
         }
     else:
-        total = sum(1 for _ in enumerate_matchings(args.k))
         payload = {
             "k": args.k,
-            "total": total,
-            "valid": len(valid_patterns(args.k)),
+            "total": matching_count(args.k),
+            "valid": valid_pattern_count(args.k),
         }
     _emit(payload, None)
     return 0

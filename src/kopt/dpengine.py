@@ -25,13 +25,19 @@ cells share it.
   entries are -inf, as are loops and order violations.
 - **In place.** All terms between the introduced slot and one bag neighbour
   are folded into one `(B, s, s)` block that is added to the table in place;
-  joins add their corrections to a child's table in place.
+  a join adds into its first child's table in place, unless that table is a
+  kept forget output.
 - **Chunks.** The batch axis is cut into chunks so that no table holds more
   than `MAX_BATCH_ENTRIES` entries, or one cell's table when that is larger.
-- **Check once.** Root values give every cell's gain. Only the winning cell
-  is run again, with a batch of one and argmax data kept; its embedding is
-  reconstructed, checked against `gain_partial`, turned into a `KMove`, and
-  applied once through `apply_move`.
+- **Check once.** Root values give every cell's gain. Each run keeps the
+  tables its forget ops output, and a group run holds on to its last chunk's
+  until the next run starts. The winning cell's embedding is rebuilt top-down
+  from those tables: at each forget op, the child's table is summed again
+  along the forgotten slot only, from the kept forget tables below it and the
+  blocks in between, and the slot takes its first maximum. When the winner
+  lies in that last chunk nothing runs again; otherwise it is run once alone.
+  Its embedding is checked against `gain_partial`, turned into a `KMove`,
+  and applied once through `apply_move`.
 
 Tables are float64; -inf marks assignments with no legal completion. Weights
 are bounded by 2^40 and table values sum only O(k) of them, so float64
@@ -75,7 +81,9 @@ from .moves import (
 )
 
 NEG_INF = float("-inf")
-MAX_SOLVER_K = 10
+# valid_patterns(k) is held in memory: 645,120 patterns at k=8, 10.3 million
+# at k=9
+MAX_SOLVER_K = 8
 # Largest batched table, in entries (32 MB of float64); a single cell whose
 # table is larger runs alone.
 MAX_BATCH_ENTRIES = 1 << 22
@@ -140,12 +148,16 @@ COMPILE_CACHE_SIZE = 1 << 14  # entries in each cache of compiled plans and ops
 class Plan:
     """The DP of one (pattern, order-edge set) as a flat op list, compiled
     from the nice decomposition `nice`; `width` is the largest bag size, so
-    one cell's largest table has s**width entries."""
+    one cell's largest table has s**width entries. Per op, `bags` holds its
+    table's 0-based slots in axis order and `children` the indices of its
+    child ops in the order they run."""
 
     k: int
     ops: tuple[tuple, ...]
     width: int
     nice: NiceTreeDecomposition
+    bags: tuple[tuple[int, ...], ...]
+    children: tuple[tuple[int, ...], ...]
 
 
 def _pattern_pairs_info(m: ConnectionPattern) -> tuple[tuple[int, bool, int, bool], ...]:
@@ -240,6 +252,20 @@ def _join_op(bag: tuple[int, ...], inside, unpaired) -> tuple:
 _LEAF_OP = (LEAF,)
 
 
+@lru_cache(maxsize=COMPILE_CACHE_SIZE)
+def _tree(nice: NiceTreeDecomposition) -> tuple[tuple, tuple]:
+    """(bags, children) of a plan compiled from `nice`, shared by all of them."""
+    bags, children, stack = [], [], []
+    for i, t in enumerate(nice.postorder()):
+        nd = nice.nodes[t]
+        bags.append(tuple(b - 1 for b in sorted(nd.bag)))
+        taken = len(nd.children)
+        children.append(tuple(stack[len(stack) - taken:]))
+        del stack[len(stack) - taken:]
+        stack.append(i)
+    return tuple(bags), tuple(children)
+
+
 def _compile(
     m: ConnectionPattern, obs: frozenset[tuple[int, int]], nice: NiceTreeDecomposition
 ) -> Plan:
@@ -279,7 +305,7 @@ def _compile(
             raise InvariantError(f"unknown node kind {nd.kind!r}")
     if sorted(forgotten) != list(range(1, m.k + 1)):
         raise InvariantError("every slot must be forgotten exactly once")
-    return Plan(m.k, tuple(ops), nice.width + 1, nice)
+    return Plan(m.k, tuple(ops), nice.width + 1, nice, *_tree(nice))
 
 
 @lru_cache(maxsize=COMPILE_CACHE_SIZE)
@@ -348,33 +374,18 @@ def _block_value(block: tuple, cells: _Cells) -> np.ndarray:
     return value[index]
 
 
-def _first_max_positions(child: np.ndarray, table: np.ndarray, axis: int) -> np.ndarray:
-    """child.argmax(axis), given table = child.max(axis). argmax copies all of
-    child when `axis` is not the last one, so past MAX_BATCH_ENTRIES entries
-    the positions are found slice by slice, with temporaries the size of
-    table."""
-    if child.size <= MAX_BATCH_ENTRIES:
-        return child.argmax(axis=axis)
-    pos = np.zeros(table.shape, dtype=np.intp)
-    index = [slice(None)] * child.ndim
-    for j in range(child.shape[axis] - 1, -1, -1):
-        index[axis] = j
-        pos[child[tuple(index)] == table] = j
-    return pos
-
-
 def _run_plan(
-    plan: Plan, cells: _Cells, *, want_args: bool = False, keep_tables: bool = False
+    plan: Plan, cells: _Cells, *, keep_forgets: bool = False, keep_tables: bool = False
 ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """The root values over the batch, the forget ops' argmax arrays (if
-    want_args) and every op's table in postorder (if keep_tables, which tests
-    use to compare every node's table). Without keep_tables a join adds into
-    its first child's table."""
+    """The root values over the batch, the forget ops' output tables (if
+    keep_forgets) and every op's table (if keep_tables, which tests use to
+    compare every node's table), both in postorder. A join adds into its
+    first child's table unless that table is kept."""
     B, s = cells.batch, cells.s
     stack: list[np.ndarray] = []
-    args: list[np.ndarray] = []
+    forgets: list[np.ndarray] = []
     kept: list[np.ndarray] = []
-    for op in plan.ops:
+    for i, op in enumerate(plan.ops):
         kind = op[0]
         if kind == INTRODUCE:
             _, ndim, place, blocks = op
@@ -383,14 +394,12 @@ def _run_plan(
             for block in blocks[1:]:
                 table += _block_value(block, cells)
         elif kind == FORGET:
-            child = stack.pop()
-            table = child.max(axis=op[1])
-            if want_args:
-                args.append(_first_max_positions(child, table, op[1]))
-            del child  # free it before the next op allocates
+            table = stack.pop().max(axis=op[1])
+            if keep_forgets:
+                forgets.append(table)
         elif kind == JOIN:
             other, table = stack.pop(), stack.pop()
-            if keep_tables:
+            if keep_tables or keep_forgets and plan.ops[plan.children[i][0]][0] == FORGET:
                 table = table + other
             else:
                 table += other
@@ -403,39 +412,47 @@ def _run_plan(
         if keep_tables:
             kept.append(table)
     (root,) = stack
-    return root, args, kept
+    return root, forgets, kept
 
 
-def _plan_gains(plan: Plan, cells: _Cells) -> np.ndarray:
-    """Root value of every cell in the batch, in chunks of the batch axis."""
-    chunk = max(1, MAX_BATCH_ENTRIES // cells.s**plan.width)
-    if chunk >= cells.batch:
-        return _run_plan(plan, cells)[0]
-    return np.concatenate([
-        _run_plan(plan, cells.rows(lo, lo + chunk))[0]
-        for lo in range(0, cells.batch, chunk)
-    ])
+def _reconstruct(
+    plan: Plan, cells: _Cells, forgets: list[np.ndarray], row: int
+) -> tuple[int, ...]:
+    """The embedding of batch row `row` of the run that kept the forget
+    tables `forgets`; `cells` holds that row's assignment alone. Top-down,
+    each forget op's child table is rebuilt along the forgotten slot only, at
+    the positions already chosen: the kept forget tables below it plus the
+    blocks of the introduce and join ops in between, each op visited once.
+    The slot takes the vector's first maximum, argmax's tie rule."""
+    ops, bags, children = plan.ops, plan.bags, plan.children
+    table_of = dict(zip((i for i, op in enumerate(ops) if op[0] == FORGET), forgets))
+    pos: dict[int, int] = {}
+    todo: list[int] = []  # forget ops whose child table is still to rebuild
 
+    def at(r: int, slots: tuple[int, ...], v: int | None) -> tuple:
+        return (r,) + tuple(slice(None) if b == v else pos[b] for b in slots)
 
-def _reconstruct(plan: Plan, cells: _Cells, args: list[np.ndarray]) -> tuple[int, ...]:
-    """Run the plan backwards for batch row 0: every node's key (slot ->
-    position) comes from its parent, and each slot's position from the argmax
-    array of its unique forget op."""
-    keys: list[dict[int, int]] = [{}]
-    emb: dict[int, int] = {}
-    for op in reversed(plan.ops):
-        kind = op[0]
-        key = keys.pop()
-        if kind == FORGET:
-            _, _, slot, bag = op
-            pos = int(args.pop()[(0,) + tuple(key[b] for b in bag)])
-            emb[slot] = int(cells.dom[0, slot, pos]) + 1
-            keys.append({**key, slot: pos})
-        elif kind == INTRODUCE:
-            keys.append(key)
-        elif kind == JOIN:
-            keys += [key, key]
-    return tuple(emb[i] for i in range(plan.k))
+    def along(i: int, v: int | None):
+        """Op i's table at `pos`, as a vector over slot v if its bag holds v."""
+        op = ops[i]
+        if op[0] == FORGET:
+            todo.append(i)
+            return table_of[i][at(row, bags[i], v)]
+        value = 0.0
+        for c in children[i]:
+            value = value + along(c, v)
+        shape, key = (1,) + (cells.s,) * len(bags[i]), at(0, bags[i], v)
+        for block in () if op[0] == LEAF else op[-1]:  # introduce and join blocks
+            value = value + np.broadcast_to(_block_value(block, cells), shape)[key]
+        return value
+
+    along(len(ops) - 1, None)  # queues the topmost forget ops
+    while todo:
+        i = todo.pop()
+        v = ops[i][2]
+        line = np.broadcast_to(along(children[i][0], v), (cells.s,))
+        pos[v] = int(np.argmax(line))
+    return tuple(int(cells.dom[0, v, pos[v]]) + 1 for v in range(plan.k))
 
 
 def _fits(assignment: tuple[int, ...], part: BucketPartition) -> bool:
@@ -455,9 +472,9 @@ def solve_fixed(
     runs: _GroupRuns | None = None,
 ) -> SolveResult:
     """Maximum gain over bucket-monotone embeddings for one pattern and one
-    bucket assignment: the compiled plan run on a batch of one with argmax
-    data kept. The embedding is reconstructed and re-verified against the
-    direct gain computation.
+    bucket assignment: the compiled plan run on a batch of one with its
+    forget tables kept. The embedding is rebuilt from those tables and
+    re-verified against the direct gain computation.
 
     With `runs` (best_move's batched runs over this tour and partition) the
     gain is the cell's root value in the batched run of its plan group, and
@@ -497,16 +514,21 @@ def _solve_cell(
     part: BucketPartition,
     plan: Plan,
     arrays: TourArrays,
+    kept: tuple[list[np.ndarray], int, float] | None = None,
 ) -> SolveResult:
-    """One fitting cell run alone with argmax data kept, its embedding
-    reconstructed, checked against gain_partial and made into a KMove."""
+    """One fitting cell's move, its embedding rebuilt from `kept` (the forget
+    tables of a run that held the cell, its row in them and its root value)
+    or else from a run of the cell alone; the embedding is checked against
+    gain_partial and made into a KMove."""
     cells = _Cells(arrays, part, [assignment])
-    root, args, _ = _run_plan(plan, cells, want_args=True)
-    root_val = float(root[0])
+    if kept is None:
+        root, forgets, _ = _run_plan(plan, cells, keep_forgets=True)
+        kept = forgets, 0, float(root[0])
+    forgets, row, root_val = kept
     if root_val == NEG_INF:
         return SolveResult(None, None, None)
     gain = int(round(root_val))
-    embedding = _reconstruct(plan, cells, args)
+    embedding = _reconstruct(plan, cells, forgets, row)
     check = gain_partial(inst, tour, m, dict(enumerate(embedding, 1)))
     if check != gain:
         raise InvariantError(f"reconstructed embedding gain {check} != table gain {gain}")
@@ -516,8 +538,10 @@ def _solve_cell(
 class _GroupRuns:
     """Root values of the cells over one tour and partition, computed one
     plan group at a time: the first request for a cell runs every fitting
-    assignment that shares its pattern and order-edge set in one batch. An
-    assignment that does not fit has root value -inf."""
+    assignment that shares its pattern and order-edge set in one batch, in
+    chunks of the batch axis. An assignment that does not fit has root value
+    -inf. The forget tables of the latest chunk run are kept, tagged with its
+    pattern, order-edge set and first row, until the next run starts."""
 
     def __init__(self, arrays: TourArrays, part: BucketPartition, assignments):
         groups: dict[frozenset[tuple[int, int]], list[tuple[int, ...]]] = {}
@@ -528,6 +552,7 @@ class _GroupRuns:
         self.row = {a: i for group in groups.values() for i, a in enumerate(group)}
         self.pattern: ConnectionPattern | None = None
         self.values: dict[frozenset[tuple[int, int]], list[float]] = {}  # of self.pattern
+        self.last: tuple | None = None  # (pattern, obs, first row, forget tables)
 
     def root_value(self, m: ConnectionPattern, obs, plan: Plan, assignment) -> float:
         row = self.row.get(assignment)
@@ -537,20 +562,44 @@ class _GroupRuns:
             self.pattern, self.values = m, {}
         values = self.values.get(obs)
         if values is None:
-            values = self.values[obs] = _plan_gains(plan, self.cells[obs]).tolist()
+            values = self.values[obs] = self._run(m, obs, plan)
         return values[row]
+
+    def _run(self, m: ConnectionPattern, obs, plan: Plan) -> list[float]:
+        """Root values of the group's cells; the last chunk's forget tables
+        stay in self.last."""
+        cells = self.cells[obs]
+        chunk = max(1, MAX_BATCH_ENTRIES // cells.s**plan.width)
+        values: list[float] = []
+        for lo in range(0, cells.batch, chunk):
+            self.last = None  # free the previous run's tables first
+            rows = cells if chunk >= cells.batch else cells.rows(lo, lo + chunk)
+            root, forgets, _ = _run_plan(plan, rows, keep_forgets=True)
+            values += root.tolist()
+            self.last = m, obs, lo, forgets
+        return values
+
+    def take(self, m: ConnectionPattern, obs, assignment) -> tuple | None:
+        """(forget tables, row, root value) of the cell if the latest run
+        held it, else None; the tables are dropped either way."""
+        last, self.last = self.last, None
+        row = self.row.get(assignment)
+        if last is None or row is None:
+            return None
+        pattern, last_obs, lo, forgets = last
+        if pattern is not m or last_obs != obs or row < lo:
+            return None
+        return forgets, row - lo, self.values[obs][row]
 
 
 def default_alpha(k: int) -> Fraction:
-    """Per-k bucket exponents: the computed optima for k = 5..10, and a single
+    """Per-k bucket exponents: the computed optima for k = 5..8, and a single
     bucket for k <= 4 where bucketing buys nothing at practical sizes."""
     table = {
         5: Fraction(2, 3),
         6: Fraction(3, 4),
         7: Fraction(3, 4),
         8: Fraction(2, 3),
-        9: Fraction(4, 5),
-        10: Fraction(4, 5),
     }
     return table.get(k, Fraction(1))
 
@@ -594,9 +643,10 @@ def _best_move(
         raise InvariantError("some bucket assignment always admits an embedding")
 
     gain, p_idx, a_idx = best
-    m, assignment = patterns[p_idx], assignments[a_idx]
+    m, assignment, obs = patterns[p_idx], assignments[a_idx], obs_of[a_idx]
     res = _solve_cell(
-        inst, tour, m, assignment, part, compile_plan(m, obs_of[a_idx]), arrays
+        inst, tour, m, assignment, part, compile_plan(m, obs), arrays,
+        runs.take(m, obs, assignment),
     )
     if res.gain != gain:
         raise InvariantError(f"winning cell re-solved to gain {res.gain}, not {gain}")
@@ -619,9 +669,12 @@ def best_move(
     MAX_BATCH_ENTRIES. policy="best" returns the maximum-gain move (ties
     broken by pattern index, then assignment index, then the solver's
     canonical embedding); "first" returns the first improving cell in that
-    same order, and groups not reached by then never run. Only the returned
-    cell is run again with argmax data; its move is checked against
-    gain_partial once and re-validated through apply_move once.
+    same order, and groups not reached by then never run. The returned
+    cell's embedding is rebuilt from the forget tables of the last chunk run
+    when the cell lies in it, as an improving cell under policy="first" with
+    one bucket always does, else from one more run of that cell alone. Its
+    move is checked against gain_partial once and re-validated through
+    apply_move once.
     """
     return _best_move(inst, tour, k, alpha, policy)[0]
 
@@ -641,12 +694,15 @@ def local_search(
     policy: str = "best",
     max_steps: int | None = None,
 ) -> tuple[Tour, tuple[SearchStep, ...]]:
-    """Repeatedly apply improving k-moves until none exists (or max_steps).
+    """Repeatedly apply improving k-moves until none exists (or max_steps,
+    which must not be negative).
 
     The weight strictly decreases every step; with integer weights this
     terminates. History records each applied move's gain and the running
     weight.
     """
+    if max_steps is not None and max_steps < 0:
+        raise ValueError(f"max_steps must be >= 0, not {max_steps}")
     history: list[SearchStep] = []
     current = tour
     weight = tour_weight(inst, current)

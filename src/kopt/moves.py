@@ -9,6 +9,7 @@ edge j owns endpoint ids 2j-1 (its left endpoint) and 2j (its right endpoint).
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
@@ -72,6 +73,22 @@ def enumerate_matchings(k: int) -> Iterator[ConnectionPattern]:
         raise ValueError(f"k must be in 2..{MAX_PATTERN_K}")
     for pairs in _matchings_raw(tuple(range(1, 2 * k + 1))):
         yield ConnectionPattern(k, pairs)
+
+
+def matching_count(k: int) -> int:
+    """(2k-1)!!, the number of perfect matchings on [2k], without listing them."""
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    return math.prod(range(1, 2 * k, 2))
+
+
+def valid_pattern_count(k: int) -> int:
+    """2^(k-1) (k-1)!, the number of valid patterns, without listing them: a
+    valid pattern strings the k tour segments into one cycle, which has
+    (k-1)! orders after the first segment and 2^(k-1) orientations."""
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    return 2 ** (k - 1) * math.factorial(k - 1)
 
 
 def _segment_class(e: int, k: int) -> int:

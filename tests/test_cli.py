@@ -113,10 +113,11 @@ def test_ck_per_pattern(capsys):
 
 
 def test_patterns_counts(capsys):
-    code, out = run(capsys, ["patterns", "--k", "4"])
-    payload = json.loads(out)
-    assert code == 0
-    assert payload == {"k": 4, "total": 105, "valid": 48}
+    # at k=12, (23)!! matchings: counted from closed forms, not enumerated
+    for k, total, valid in ((4, 105, 48), (12, 316234143225, 81749606400)):
+        code, out = run(capsys, ["patterns", "--k", str(k)])
+        assert code == 0
+        assert json.loads(out) == {"k": k, "total": total, "valid": valid}
 
 
 def test_gen_random_deterministic(tmp_path, capsys):
@@ -301,6 +302,12 @@ SQUARE = instance_to_json(euclidean_instance([(0, 0), (10, 0), (10, 10), (0, 10)
             {"--in": SQUARE.replace("10,", "10.5,"), "--tour": SQUARE_TOUR},
             id="instance-weight-not-an-integer",
         ),
+        pytest.param(
+            ["local-search", "--k", "2", "--max-steps", "-3"],
+            {"--in": SQUARE, "--tour": SQUARE_TOUR},
+            id="negative-max-steps",
+        ),
+        pytest.param(["patterns", "--k", "9", "--list"], {}, id="pattern-list-beyond-solver-k"),
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, command, files):

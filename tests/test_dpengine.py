@@ -13,6 +13,8 @@ import pytest
 
 from kopt.buckets import enumerate_assignments, make_buckets, order_edges
 from kopt.decomp import (
+    FORGET,
+    INTRODUCE,
     JOIN,
     NiceNode,
     NiceTreeDecomposition,
@@ -368,6 +370,10 @@ def test_best_move_guards():
         best_move(inst, tour, 4, alpha=1)
     with pytest.raises(ValueError):
         best_move(inst, tour, 2, alpha=1, policy="sometimes")
+    with pytest.raises(ValueError, match="k must be <= 8"):
+        best_move(inst, tour, 9)
+    with pytest.raises(ValueError, match="max_steps must be >= 0"):
+        local_search(inst, tour, 2, max_steps=-3)
 
 
 def test_local_search_square_converges_in_one_step():
@@ -479,22 +485,62 @@ def test_all_cells_tie_on_equal_weights(size):
         assert part.bucket_of(got.embedding[0]) == lowest[0]
 
 
-@pytest.mark.parametrize("max_entries", [1 << 22, 1])
-def test_first_max_positions_is_argmax(monkeypatch, max_entries):
-    """Ties resolve to the first position, as argmax does, also in all -inf
-    lines; past MAX_BATCH_ENTRIES the positions are found slice by slice."""
-    import numpy as np
+def _argmax_positions(plan, tables, row):
+    """Slot -> position by argmax over full tables: walk the ops backwards,
+    each node's key from its parent, and take np.argmax of each forget op's
+    child slice (the op before it in postorder) at the key."""
+    keys, pos = [{}], {}
+    for i in range(len(plan.ops) - 1, -1, -1):
+        op, key = plan.ops[i], keys.pop()
+        if op[0] == FORGET:
+            _, axis, slot, bag = op
+            at = [row] + [key[b] for b in bag]
+            at.insert(axis, slice(None))
+            pos[slot] = int(np.argmax(tables[i - 1][tuple(at)]))
+            keys.append({**key, slot: pos[slot]})
+        elif op[0] == INTRODUCE:
+            keys.append(key)
+        elif op[0] == JOIN:
+            keys += [key, key]
+    return pos
 
-    from kopt import dpengine
 
-    monkeypatch.setattr(dpengine, "MAX_BATCH_ENTRIES", max_entries)
-    rng = np.random.default_rng(0)
-    child = rng.integers(0, 3, size=(2, 4, 5, 3)).astype(float)
-    child[0, :, 2, 1] = float("-inf")
-    for axis in (1, 2, 3):
-        table = child.max(axis=axis)
-        got = dpengine._first_max_positions(child, table, axis)
-        assert np.array_equal(got, child.argmax(axis=axis))
+def test_reconstruction_matches_argmax_over_full_tables():
+    """_reconstruct, from the forget tables of a run that adds joins in
+    place, against argmax over every table of the same batch, for k = 2..5:
+    weights in 1..3 make ties, buckets of 4, 4 and 3 pad the last one, and
+    the rows with no legal embedding walk all -inf lines."""
+    from kopt.buckets import BucketPartition
+    from kopt.dpengine import _Cells, _reconstruct, _run_plan, compile_plan
+
+    n = 11
+    part = BucketPartition(n=n, size=4)
+    rows = no_embedding = joins_on_forgets = 0
+    for k in (2, 3, 4, 5):
+        inst, tour = gen_random(n, 70 + k, 3), random_tour(n, 80 + k)
+        arrays = TourArrays(inst, tour)
+        groups = {}
+        for a in enumerate_assignments(k, part.count):
+            groups.setdefault(order_edges(a), []).append(a)
+        for m in valid_patterns(k)[:: 3 if k == 5 else 1]:
+            for obs, group in groups.items():
+                plan = compile_plan(m, obs)
+                cells = _Cells(arrays, part, group)
+                root, forgets, _ = _run_plan(plan, cells, keep_forgets=True)
+                _, _, tables = _run_plan(plan, cells, keep_tables=True)
+                joins_on_forgets += sum(
+                    op[0] == JOIN and plan.ops[plan.children[i][0]][0] == FORGET
+                    for i, op in enumerate(plan.ops)
+                )
+                for row, a in enumerate(group):
+                    pos = _argmax_positions(plan, tables, row)
+                    want = tuple(int(cells.dom[row, v, pos[v]]) + 1 for v in range(k))
+                    got = _reconstruct(plan, _Cells(arrays, part, [a]), forgets, row)
+                    assert got == want, (m.pairs, a)
+                    rows += 1
+                    no_embedding += root[row] == float("-inf")
+    assert joins_on_forgets > 0
+    assert 0 < no_embedding < rows
 
 
 def test_chunked_batches_give_the_unchunked_answers(monkeypatch):
@@ -519,6 +565,46 @@ def test_chunked_batches_give_the_unchunked_answers(monkeypatch):
     whole = answers()
     monkeypatch.setattr(dpengine, "MAX_BATCH_ENTRIES", 1)
     assert answers() == whole
+
+
+def test_first_policy_search_runs_no_winner_again(monkeypatch):
+    """One bucket: each pattern is one group run of one cell, and an
+    improving winner lies in the last run, so its step calls _run_plan once
+    per group run and no more. The last, non-improving step re-runs its
+    winner (the identity pattern, not the last one run) once."""
+    from kopt import dpengine
+
+    plan_runs, group_runs, steps = [], [], []
+    real_run_plan, real_run, real_best = (
+        dpengine._run_plan, dpengine._GroupRuns._run, dpengine._best_move)
+
+    def run_plan(*args, **kwargs):
+        plan_runs.append(args[0])
+        return real_run_plan(*args, **kwargs)
+
+    def run(self, *args):
+        group_runs.append(args[0])
+        return real_run(self, *args)
+
+    def best(*args):
+        before = len(plan_runs), len(group_runs)
+        res, new = real_best(*args)
+        steps.append((res, len(plan_runs) - before[0], len(group_runs) - before[1]))
+        return res, new
+
+    monkeypatch.setattr(dpengine, "_run_plan", run_plan)
+    monkeypatch.setattr(dpengine._GroupRuns, "_run", run)
+    monkeypatch.setattr(dpengine, "_best_move", best)
+    inst = gen_random(12, 95, 100)
+    _, history = local_search(inst, random_tour(12, 96), 3, alpha=1, policy="first")
+    patterns = valid_patterns(3)
+    assert history and len(steps) == len(history) + 1
+    *improving, (last, last_plan_runs, last_group_runs) = steps
+    for res, n_plan_runs, n_group_runs in improving:
+        assert res.improving
+        assert n_plan_runs == n_group_runs == patterns.index(res.move.pattern) + 1
+    assert not last.improving and last.move.pattern == patterns[0]
+    assert last_group_runs == len(patterns) and last_plan_runs == last_group_runs + 1
 
 
 def test_local_search_applies_each_move_once(monkeypatch):
@@ -556,6 +642,8 @@ def _run_optimized(code: str) -> str:
 
 
 def test_reconstruction_check_raises_under_python_O():
+    """policy="first" with one bucket rebuilds the winner from the tables of
+    the run that scored it; "best" here runs the winner again."""
     stdout = _run_optimized(
         "import sys\n"
         "assert False\n"
@@ -563,13 +651,19 @@ def test_reconstruction_check_raises_under_python_O():
         "from kopt import dpengine\n"
         "real = dpengine.gain_partial\n"
         "dpengine.gain_partial = lambda *args: real(*args) + 1\n"
+        "take = dpengine._GroupRuns.take\n"
+        "reused = []\n"
+        "dpengine._GroupRuns.take = lambda *a: reused.append(take(*a)) or reused[-1]\n"
         "inst, tour = kopt.gen_random(10, 1, 100), kopt.random_tour(10, 2)\n"
-        "try:\n"
-        "    dpengine.best_move(inst, tour, 3)\n"
-        "except kopt.InvariantError as exc:\n"
-        "    print('raised', sys.flags.optimize, exc)\n"
+        "for policy in ('best', 'first'):\n"
+        "    try:\n"
+        "        dpengine.best_move(inst, tour, 3, policy=policy)\n"
+        "    except kopt.InvariantError as exc:\n"
+        "        print('raised', sys.flags.optimize, reused[-1] is not None, exc)\n"
     )
-    assert stdout.startswith("raised 1 reconstructed embedding gain")
+    best, first = stdout.splitlines()
+    assert best.startswith("raised 1 False reconstructed embedding gain")
+    assert first.startswith("raised 1 True reconstructed embedding gain")
 
 
 def test_oracle_anchor_subset_under_python_O():

@@ -16,6 +16,8 @@ from kopt.moves import (
     gain_partial,
     interference_graph,
     is_valid_pattern,
+    matching_count,
+    valid_pattern_count,
     valid_patterns,
 )
 
@@ -62,12 +64,15 @@ def test_k2_validity_classification():
     assert len(valid_patterns(2)) == 2
 
 
-@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7])
 def test_valid_pattern_count_closed_form(k):
-    # conjectured (k-1)! * 2^(k-1), confirmed by enumeration before use
-    import math
-
-    assert len(valid_patterns(k)) == math.factorial(k - 1) * 2 ** (k - 1)
+    """The counts `kopt patterns` prints without enumerating, against
+    enumeration: (2k-1)!! matchings, 2^(k-1) (k-1)! of them valid."""
+    total = valid = 0
+    for m in enumerate_matchings(k):
+        total += 1
+        valid += is_valid_pattern(m)
+    assert (matching_count(k), valid_pattern_count(k)) == (total, valid)
 
 
 @pytest.mark.parametrize("k", [2, 3])
