@@ -543,6 +543,48 @@ def test_reconstruction_matches_argmax_over_full_tables():
     assert 0 < no_embedding < rows
 
 
+@pytest.mark.parametrize("max_entries", [1 << 22, 1])
+def test_first_max_positions_is_argmax(monkeypatch, max_entries):
+    """Ties resolve to the first position, as argmax does: the move that
+    _solve_cell rebuilds from the forget tables _GroupRuns.take hands over,
+    or from a run of the cell alone when the latest chunk run did not hold
+    it, is argmax over the full tables of the group's batch. Past
+    MAX_BATCH_ENTRIES each row is its own chunk, so only the last row's
+    tables are handed over."""
+    from kopt import dpengine
+    from kopt.buckets import BucketPartition
+    from kopt.dpengine import _Cells, _fits, _GroupRuns, _run_plan, _solve_cell, compile_plan
+
+    monkeypatch.setattr(dpengine, "MAX_BATCH_ENTRIES", max_entries)
+    n, k = 11, 4
+    part = BucketPartition(n=n, size=4)
+    inst, tour = gen_random(n, 90, 3), random_tour(n, 91)
+    arrays = TourArrays(inst, tour)
+    groups = {}
+    for a in filter(lambda a: _fits(a, part), enumerate_assignments(k, part.count)):
+        groups.setdefault(order_edges(a), []).append(a)
+    handed = rerun = 0
+    for m in valid_patterns(k):
+        for obs, group in groups.items():
+            plan = compile_plan(m, obs)
+            cells = _Cells(arrays, part, group)
+            root, _, tables = _run_plan(plan, cells, keep_tables=True)
+            for row, a in enumerate(group):
+                runs = _GroupRuns(arrays, part, group)
+                assert runs.root_value(m, obs, plan, a) == root[row]
+                kept = runs.take(m, obs, a)
+                assert (kept is None) == (max_entries == 1 and row < len(group) - 1)
+                handed += kept is not None
+                rerun += kept is None
+                got = _solve_cell(inst, tour, m, a, part, plan, arrays, kept)
+                pos = _argmax_positions(plan, tables, row)
+                want = tuple(int(cells.dom[row, v, pos[v]]) + 1 for v in range(k))
+                assert got.gain == int(round(root[row]))
+                assert got.embedding == want, (m.pairs, a)
+    assert handed > 0
+    assert (rerun > 0) == (max_entries == 1)
+
+
 def test_chunked_batches_give_the_unchunked_answers(monkeypatch):
     from kopt import dpengine
     from kopt.buckets import BucketPartition
