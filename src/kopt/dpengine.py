@@ -27,6 +27,11 @@ cells share it.
   are folded into one `(B, s, s)` block that is added to the table in place;
   a join adds into its first child's table in place, unless that table is a
   kept forget output.
+- **Sliced pairs.** An introduce op whose parent is a forget op never builds
+  its table whole when it holds more than `MAX_SLICE_ENTRIES` entries. It is
+  summed in pieces along the axis the forget removes, each piece into one
+  reused buffer, and each piece's maximum is folded into the forget's output.
+  A table that fits runs the same code as one piece.
 - **Chunks.** The batch axis is cut into chunks so that no table holds more
   than `MAX_BATCH_ENTRIES` entries, or one cell's table when that is larger.
 - **Check once.** Root values give every cell's gain. Each run keeps the
@@ -34,14 +39,21 @@ cells share it.
   until the next run starts. The winning cell's embedding is rebuilt top-down
   from those tables: at each forget op, the child's table is summed again
   along the forgotten slot only, from the kept forget tables below it and the
-  blocks in between, and the slot takes its first maximum. When the winner
-  lies in that last chunk nothing runs again; otherwise it is run once alone.
-  Its embedding is checked against `gain_partial`, turned into a `KMove`,
-  and applied once through `apply_move`.
+  lines of the blocks in between, and the slot takes its first maximum. When
+  the winner lies in that last chunk nothing runs again; otherwise it is run
+  once alone. Its embedding is checked against `gain_partial`, turned into a
+  `KMove`, and applied once through `apply_move`.
 
-Tables are float64; -inf marks assignments with no legal completion. Weights
-are bounded by 2^40 and table values sum only O(k) of them, so float64
-arithmetic is exact and the order of the additions does not matter.
+-inf marks assignments with no legal completion. Every other table entry,
+and every partial sum the kernel forms, is an integer sum of at most 4k
+weights: a full assignment has 2k terms (one removed edge per slot and k
+added edges), and a join holds both children's, so up to 4k, before its
+correction takes the shared ones out. With W the largest weight magnitude,
+every such sum is at most 4k * W in magnitude. Tables are float32 when
+4k * W < 2^24, the range where float32 holds every integer, and float64
+otherwise, where W <= 2^40 keeps 4k * W below 2^53 for every k < 2048.
+Either way the arithmetic is exact, so the order of the additions does not
+matter and both dtypes give the same answers.
 """
 
 from __future__ import annotations
@@ -84,9 +96,15 @@ NEG_INF = float("-inf")
 # valid_patterns(k) is held in memory: 645,120 patterns at k=8, 10.3 million
 # at k=9
 MAX_SOLVER_K = 8
-# Largest batched table, in entries (32 MB of float64); a single cell whose
-# table is larger runs alone.
+# Largest batched table, in entries (16 MB in float32, 32 MB in float64); a
+# single cell whose table is larger runs alone.
 MAX_BATCH_ENTRIES = 1 << 22
+# Largest piece of an introduce op's table that the forget op above it
+# reduces at once, in entries (or one position of the forgotten slot, when
+# that is larger).
+MAX_SLICE_ENTRIES = 1 << 20
+# float32 holds every integer of magnitude up to 2^24, and no larger range
+FLOAT32_EXACT = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -104,7 +122,8 @@ class SolveResult:
 
 
 class TourArrays:
-    """Vertex/weight lookups for one (instance, tour) pair."""
+    """Vertex/weight lookups for one (instance, tour) pair; the weight
+    matrices are built once per table dtype, when first asked for."""
 
     def __init__(self, inst: Instance, tour: Tour):
         if inst.n != tour.n:
@@ -113,11 +132,27 @@ class TourArrays:
         order0 = np.asarray(tour.order, dtype=np.int64) - 1
         self.left_vertex = order0
         self.right_vertex = np.roll(order0, -1)
-        self.wf = inst.weights.astype(np.float64)
-        # added-edge terms of introduce ops; a loop (u == v) is illegal
-        self.neg_w = -self.wf
-        np.fill_diagonal(self.neg_w, NEG_INF)
-        self.removed_w = self.wf[self.left_vertex, self.right_vertex]
+        self.weights = inst.weights
+        self.max_weight = int(np.abs(inst.weights).max(initial=0))
+        self._matrices: dict[type, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    def dtype(self, k: int) -> type:
+        """The dtype of k-slot tables: float32 when 4k times the largest
+        weight magnitude is below 2^24, so that every entry and partial sum is
+        exact in it (see the module docstring), else float64."""
+        return np.float32 if 4 * k * self.max_weight < FLOAT32_EXACT else np.float64
+
+    def matrices(self, dtype: type) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(wf, neg_w, removed_w) in `dtype`: the weights; their negations,
+        the added-edge terms of introduce ops, with -inf on the diagonal since
+        a loop (u == v) is illegal; and the weight of each tour edge."""
+        got = self._matrices.get(dtype)
+        if got is None:
+            wf = self.weights.astype(dtype)
+            neg_w = -wf
+            np.fill_diagonal(neg_w, NEG_INF)
+            got = self._matrices[dtype] = wf, neg_w, wf[self.left_vertex, self.right_vertex]
+        return got
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +171,8 @@ class TourArrays:
 # bag slots: (slots, unary, pairs, matrix, order, index)
 # slots: 0-based slots in table-axis order; unary: (block dim, _Cells
 #   attribute) per one-slot term; pairs: (side of slots[0], side of slots[1])
-#   per pattern pair, looked up in the TourArrays `matrix` ("neg_w" or "wf");
+#   per pattern pair, looked up in the _Cells weight matrix `matrix` ("neg_w"
+#   or "wf");
 #   order: the order edge slots[0] < slots[1] holds; index: places the
 #   block's (batch, slot positions...) array on the op's table axes.
 # Slots are 1-based in the op constructors' arguments and 0-based in ops.
@@ -321,30 +357,33 @@ def compile_plan(m: ConnectionPattern, obs: frozenset[tuple[int, int]]) -> Plan:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=64)
-def _order_mask(s: int) -> np.ndarray:
+def _order_mask(s: int, dtype: type) -> np.ndarray:
     """(1, s, s): 0 where the first position is before the second, else -inf."""
-    mask = np.full((1, s, s), NEG_INF)
-    mask[0][np.triu_indices(s, 1)] = 0.0
+    mask = np.full((1, s, s), NEG_INF, dtype)
+    mask[0][np.triu_indices(s, 1)] = 0
     mask.flags.writeable = False
     return mask
 
 
 class _Cells:
     """Bucket assignments gathered over one tour: axis 0 is the batch, axis 1
-    the slot, axis 2 the position inside the slot's bucket, padded to s."""
+    the slot, axis 2 the position inside the slot's bucket, padded to s. Every
+    array is in the dtype of the assignments' k (TourArrays.dtype)."""
 
     def __init__(self, arrays: TourArrays, part: BucketPartition, assignments):
         self.arrays, self.part = arrays, part
         self.assignments = np.asarray(assignments, dtype=np.int64)
+        self.dtype = arrays.dtype(self.assignments.shape[1])
+        self.wf, self.neg_w, removed_w = arrays.matrices(self.dtype)
         s = part.size
         dom = (self.assignments[:, :, None] - 1) * s + np.arange(s)
         valid = dom < arrays.n
         dom = np.minimum(dom, arrays.n - 1)
-        rem = arrays.removed_w[dom]
+        rem = removed_w[dom]
         self.s = s
         self.dom = dom
         self.side = (arrays.left_vertex[dom], arrays.right_vertex[dom])
-        self.pad = np.where(valid, 0.0, NEG_INF)
+        self.pad = np.where(valid, self.dtype(0), self.dtype(NEG_INF))
         self.gain_in = rem + self.pad
         self.neg_rem = -rem
 
@@ -362,8 +401,8 @@ def _block_value(block: tuple, cells: _Cells) -> np.ndarray:
     if len(slots) == 1:
         return getattr(cells, unary[0][1])[:, slots[0]][index]
     a, b = slots
-    mat = getattr(cells.arrays, matrix)
-    value = _order_mask(cells.s) if order else None
+    mat = getattr(cells, matrix)
+    value = _order_mask(cells.s, cells.dtype) if order else None
     for ra, rb in pairs:
         w = mat[cells.side[ra][:, a, :, None], cells.side[rb][:, b, None, :]]
         value = w if value is None else value + w
@@ -374,32 +413,102 @@ def _block_value(block: tuple, cells: _Cells) -> np.ndarray:
     return value[index]
 
 
+def _block_line(block: tuple, cells: _Cells, pos: dict[int, int], v: int | None):
+    """The block's terms for batch row 0 at the positions `pos`: a vector
+    over slot v's positions if the block holds v, else a scalar."""
+    slots, unary, pairs, matrix, order, _ = block
+    at = [slice(None) if b == v else pos[b] for b in slots]
+    value = _order_mask(cells.s, cells.dtype)[(0, *at)] if order else 0
+    mat = getattr(cells, matrix)
+    for ra, rb in pairs:
+        ends = cells.side[ra][0, slots[0], at[0]], cells.side[rb][0, slots[1], at[1]]
+        value = value + mat[ends]
+    for dim, src in unary:
+        value = value + getattr(cells, src)[0, slots[dim], at[dim]]
+    return value
+
+
+def _along(axis: int, lo: int, hi: int) -> tuple:
+    return (slice(None),) * axis + (slice(lo, hi),)
+
+
+def _introduce(
+    op: tuple, child: np.ndarray, cells: _Cells, out: np.ndarray, axis: int = 1, lo: int = 0
+) -> np.ndarray:
+    """Sum the table of introduce op `op` over its child's table into `out`,
+    which holds positions lo.. of table axis `axis`: all of them, or a piece."""
+    _, _, place, blocks = op
+    size = out.shape[axis]
+    terms = [child[place]] + [_block_value(block, cells) for block in blocks]
+    if size < cells.s:
+        # a term of size 1 along the axis (broadcast) is the same in every piece
+        cut = _along(axis, lo, lo + size)
+        terms = [t if t.shape[axis] == 1 else t[cut] for t in terms]
+    np.add(terms[0], terms[1], out=out)
+    for t in terms[2:]:
+        out += t
+    return out
+
+
+def _introduce_forget(
+    op: tuple, axis: int, child: np.ndarray, cells: _Cells, kept: list | None
+) -> np.ndarray:
+    """The forget op's output: the table of introduce op `op` maximized over
+    table axis `axis`. The table is summed in pieces along that axis, each of
+    at most MAX_SLICE_ENTRIES entries (or one position, if that holds more),
+    into one buffer, and each piece's maximum is folded into the output. With
+    `kept` the table is one piece, appended to `kept`."""
+    s, ndim = cells.s, op[1]
+    slab = cells.batch * s ** (ndim - 1)  # entries at one position of the axis
+    width = s if kept is not None else min(s, max(1, MAX_SLICE_ENTRIES // slab))
+    shape = [cells.batch] + [s] * ndim
+    shape[axis] = width
+    buf = np.empty(shape, cells.dtype)
+    out = None
+    for lo in range(0, s, width):
+        piece = buf if lo + width <= s else buf[_along(axis, 0, s - lo)]
+        _introduce(op, child, cells, piece, axis, lo)
+        if kept is not None:
+            kept.append(piece)
+        best = piece.max(axis=axis)
+        if out is None:
+            out = best
+        else:
+            np.maximum(out, best, out=out)
+    return out
+
+
 def _run_plan(
     plan: Plan, cells: _Cells, *, keep_forgets: bool = False, keep_tables: bool = False
 ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
     """The root values over the batch, the forget ops' output tables (if
     keep_forgets) and every op's table (if keep_tables, which tests use to
     compare every node's table), both in postorder. A join adds into its
-    first child's table unless that table is kept."""
-    B, s = cells.batch, cells.s
+    first child's table unless that table is kept. An introduce op below a
+    forget op runs with it, through _introduce_forget."""
+    B, s, ops, dtype = cells.batch, cells.s, plan.ops, cells.dtype
     stack: list[np.ndarray] = []
     forgets: list[np.ndarray] = []
     kept: list[np.ndarray] = []
-    for i, op in enumerate(plan.ops):
+    for i, op in enumerate(ops):
         kind = op[0]
         if kind == INTRODUCE:
-            _, ndim, place, blocks = op
-            table = np.empty((B,) + (s,) * ndim)
-            np.add(stack.pop()[place], _block_value(blocks[0], cells), out=table)
-            for block in blocks[1:]:
-                table += _block_value(block, cells)
+            if i + 1 < len(ops) and ops[i + 1][0] == FORGET:
+                continue  # the forget op runs it
+            table = _introduce(op, stack.pop(), cells, np.empty((B,) + (s,) * op[1], dtype))
         elif kind == FORGET:
-            table = stack.pop().max(axis=op[1])
+            axis = op[1]
+            if ops[i - 1][0] == INTRODUCE:
+                table = _introduce_forget(
+                    ops[i - 1], axis, stack.pop(), cells, kept if keep_tables else None
+                )
+            else:
+                table = stack.pop().max(axis=axis)
             if keep_forgets:
                 forgets.append(table)
         elif kind == JOIN:
             other, table = stack.pop(), stack.pop()
-            if keep_tables or keep_forgets and plan.ops[plan.children[i][0]][0] == FORGET:
+            if keep_tables or keep_forgets and ops[plan.children[i][0]][0] == FORGET:
                 table = table + other
             else:
                 table += other
@@ -407,7 +516,7 @@ def _run_plan(
             for block in op[1]:
                 table += _block_value(block, cells)
         else:
-            table = np.zeros(B)
+            table = np.zeros(B, dtype)
         stack.append(table)
         if keep_tables:
             kept.append(table)
@@ -422,28 +531,26 @@ def _reconstruct(
     tables `forgets`; `cells` holds that row's assignment alone. Top-down,
     each forget op's child table is rebuilt along the forgotten slot only, at
     the positions already chosen: the kept forget tables below it plus the
-    blocks of the introduce and join ops in between, each op visited once.
-    The slot takes the vector's first maximum, argmax's tie rule."""
+    lines of the blocks of the introduce and join ops in between, each op
+    visited once. The slot takes the vector's first maximum, argmax's tie
+    rule."""
     ops, bags, children = plan.ops, plan.bags, plan.children
     table_of = dict(zip((i for i, op in enumerate(ops) if op[0] == FORGET), forgets))
     pos: dict[int, int] = {}
     todo: list[int] = []  # forget ops whose child table is still to rebuild
-
-    def at(r: int, slots: tuple[int, ...], v: int | None) -> tuple:
-        return (r,) + tuple(slice(None) if b == v else pos[b] for b in slots)
 
     def along(i: int, v: int | None):
         """Op i's table at `pos`, as a vector over slot v if its bag holds v."""
         op = ops[i]
         if op[0] == FORGET:
             todo.append(i)
-            return table_of[i][at(row, bags[i], v)]
-        value = 0.0
+            key = tuple(slice(None) if b == v else pos[b] for b in bags[i])
+            return table_of[i][(row, *key)]
+        value = 0
         for c in children[i]:
             value = value + along(c, v)
-        shape, key = (1,) + (cells.s,) * len(bags[i]), at(0, bags[i], v)
         for block in () if op[0] == LEAF else op[-1]:  # introduce and join blocks
-            value = value + np.broadcast_to(_block_value(block, cells), shape)[key]
+            value = value + _block_line(block, cells, pos, v)
         return value
 
     along(len(ops) - 1, None)  # queues the topmost forget ops
@@ -605,10 +712,11 @@ def default_alpha(k: int) -> Fraction:
 
 
 def _best_move(
-    inst: Instance, tour: Tour, k: int, alpha, policy: str
+    inst: Instance, tour: Tour, k: int, alpha, policy: str, *, improving_only: bool = False
 ) -> tuple[SolveResult, Tour]:
     """best_move's search plus the tour its move produces, verified by
-    apply_move."""
+    apply_move. With improving_only, a best gain that is not positive comes
+    back at once, with no move and the tour unchanged."""
     if policy not in ("best", "first"):
         raise ValueError("policy must be 'best' or 'first'")
     if k > MAX_SOLVER_K:
@@ -643,6 +751,8 @@ def _best_move(
         raise InvariantError("some bucket assignment always admits an embedding")
 
     gain, p_idx, a_idx = best
+    if improving_only and gain <= 0:
+        return SolveResult(gain, None, None), tour
     m, assignment, obs = patterns[p_idx], assignments[a_idx], obs_of[a_idx]
     res = _solve_cell(
         inst, tour, m, assignment, part, compile_plan(m, obs), arrays,
@@ -708,7 +818,7 @@ def local_search(
     weight = tour_weight(inst, current)
     step = 0
     while max_steps is None or step < max_steps:
-        res, new = _best_move(inst, current, k, alpha, policy)
+        res, new = _best_move(inst, current, k, alpha, policy, improving_only=True)
         if not res.improving:
             break
         after = tour_weight(inst, new)

@@ -292,32 +292,87 @@ def test_solve_fixed_rejects_wrong_decomposition():
         solve_fixed(inst, tour, m3, (1, 1, 1), part, has_slot_4)
 
 
-def test_float64_exact_at_the_weight_bound_with_k10():
-    """Weights span the whole [-2^40, 2^40] range the instance allows, and the
-    gain exceeds 2^40: the float64 tables must still give the exact integer
-    maximum over the cell's bucket-monotone embeddings."""
+def _instance_up_to(n, bound, seed):
+    """Random symmetric weights in [-bound, bound], both ends included."""
+    upper = np.triu(
+        np.random.default_rng(seed).integers(-bound, bound, size=(n, n), endpoint=True), 1
+    )
+    upper[0, 1], upper[2, 3] = bound, -bound
+    return Instance(n=n, weights=upper + upper.T)
+
+
+def _k10_cell(bound, seed, dtype):
+    """solve_fixed and the brute-force maximum of one k = 10 cell, whose
+    tables are of `dtype`: the first valid pattern of a seeded search,
+    weights up to `bound`, two buckets of 10 with five slots each."""
     from kopt.buckets import BucketPartition
 
-    rng = random.Random(0)
-    while True:  # first valid pattern of a seeded search
+    rng = random.Random(seed)
+    while True:
         ends = list(range(1, 21))
         rng.shuffle(ends)
         m = ConnectionPattern(10, tuple(zip(ends[::2], ends[1::2])))
         if is_valid_pattern(m):
             break
-    bound = 1 << 40
-    upper = np.triu(
-        np.random.default_rng(0).integers(-bound, bound, size=(20, 20), endpoint=True), 1
-    )
-    upper[0, 1], upper[2, 3] = bound, -bound
-    inst = Instance(n=20, weights=upper + upper.T)
-    tour = random_tour(20, 1)
+    inst, tour = _instance_up_to(20, bound, seed), random_tour(20, seed + 1)
     part = BucketPartition(n=20, size=10)
     assignment = (1,) * 5 + (2,) * 5
-    res = solve_fixed(inst, tour, m, assignment, part)
-    brute = enumerate_b_monotone_max(inst, tour, m, assignment, part)
-    assert res.gain == brute.value and res.gain > bound
+    assert TourArrays(inst, tour).dtype(10) is dtype
+    return (solve_fixed(inst, tour, m, assignment, part),
+            enumerate_b_monotone_max(inst, tour, m, assignment, part))
+
+
+def test_float64_exact_at_the_weight_bound_with_k10():
+    """Weights span the whole [-2^40, 2^40] range the instance allows, and the
+    gain exceeds 2^40: the float64 tables must still give the exact integer
+    maximum over the cell's bucket-monotone embeddings."""
+    res, brute = _k10_cell(1 << 40, 0, np.float64)
+    assert res.gain == brute.value and res.gain > 1 << 40
     assert res.embedding == brute.witness
+
+
+def test_float32_exact_with_k10_and_small_weights():
+    """solve_fixed is not capped at MAX_SOLVER_K: at k = 10 the dtype rule
+    still sends weights up to 10000 to float32, and the gain stays exact."""
+    res, brute = _k10_cell(10_000, 1, np.float32)
+    assert res.gain == brute.value and res.embedding == brute.witness
+
+
+def _table_dtypes(inst, tour, k, part):
+    """The dtypes of every table a k = len(assignment) plan builds."""
+    from kopt.dpengine import _Cells, _run_plan, compile_plan
+
+    m, a = valid_patterns(k)[-1], (1,) * k
+    _, _, tables = _run_plan(
+        compile_plan(m, order_edges(a)), _Cells(TourArrays(inst, tour), part, [a]),
+        keep_tables=True,
+    )
+    return {t.dtype for t in tables}
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_float32_exact_at_its_weight_bound(k):
+    """At the largest weight magnitude the rule sends to float32,
+    (2^24 - 1) // 4k, every cell gives the brute-force gain and witness; one
+    more sends every table to float64."""
+    from kopt.buckets import BucketPartition
+    from kopt.dpengine import FLOAT32_EXACT
+
+    n = 2 * k + 3
+    bound = (FLOAT32_EXACT - 1) // (4 * k)
+    inst, tour = _instance_up_to(n, bound, k), random_tour(n, k)
+    part = BucketPartition(n=n, size=k + 1)
+    arrays = TourArrays(inst, tour)
+    assert arrays.max_weight == bound and arrays.dtype(k) is np.float32
+    assert _table_dtypes(inst, tour, k, part) == {np.dtype(np.float32)}
+    above = _instance_up_to(n, bound + 1, k)
+    assert TourArrays(above, tour).dtype(k) is np.float64
+    assert _table_dtypes(above, tour, k, part) == {np.dtype(np.float64)}
+    for m in valid_patterns(k):
+        for a in enumerate_assignments(k, part.count):
+            res = solve_fixed(inst, tour, m, a, part, arrays=arrays)
+            brute = enumerate_b_monotone_max(inst, tour, m, a, part)
+            assert (res.gain, res.embedding) == (brute.value, brute.witness), (m.pairs, a)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -609,11 +664,94 @@ def test_chunked_batches_give_the_unchunked_answers(monkeypatch):
     assert answers() == whole
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_one_position_slices_give_the_whole_tables(monkeypatch, k):
+    """Every introduce-forget pair run in pieces of one position gives the
+    root values and forget tables of a keep_tables run, which builds each
+    table whole: weights in 1..3 make ties, buckets of 4, 4 and 3 pad the
+    last one."""
+    from kopt import dpengine
+    from kopt.buckets import BucketPartition
+    from kopt.dpengine import _Cells, _run_plan, compile_plan
+
+    widths = []
+    real_introduce = dpengine._introduce
+
+    def introduce(op, child, cells, out, axis=1, lo=0):
+        widths.append(out.shape[axis])
+        return real_introduce(op, child, cells, out, axis, lo)
+
+    monkeypatch.setattr(dpengine, "_introduce", introduce)
+    monkeypatch.setattr(dpengine, "MAX_SLICE_ENTRIES", 1)
+    n = 11
+    part = BucketPartition(n=n, size=4)
+    inst, tour = gen_random(n, 110 + k, 3), random_tour(n, 120 + k)
+    arrays = TourArrays(inst, tour)
+    groups = {}
+    for a in enumerate_assignments(k, part.count):
+        groups.setdefault(order_edges(a), []).append(a)
+    for m in valid_patterns(k)[:: {5: 7, 6: 97}.get(k, 1)]:
+        for obs, group in groups.items():
+            plan = compile_plan(m, obs)
+            cells = _Cells(arrays, part, group)
+            root, forgets, _ = _run_plan(plan, cells, keep_forgets=True)
+            whole_root, _, tables = _run_plan(plan, cells, keep_tables=True)
+            assert np.array_equal(root, whole_root)
+            at_forgets = [t for op, t in zip(plan.ops, tables) if op[0] == FORGET]
+            assert len(forgets) == len(at_forgets)
+            for got, want in zip(forgets, at_forgets):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert 1 in widths and part.size in widths
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_sliced_and_chunked_best_move_gives_the_same_move(monkeypatch, k):
+    """(gain, pattern, embedding) of best_move under both policies do not
+    change when every introduce-forget pair runs one position at a time, nor
+    when each batch row is also its own chunk."""
+    from kopt import dpengine
+
+    n, alpha = 11, Fraction(1, 2)
+    assert make_buckets(n, alpha).size == 4
+    cases = [(gen_random(n, 130 + 10 * k + i, 3), random_tour(n, 140 + 10 * k + i))
+             for i in range(3)]
+
+    def answers():
+        return [
+            (r.gain, r.move.pattern, r.embedding)
+            for inst, tour in cases for policy in ("best", "first")
+            for r in [best_move(inst, tour, k, alpha=alpha, policy=policy)]
+        ]
+
+    whole = answers()
+    monkeypatch.setattr(dpengine, "MAX_SLICE_ENTRIES", 1)
+    assert answers() == whole
+    monkeypatch.setattr(dpengine, "MAX_BATCH_ENTRIES", 1)
+    assert answers() == whole
+
+
+def test_k4_n64_peak_memory_stays_small():
+    """One warm best_move at k = 4, n = 64, alpha = 1 (one bucket, so 64^4
+    entries in each widest table) peaks under 16 MB of traced allocations:
+    those tables are never built whole."""
+    import tracemalloc
+
+    inst, tour = gen_random(64, 0, 10_000), random_tour(64, 1)
+    best_move(inst, tour, 4, alpha=1)
+    tracemalloc.start()
+    try:
+        best_move(inst, tour, 4, alpha=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+
+
 def test_first_policy_search_runs_no_winner_again(monkeypatch):
     """One bucket: each pattern is one group run of one cell, and an
     improving winner lies in the last run, so its step calls _run_plan once
-    per group run and no more. The last, non-improving step re-runs its
-    winner (the identity pattern, not the last one run) once."""
+    per group run and no more. The last, non-improving step runs every
+    pattern and stops there: it rebuilds no move."""
     from kopt import dpengine
 
     plan_runs, group_runs, steps = [], [], []
@@ -628,9 +766,9 @@ def test_first_policy_search_runs_no_winner_again(monkeypatch):
         group_runs.append(args[0])
         return real_run(self, *args)
 
-    def best(*args):
+    def best(*args, **kwargs):
         before = len(plan_runs), len(group_runs)
-        res, new = real_best(*args)
+        res, new = real_best(*args, **kwargs)
         steps.append((res, len(plan_runs) - before[0], len(group_runs) - before[1]))
         return res, new
 
@@ -645,8 +783,8 @@ def test_first_policy_search_runs_no_winner_again(monkeypatch):
     for res, n_plan_runs, n_group_runs in improving:
         assert res.improving
         assert n_plan_runs == n_group_runs == patterns.index(res.move.pattern) + 1
-    assert not last.improving and last.move.pattern == patterns[0]
-    assert last_group_runs == len(patterns) and last_plan_runs == last_group_runs + 1
+    assert not last.improving and last.gain == 0 and last.move is None
+    assert last_group_runs == len(patterns) and last_plan_runs == last_group_runs
 
 
 def test_local_search_applies_each_move_once(monkeypatch):
@@ -663,7 +801,7 @@ def test_local_search_applies_each_move_once(monkeypatch):
     inst = gen_random(10, 90, 100)
     _, history = local_search(inst, random_tour(10, 91), 2, alpha=1)
     assert history
-    assert len(calls) == len(history) + 1  # one per search, the last not improving
+    assert len(calls) == len(history)  # the last, non-improving step applies none
 
 
 # ---------------------------------------------------------------------------
