@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .decomp import treewidth_width_only
+from .decomp import adjacency, treewidth
 from .moves import (
     ConnectionPattern,
     _interference_raw,
@@ -51,7 +51,7 @@ def width_profile_from_edges(iedges, k: int) -> WidthProfile:
     for s in range(k):
         best = 0
         for subset in combinations(path, s):
-            width = treewidth_width_only(iedges | frozenset(subset), k)
+            width = treewidth(adjacency(k, iedges | frozenset(subset)))
             if width > best:
                 best = width
         t.append(best + 1)

@@ -1,9 +1,32 @@
-"""Dependence graphs, exact treewidth, and (nice) tree decompositions."""
+"""Dependence graphs, exact treewidth, and (nice) tree decompositions.
+
+`treewidth` is the one width routine. While the smallest degree d in the graph
+is at most 2, it eliminates the smallest vertex v of that degree: v goes, and
+its neighbours become adjacent. Then tw(G) = max(d, tw(G')) for the graph G'
+left. Eliminating v first costs d, so tw(G) <= max(d, tw(G')). G' is a minor
+of G (v merges into a neighbour), so tw(G') <= tw(G). And tw(G) >= d, since a
+graph of minimum degree 1 has an edge and one of minimum degree 2 a cycle.
+That is why a degree-2 vertex is contracted only once no vertex has degree
+below 2: inside a path it would count 2 for a graph of width 1. The core left
+has minimum degree 3, and an exact subset DP gives its width. Cores of more
+than MAX_TW_VERTICES vertices are refused before the DP runs.
+
+`treewidth_exact` builds the lexicographically smallest optimal elimination
+order on top of it. Let G_S be the graph left after eliminating the set S: u
+and w are adjacent in G_S when a path joins them whose inner vertices all lie
+in S, whatever order S was eliminated in. So eliminating v after S costs v's
+degree in G_S, and the best width for eliminating the rest is h[S] = tw(G_S).
+The next vertex of the order is thus the smallest v of degree at most tw(G)
+in G_S with tw(G_{S+v}) <= tw(G).
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
+
+from .moves import InterferenceGraph, InvariantError
 
 MAX_TW_VERTICES = 24
 
@@ -30,26 +53,23 @@ class DepGraph:
     def __post_init__(self):
         object.__setattr__(self, "edges", _normalize_edges(self.edges, self.k))
 
-    def adjacency_masks(self) -> list[int]:
-        """Bitmask neighbor sets, 0-based."""
-        adj = [0] * self.k
-        for a, b in self.edges:
-            adj[a - 1] |= 1 << (b - 1)
-            adj[b - 1] |= 1 << (a - 1)
-        return adj
+
+def adjacency(k: int, edges) -> dict[int, set[int]]:
+    """Neighbour sets of the vertices 1..k."""
+    adj: dict[int, set[int]] = {v: set() for v in range(1, k + 1)}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    return adj
 
 
-def dependence_graph(interference, order_edge_set) -> DepGraph:
+def dependence_graph(interference: InterferenceGraph, order_edge_set) -> DepGraph:
     """Union of interference edges and order edges (parallel edges collapse)."""
-    iedges = getattr(interference, "edges", interference)
-    k = getattr(interference, "k", None)
-    if k is None:
-        k = max((max(e) for e in set(iedges) | set(order_edge_set)), default=1)
-    return DepGraph(k=k, edges=frozenset(iedges) | frozenset(order_edge_set))
+    return DepGraph(k=interference.k, edges=interference.edges | frozenset(order_edge_set))
 
 
 # ---------------------------------------------------------------------------
-# Exact treewidth: subset DP over eliminated sets with fill-aware costs
+# Exact treewidth: safe reductions, then a subset DP on the core
 # ---------------------------------------------------------------------------
 
 def _elimination_cost(adj: list[int], eliminated: int, v: int) -> int:
@@ -71,18 +91,24 @@ def _elimination_cost(adj: list[int], eliminated: int, v: int) -> int:
     return (reach & ~eliminated & ~(1 << v)).bit_count()
 
 
-def _subset_dp(adj: list[int], k: int) -> dict[int, int]:
-    """h[S] = best achievable width for eliminating the remaining vertices,
-    given that S is already eliminated."""
-    full = (1 << k) - 1
+@cache
+def _subset_dp(n: int, edges: frozenset[tuple[int, int]]) -> int:
+    """Treewidth of the graph on 0..n-1, from h[S] = best width for
+    eliminating the remaining vertices once S is eliminated, filled in from
+    the largest S down to h[0]."""
+    adj = [0] * n
+    for a, b in edges:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    full = (1 << n) - 1
     h = {full: 0}
-    for size in range(k - 1, -1, -1):
-        for combo in combinations(range(k), size):
+    for size in range(n - 1, -1, -1):
+        for combo in combinations(range(n), size):
             s = 0
             for v in combo:
                 s |= 1 << v
             rest = full & ~s
-            best = k  # width never exceeds k-1; k acts as +infinity
+            best = n  # width never exceeds n-1; n acts as +infinity
             r = rest
             while r:
                 low = r & -r
@@ -95,99 +121,67 @@ def _subset_dp(adj: list[int], k: int) -> dict[int, int]:
                 if val < best:
                     best = val
             h[s] = best
-    return h
+    return h[0]
+
+
+def _eliminate(adj: dict, v) -> None:
+    """Remove v from `adj` in place and make its neighbours a clique."""
+    nbrs = adj.pop(v)
+    for u in nbrs:
+        adj[u].discard(v)
+        adj[u] |= nbrs - {u}
+
+
+def treewidth(adj: dict) -> int:
+    """Exact treewidth of the graph with neighbour sets `adj` (symmetric, no
+    loops, sortable labels), by the reductions in the module docstring.
+
+    Raises ValueError when the core left has more than MAX_TW_VERTICES
+    vertices."""
+    adj = {v: set(nbrs) for v, nbrs in adj.items()}
+    lb = 0
+    while adj:
+        degree, v = min((len(nbrs), v) for v, nbrs in adj.items())
+        if degree > 2:
+            break
+        lb = max(lb, degree)
+        _eliminate(adj, v)
+    if not adj:
+        return lb
+    if len(adj) > MAX_TW_VERTICES:
+        raise ValueError(f"treewidth DP supports cores of at most {MAX_TW_VERTICES} vertices")
+    labels = {v: i for i, v in enumerate(sorted(adj))}
+    core_edges = frozenset(
+        (labels[a], labels[b]) for a in adj for b in adj[a] if labels[a] < labels[b]
+    )
+    return max(lb, _subset_dp(len(adj), core_edges))
 
 
 def treewidth_exact(g: DepGraph) -> tuple[int, tuple[int, ...]]:
-    """Exact treewidth plus an optimal elimination order.
+    """Exact treewidth plus the lexicographically smallest optimal elimination
+    order, so downstream decompositions are deterministic.
 
-    Among optimal orders the lexicographically smallest is returned, so
-    downstream decompositions are deterministic.
+    The order is built greedily from `treewidth` as the module docstring
+    describes: next comes the smallest vertex whose degree in the current
+    graph is at most the width and whose elimination leaves a graph of width
+    at most the width.
     """
-    k = g.k
-    if k > MAX_TW_VERTICES:
-        raise ValueError(f"treewidth DP supports at most {MAX_TW_VERTICES} vertices")
-    if k == 0:
-        return 0, ()
-    adj = g.adjacency_masks()
-    h = _subset_dp(adj, k)
-    width = h[0]
-    # lexicographically smallest optimal order: any next vertex is fine as
-    # long as its cost and the best completion both stay within the width
+    adj = adjacency(g.k, g.edges)
+    width = treewidth(adj)
     order = []
-    s = 0
-    for _ in range(k):
-        for v in range(k):
-            bit = 1 << v
-            if s & bit:
+    while adj:
+        for v in sorted(adj):
+            if len(adj[v]) > width:
                 continue
-            if _elimination_cost(adj, s, v) <= width and h[s | bit] <= width:
-                order.append(v + 1)
-                s |= bit
+            rest = {u: set(nbrs) for u, nbrs in adj.items()}
+            _eliminate(rest, v)
+            if treewidth(rest) <= width:
+                order.append(v)
+                adj = rest
                 break
+        else:
+            raise InvariantError(f"no vertex continues an optimal order after {order}")
     return width, tuple(order)
-
-
-# Width-only fast path: safe degree-0/1/2 reductions, then the subset DP on the
-# remaining core (memoized). Used by the exponent calculator where only the
-# width matters; equivalence with treewidth_exact is covered by tests.
-_CORE_MEMO: dict[tuple[int, frozenset[tuple[int, int]]], int] = {}
-
-
-def treewidth_width_only(edges: frozenset[tuple[int, int]], k: int) -> int:
-    adj: dict[int, set[int]] = {v: set() for v in range(1, k + 1)}
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    active = set(range(1, k + 1))
-    lb = 0
-    while active:
-        deg0 = [v for v in active if not adj[v]]
-        if deg0:
-            for v in deg0:
-                active.remove(v)
-            continue
-        deg1 = sorted(v for v in active if len(adj[v]) == 1)
-        if deg1:
-            v = deg1[0]
-            (u,) = adj[v]
-            adj[u].discard(v)
-            del adj[v]
-            active.remove(v)
-            lb = max(lb, 1)
-            continue
-        deg2 = sorted(v for v in active if len(adj[v]) == 2)
-        if deg2:
-            # min degree >= 2 here, so the graph contains a cycle and tw >= 2,
-            # which makes contracting a degree-2 vertex width-safe.
-            v = deg2[0]
-            u, w = sorted(adj[v])
-            adj[u].discard(v)
-            adj[w].discard(v)
-            adj[u].add(w)
-            adj[w].add(u)
-            del adj[v]
-            active.remove(v)
-            lb = max(lb, 2)
-            continue
-        break
-    if not active:
-        return lb
-    labels = {v: i for i, v in enumerate(sorted(active))}
-    core_edges = frozenset(
-        (min(labels[a], labels[b]), max(labels[a], labels[b]))
-        for a in active
-        for b in adj[a]
-        if a < b
-    )
-    key = (len(active), core_edges)
-    if key not in _CORE_MEMO:
-        masks = [0] * len(active)
-        for a, b in core_edges:
-            masks[a] |= 1 << b
-            masks[b] |= 1 << a
-        _CORE_MEMO[key] = _subset_dp(masks, len(active))[0]
-    return max(lb, _CORE_MEMO[key])
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +216,7 @@ def decomposition_from_order(g: DepGraph, order: tuple[int, ...]) -> TreeDecompo
     """Standard fill-in construction; the width equals the order's elimination width."""
     if sorted(order) != list(range(1, g.k + 1)):
         raise ValueError("order must be a permutation of 1..k")
-    nbrs: dict[int, set[int]] = {v: set() for v in range(1, g.k + 1)}
-    for a, b in g.edges:
-        nbrs[a].add(b)
-        nbrs[b].add(a)
+    nbrs = adjacency(g.k, g.edges)
     position = {v: i for i, v in enumerate(order)}
     bags: list[frozenset[int]] = []
     later_sets: list[set[int]] = []
@@ -286,8 +277,7 @@ class NiceTreeDecomposition:
 
 
 class _NiceBuilder:
-    def __init__(self, k: int):
-        self.k = k
+    def __init__(self):
         self.nodes: list[NiceNode] = []
 
     def add(self, kind, bag, vertex, children) -> int:
@@ -315,7 +305,7 @@ class _NiceBuilder:
 
 def to_nice(d: TreeDecomposition) -> NiceTreeDecomposition:
     """Convert to a nice decomposition of equal width with O(k * width) nodes."""
-    builder = _NiceBuilder(d.k)
+    builder = _NiceBuilder()
     children = d.children()
 
     def build(orig: int) -> int:

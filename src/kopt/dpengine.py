@@ -702,6 +702,8 @@ class _GroupRuns:
 def default_alpha(k: int) -> Fraction:
     """Per-k bucket exponents: the computed optima for k = 5..8, and a single
     bucket for k <= 4 where bucketing buys nothing at practical sizes."""
+    # c_of_k(4).alpha is 2/3, but k <= 4 stays at 1 until the benchmark's
+    # move-k4-n64 workload is re-pinned for it (ROADMAP items 1 and 5).
     table = {
         5: Fraction(2, 3),
         6: Fraction(3, 4),

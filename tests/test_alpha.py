@@ -14,6 +14,7 @@ from kopt.alpha import (
     width_profile_from_edges,
 )
 from kopt.decomp import DepGraph
+from kopt.dpengine import default_alpha
 from kopt.moves import ConnectionPattern, interference_graph, valid_patterns
 from kopt.oracle import treewidth_bruteforce
 
@@ -69,6 +70,11 @@ def test_optimal_alpha_k5_worst_case():
     # a five-cycle interference class reaching width 3 at two added order edges
     result = c_of_k(5)
     assert (result.alpha, result.c) == (Fraction(2, 3), Fraction(11, 3))
+
+
+@pytest.mark.parametrize("k", [5, 6, pytest.param(7, marks=pytest.mark.slow)])
+def test_default_alpha_is_the_computed_optimum(k):
+    assert default_alpha(k) == c_of_k(k).alpha
 
 
 def test_optimal_alpha_degenerate_profile():

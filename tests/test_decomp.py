@@ -5,17 +5,19 @@ from itertools import combinations, permutations
 
 import pytest
 
+from kopt import decomp
 from kopt.buckets import order_edges
 from kopt.decomp import (
     JOIN,
     DepGraph,
     NiceNode,
     NiceTreeDecomposition,
+    adjacency,
     decomposition_from_order,
     dependence_graph,
     to_nice,
+    treewidth,
     treewidth_exact,
-    treewidth_width_only,
     validate_decomposition,
 )
 from kopt.moves import ConnectionPattern, interference_graph, valid_patterns
@@ -71,14 +73,14 @@ def test_treewidth_known_values(graph, expected):
     width, order = treewidth_exact(graph)
     assert width == expected
     assert sorted(order) == list(range(1, graph.k + 1))
-    assert treewidth_width_only(graph.edges, graph.k) == expected
+    assert treewidth(adjacency(graph.k, graph.edges)) == expected
 
 
 def test_treewidth_subdivided_k4_needs_fill_awareness():
     # degeneracy is 2 but treewidth is 3; a fill-blind subset DP gets this wrong
     g = DepGraph(5, frozenset([(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)]))
     assert treewidth_exact(g)[0] == 3
-    assert treewidth_width_only(g.edges, g.k) == 3
+    assert treewidth(adjacency(g.k, g.edges)) == 3
 
 
 def elimination_width(g: DepGraph, order) -> int:
@@ -129,7 +131,38 @@ def test_treewidth_on_interference_unions_vs_bruteforce():
                     continue
                 seen.add(key)
                 g = DepGraph(5, key)
-                assert treewidth_exact(g)[0] == treewidth_bruteforce(g).value
+                brute = treewidth_bruteforce(g)
+                # plans are built from this order, so it is pinned too
+                assert treewidth_exact(g) == (brute.value, brute.witness)
+
+
+def test_long_cycle_reduces_past_the_dp_size_bound():
+    g = cycle_graph(40)
+    width, order = treewidth_exact(g)
+    assert width == 2
+    assert sorted(order) == list(range(1, 41))
+    assert elimination_width(g, order) == 2
+
+
+def test_oversized_core_is_refused_before_the_dp(monkeypatch):
+    def no_dp(n, edges):
+        raise AssertionError("subset DP ran")
+
+    monkeypatch.setattr(decomp, "_subset_dp", no_dp)
+    with pytest.raises(ValueError, match="at most 24"):
+        treewidth(adjacency(25, complete_graph(25).edges))
+    with pytest.raises(ValueError, match="at most 24"):
+        treewidth_exact(complete_graph(25))
+
+
+def test_treewidth_takes_any_sortable_labels():
+    # subdivided K4 on string labels: same width as on 1..5
+    edges = [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "e"), ("d", "e")]
+    adj = {v: set() for v in "abcde"}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    assert treewidth(adj) == 3
 
 
 def test_decomposition_from_order_examples():
