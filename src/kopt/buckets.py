@@ -69,11 +69,21 @@ class BucketPartition:
         return hi - lo + 1
 
 
+# ceil_rational_power(n, p/q) compares q-th powers: 2 ** 10**12 at
+# alpha = 1e-12, and seconds of work at denominators near 10^6
+MAX_ALPHA_DENOMINATOR = 10**4
+
+
 def make_buckets(n: int, alpha) -> BucketPartition:
     """Buckets of size ceil(n**alpha); alpha=1 gives one bucket, alpha=0 singletons."""
     alpha = Fraction(alpha)
     if not (0 <= alpha <= 1):
         raise ValueError("alpha must lie in [0, 1]")
+    if alpha.denominator > MAX_ALPHA_DENOMINATOR:
+        raise ValueError(
+            f"alpha {alpha} has denominator {alpha.denominator};"
+            f" at most {MAX_ALPHA_DENOMINATOR} is allowed"
+        )
     return BucketPartition(n=n, size=ceil_rational_power(n, alpha))
 
 

@@ -139,7 +139,7 @@ def cmd_ck(args) -> int:
             }
             for rep in result.per_class
         ]
-    _emit(payload, getattr(args, "out", None))
+    _emit(payload, None)
     return 0
 
 

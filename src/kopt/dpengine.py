@@ -41,8 +41,9 @@ cells share it.
   along the forgotten slot only, from the kept forget tables below it and the
   lines of the blocks in between, and the slot takes its first maximum. When
   the winner lies in that last chunk nothing runs again; otherwise it is run
-  once alone. Its embedding is checked against `gain_partial`, turned into a
-  `KMove`, and applied once through `apply_move`.
+  once alone. Its embedding is turned into a `KMove` once, whose gain must
+  equal the root value, and applied once through `apply_move`, which builds
+  the new tour from the move's k segments and checks its weight.
 
 -inf marks assignments with no legal completion. Every other table entry,
 and every partial sum the kernel forms, is an integer sum of at most 4k
@@ -58,6 +59,7 @@ matter and both dtypes give the same answers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -79,6 +81,7 @@ from .decomp import (
     validate_decomposition,
 )
 from .instance import Instance, Tour, tour_weight
+# gain_partial is unused here but stays bound: perfbench/layers.py traces it
 from .moves import (
     ConnectionPattern,
     InvariantError,
@@ -105,6 +108,9 @@ MAX_BATCH_ENTRIES = 1 << 22
 MAX_SLICE_ENTRIES = 1 << 20
 # float32 holds every integer of magnitude up to 2^24, and no larger range
 FLOAT32_EXACT = 1 << 24
+# Most bucket assignments best_move lists, at about 0.55 kB each at alpha = 0;
+# requests just under it peaked at 0.87 GB RSS (k = 8), 0.62 GB for k <= 7
+MAX_ASSIGNMENTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -559,6 +565,7 @@ def _reconstruct(
         v = ops[i][2]
         line = np.broadcast_to(along(children[i][0], v), (cells.s,))
         pos[v] = int(np.argmax(line))
+    along = None  # a closure that calls itself: unbound, its tables go now, not at a gc pass
     return tuple(int(cells.dom[0, v, pos[v]]) + 1 for v in range(plan.k))
 
 
@@ -625,8 +632,8 @@ def _solve_cell(
 ) -> SolveResult:
     """One fitting cell's move, its embedding rebuilt from `kept` (the forget
     tables of a run that held the cell, its row in them and its root value)
-    or else from a run of the cell alone; the embedding is checked against
-    gain_partial and made into a KMove."""
+    or else from a run of the cell alone; the embedding is made into a KMove,
+    whose gain must equal the root value."""
     cells = _Cells(arrays, part, [assignment])
     if kept is None:
         root, forgets, _ = _run_plan(plan, cells, keep_forgets=True)
@@ -636,10 +643,10 @@ def _solve_cell(
         return SolveResult(None, None, None)
     gain = int(round(root_val))
     embedding = _reconstruct(plan, cells, forgets, row)
-    check = gain_partial(inst, tour, m, dict(enumerate(embedding, 1)))
-    if check != gain:
-        raise InvariantError(f"reconstructed embedding gain {check} != table gain {gain}")
-    return SolveResult(gain, embedding, as_kmove(inst, tour, m, embedding))
+    move = as_kmove(inst, tour, m, embedding)
+    if move.gain != gain:
+        raise InvariantError(f"reconstructed embedding gain {move.gain} != table gain {gain}")
+    return SolveResult(gain, embedding, move)
 
 
 class _GroupRuns:
@@ -727,6 +734,10 @@ def _best_move(
         raise ValueError(f"instance too small: need n >= {2 * k}")
     alpha = default_alpha(k) if alpha is None else Fraction(alpha)
     part = make_buckets(inst.n, alpha)
+    count = math.comb(part.count + k - 1, k)
+    if count > MAX_ASSIGNMENTS:
+        raise ValueError(f"{count:,} bucket assignments of {k} slots to {part.count}"
+                         f" buckets; at most {MAX_ASSIGNMENTS:,} fit in memory")
     arrays = TourArrays(inst, tour)
     patterns = valid_patterns(k)
     assignments = list(enumerate_assignments(k, part.count))
@@ -785,8 +796,8 @@ def best_move(
     cell's embedding is rebuilt from the forget tables of the last chunk run
     when the cell lies in it, as an improving cell under policy="first" with
     one bucket always does, else from one more run of that cell alone. Its
-    move is checked against gain_partial once and re-validated through
-    apply_move once.
+    KMove is built once, and its gain must equal the cell's; apply_move then
+    builds the new tour once and checks its weight.
     """
     return _best_move(inst, tour, k, alpha, policy)[0]
 
@@ -823,12 +834,8 @@ def local_search(
         res, new = _best_move(inst, current, k, alpha, policy, improving_only=True)
         if not res.improving:
             break
-        after = tour_weight(inst, new)
-        if not after < weight or after != weight - res.gain:
-            raise InvariantError(
-                f"step of gain {res.gain} took the tour weight from {weight} to {after}"
-            )
-        current, weight = new, after
+        # apply_move has checked the new weight, and res.improving its decrease
+        current, weight = new, weight - res.gain
         step += 1
-        history.append(SearchStep(step=step, gain=res.gain, tour_weight=after))
+        history.append(SearchStep(step=step, gain=res.gain, tour_weight=weight))
     return current, tuple(history)

@@ -301,50 +301,40 @@ def as_kmove(inst: Instance, tour: Tour, m: ConnectionPattern, f) -> KMove:
 def apply_move(inst: Instance, tour: Tour, m: ConnectionPattern, f) -> Tour:
     """Apply the k-move and return the new tour.
 
-    Verifies explicitly that the resulting edge set is a Hamiltonian cycle and
-    that its weight dropped by exactly the move's gain; anything else raises
-    DegenerateMoveError. The new sequence starts at the old first vertex and
+    The removed edges cut the tour into k segments: segment j < k runs from
+    endpoint 2j to 2j+1, the wrap segment from 2k through w_n, w_1 to 1. The
+    walk takes the wrap segment, then follows the pattern pair at its current
+    endpoint into the next segment, forward if it enters at the even endpoint
+    and reversed if at the odd one, until a pair leads back to 2k. A walk that
+    closes before taking all k segments (a loop or a doubled added edge seals
+    segments off) raises DegenerateMoveError, as does a weight drop that is
+    not gain_partial's. The new sequence starts at the old first vertex and
     proceeds toward the neighbor that came earlier in the old tour.
     """
-    n = tour.n
+    n, k = tour.n, m.k
     emb = _check_full_embedding(m, f if isinstance(f, Mapping) else dict(enumerate(f, 1)))
-    if n < 2 * m.k:
-        raise DegenerateMoveError(f"instance too small: need n >= {2 * m.k}")
-    move = as_kmove(inst, tour, m, emb)
-
-    removed = set(emb)
-    edges: set[frozenset[int]] = {
-        frozenset(tour.edge(i)) for i in range(1, n + 1) if i not in removed
-    }
-    for u, v in move.added:
-        edges.add(frozenset((u, v)))
-    if len(edges) != n:
-        raise DegenerateMoveError("move does not produce n distinct edges")
-
-    adj: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
-    for e in edges:
-        u, v = tuple(e)
-        adj[u].append(v)
-        adj[v].append(u)
-    if any(len(nb) != 2 for nb in adj.values()):
-        raise DegenerateMoveError("move does not produce a 2-regular edge set")
-
-    pos = {v: i for i, v in enumerate(tour.order)}
-    start = tour.order[0]
-    first = min(adj[start], key=pos.__getitem__)
-    walk = [start, first]
-    while True:
-        prev, cur = walk[-2], walk[-1]
-        nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-        if nxt == start:
-            break
-        walk.append(nxt)
-        if len(walk) > n:
-            raise DegenerateMoveError("move splits the tour into several cycles")
-    if len(walk) != n:
+    if n < 2 * k:
+        raise DegenerateMoveError(f"instance too small: need n >= {2 * k}")
+    if emb[0] < 1 or emb[-1] > n:
+        raise ValueError(f"edge index out of range 1..{n}")
+    order = tour.order
+    segments = [order[a:b] for a, b in zip(emb, emb[1:])]  # segment j at j - 1
+    partner = {a: b for pair in m.pairs for a, b in (pair, pair[::-1])}
+    walk = list(order[emb[-1]:] + order[: emb[0]])
+    e = partner[1]
+    while e != 2 * k:
+        segment = segments[e // 2 - 1]
+        walk += segment if e % 2 == 0 else segment[::-1]
+        e = partner[e ^ 1]  # the segment's other endpoint
+    if len(walk) < n:  # some segments were never reached
         raise DegenerateMoveError("move splits the tour into several cycles")
 
+    start = n - emb[-1]  # w_1's place in the wrap segment
+    walk = walk[start:] + walk[:start]
+    if order.index(walk[-1]) < order.index(walk[1]):
+        walk[1:] = walk[:0:-1]
     new_tour = Tour(tuple(walk))
-    if tour_weight(inst, new_tour) != tour_weight(inst, tour) - move.gain:
+    gain = gain_partial(inst, tour, m, dict(enumerate(emb, 1)))
+    if tour_weight(inst, new_tour) != tour_weight(inst, tour) - gain:
         raise DegenerateMoveError("weight change disagrees with the computed gain")
     return new_tour

@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from kopt import buckets
 from kopt.buckets import (
     BucketPartition,
     ceil_rational_power,
@@ -45,6 +46,20 @@ def test_alpha_range_guard():
         make_buckets(10, Fraction(5, 4))
     with pytest.raises(ValueError):
         make_buckets(10, -1)
+
+
+@pytest.mark.parametrize("alpha", [Fraction(1, 10**12), Fraction(10**12 - 1, 10**12)])
+def test_alpha_with_a_huge_denominator_is_refused_at_once(alpha, monkeypatch):
+    def fail(*args):
+        raise AssertionError("ceil_rational_power must not run")
+
+    monkeypatch.setattr(buckets, "ceil_rational_power", fail)
+    with pytest.raises(ValueError, match="denominator"):
+        make_buckets(200, alpha)
+
+
+def test_alpha_at_the_denominator_bound_still_works():
+    assert make_buckets(200, Fraction(6667, 10000)).size == 35  # ceil(200^0.6667)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 10, 100, 1000])

@@ -50,6 +50,19 @@ def test_find_move_bad_input_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_find_move_refuses_too_many_bucket_assignments(tmp_path, capsys, monkeypatch):
+    from kopt import dpengine
+
+    def fail(*args):
+        raise AssertionError("enumerate_assignments must not run")
+
+    monkeypatch.setattr(dpengine, "enumerate_assignments", fail)
+    ipath, tpath = write_pair(tmp_path, gen_random(200, 0, 100), random_tour(200, 1))
+    code = main(["find-move", "--k", "5", "--alpha", "0", "--in", ipath, "--tour", tpath])
+    assert code == 2
+    assert "2,802,350,040 bucket assignments of 5 slots to 200 buckets" in capsys.readouterr().err
+
+
 def test_local_search_zero_steps_outputs_input_tour(tmp_path, capsys):
     inst = gen_random(10, 7, 100)
     tour = random_tour(10, 8)

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -747,6 +748,22 @@ def test_k4_n64_peak_memory_stays_small():
     assert peak < 16 << 20
 
 
+def test_warm_best_move_leaves_no_reference_cycles():
+    """The winner's rebuild holds its run's tables; they are freed when
+    best_move returns, not at the next garbage collection."""
+    import gc
+
+    inst, tour = gen_random(12, 99, 100), random_tour(12, 98)
+    best_move(inst, tour, 3)  # fills the caches
+    gc.collect()
+    gc.disable()
+    try:
+        best_move(inst, tour, 3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_first_policy_search_runs_no_winner_again(monkeypatch):
     """One bucket: each pattern is one group run of one cell, and an
     improving winner lies in the last run, so its step calls _run_plan once
@@ -804,6 +821,34 @@ def test_local_search_applies_each_move_once(monkeypatch):
     assert len(calls) == len(history)  # the last, non-improving step applies none
 
 
+def test_an_improving_step_checks_its_move_once(monkeypatch):
+    """The winner's gain is computed by as_kmove and by apply_move's weight
+    check, its KMove is built once, and apply_move sums the old and new tour
+    weights; local_search adds only the start tour's weight."""
+    from kopt import dpengine, moves
+
+    counts = Counter()
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counting(*args):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counting)
+
+    for module in (moves, dpengine):
+        for name in ("gain_partial", "as_kmove", "apply_move", "tour_weight"):
+            count(module, name)
+    inst = gen_random(12, 97, 100)
+    _, history = local_search(inst, random_tour(12, 98), 3, max_steps=1)
+    assert len(history) == 1
+    assert counts["gain_partial"] == 2
+    assert counts["as_kmove"] == counts["apply_move"] == 1
+    assert counts["tour_weight"] <= 1 + 2
+
+
 # ---------------------------------------------------------------------------
 # Answer guards survive python -O
 # ---------------------------------------------------------------------------
@@ -828,9 +873,9 @@ def test_reconstruction_check_raises_under_python_O():
         "import sys\n"
         "assert False\n"
         "import kopt\n"
-        "from kopt import dpengine\n"
-        "real = dpengine.gain_partial\n"
-        "dpengine.gain_partial = lambda *args: real(*args) + 1\n"
+        "from kopt import dpengine, moves\n"
+        "real = moves.gain_partial\n"
+        "moves.gain_partial = lambda *args: real(*args) + 1\n"
         "take = dpengine._GroupRuns.take\n"
         "reused = []\n"
         "dpengine._GroupRuns.take = lambda *a: reused.append(take(*a)) or reused[-1]\n"

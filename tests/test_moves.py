@@ -75,7 +75,7 @@ def test_valid_pattern_count_closed_form(k):
     assert (matching_count(k), valid_pattern_count(k)) == (total, valid)
 
 
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_validity_agrees_with_move_application(k):
     """Independent check: a pattern is valid iff applying it at a spread-out
     embedding of a generic tour yields a Hamiltonian cycle."""
@@ -90,6 +90,47 @@ def test_validity_agrees_with_move_application(k):
         except DegenerateMoveError:
             applied = False
         assert applied == is_valid_pattern(m), m.pairs
+
+
+def _embeddings(n, k):
+    """Spread out; runs of adjacent removed edges at the start, at the end and
+    across edge n; and a mix of adjacent, spread out and edge n."""
+    embeddings = {
+        tuple(range(1, 2 * k, 2)),
+        tuple(range(1, k + 1)),
+        tuple(range(n - k + 1, n + 1)),
+        (1,) + tuple(range(n - k + 2, n + 1)),
+    }
+    if k >= 3:
+        embeddings.add((1, 2) + tuple(range(4, 2 * k - 2, 2)) + (n,))
+    return embeddings
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_apply_move_adds_and_removes_exactly_the_moves_edges(k):
+    """The new tour's edges are the old ones minus the removed edges plus the
+    move's added edges, for every valid pattern on embeddings with adjacent
+    removed edges and with edge n; the tour starts at the old first vertex
+    and turns toward its earlier neighbour."""
+    n = 2 * k + 3
+    inst = gen_random(n, k, 1000)
+    tour = random_tour(n, k + 10)
+    pos = {v: i for i, v in enumerate(tour.order)}
+    old = set(map(frozenset, tour.edges()))
+    embeddings = _embeddings(n, k)
+    assert any(emb[-1] == n for emb in embeddings)
+    assert any(emb[i + 1] == emb[i] + 1 for emb in embeddings for i in range(k - 1))
+    for m in valid_patterns(k):
+        for emb in embeddings:
+            move = as_kmove(inst, tour, m, emb)
+            new = apply_move(inst, tour, m, emb)
+            removed = {frozenset(tour.edge(i)) for i in emb}
+            added = set(map(frozenset, move.added))
+            assert set(map(frozenset, new.edges())) == (old - removed) | added, (m, emb)
+            assert len(added) == k
+            assert new.order[0] == tour.order[0]
+            assert pos[new.order[1]] < pos[new.order[-1]]
+            assert tour_weight(inst, new) == tour_weight(inst, tour) - move.gain
 
 
 def test_interference_identity_pattern_readds_all():
