@@ -21,6 +21,7 @@ from .moves import (
     _is_valid_raw,
     _matchings_raw,
     interference_graph,
+    matching_count,
 )
 
 MAX_PROFILE_K = 10
@@ -124,11 +125,8 @@ class CofKResult:
 
 
 def estimate_large_k_cost(k: int) -> str:
-    total = 1
-    for odd in range(1, 2 * k, 2):
-        total *= odd
     return (
-        f"k={k} means enumerating {total:,} matchings and profiling each "
+        f"k={k} means enumerating {matching_count(k):,} matchings and profiling each "
         f"interference class over 2^{k - 1} subsets; expect minutes to hours"
     )
 

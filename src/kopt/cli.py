@@ -22,7 +22,6 @@ from .decomp import DepGraph
 from .instance import (
     FormatError,
     Instance,
-    ReductionInput,
     Tour,
     _json_fields,
     gen_negative_triangle_reduction,
@@ -166,7 +165,7 @@ def cmd_patterns(args) -> int:
     return 0
 
 
-def _parse_triangle_weights(spec: str, n: int) -> ReductionInput:
+def _parse_triangle_weights(spec: str, n: int) -> Instance:
     values = [int(tok) for tok in spec.split(",")]
     need = n * (n - 1) // 2
     if len(values) != need:
@@ -176,7 +175,7 @@ def _parse_triangle_weights(spec: str, n: int) -> ReductionInput:
     for i in range(n):
         for j in range(i + 1, n):
             mat[i, j] = mat[j, i] = next(it)
-    return ReductionInput(n=n, weights=mat)
+    return Instance(n=n, weights=mat)
 
 
 def cmd_gen(args) -> int:
@@ -220,8 +219,7 @@ def cmd_oracle(args) -> int:
         _emit({"width": res.value, "order": list(res.witness)}, None)
         return 0
     if args.oracle_command == "neg-triangle":
-        n, weights = _json_fields(Path(args.infile).read_text(), n=int, weights=list)
-        g = ReductionInput(n=n, weights=weights)
+        g = instance_from_json(Path(args.infile).read_text())
         res = oracle.has_negative_triangle(g)
         payload = {"negative_triangle": res.value}
         if res.witness:

@@ -197,6 +197,17 @@ class TreeDecomposition:
     parent: tuple[int, ...]
     root: int
 
+    def __post_init__(self):
+        n = len(self.bags)
+        if len(self.parent) != n or not 0 <= self.root < n or self.parent[self.root] != -1:
+            raise ValueError("need one parent per bag, and parent[root] == -1")
+        for i in range(n):
+            v, steps = i, 0
+            while v != self.root:
+                v, steps = self.parent[v], steps + 1
+                if not 0 <= v < n or steps >= n:  # a second root, or a cycle
+                    raise ValueError(f"bag {i} does not reach the root in under {n} steps")
+
     @property
     def width(self) -> int:
         return max(len(b) for b in self.bags) - 1
@@ -252,32 +263,46 @@ class NiceNode:
 @dataclass(frozen=True)
 class NiceTreeDecomposition:
     """Rooted decomposition whose nodes are leaf/introduce/forget/join and whose
-    root and leaf bags are empty."""
+    root and leaf bags are empty, listed in run order.
+
+    A bottom-up pass over the list keeps a stack of the tops of the runs it
+    has finished. Each node's `children` are, in order, the tops of the runs
+    just before it: the node pops them and pushes itself. The root is last,
+    the one entry left. The constructor replays that stack and raises
+    ValueError on a node list that breaks it, such as one with a cycle."""
 
     k: int
     nodes: tuple[NiceNode, ...]
     root: int
 
+    def __post_init__(self):
+        stack: list[int] = []
+        for i, nd in enumerate(self.nodes):
+            cut = len(stack) - len(nd.children)
+            if cut < 0 or tuple(stack[cut:]) != tuple(nd.children):
+                raise ValueError(
+                    f"node {i}'s children {nd.children} are not the tops of the runs before it"
+                )
+            del stack[cut:]
+            stack.append(i)
+        if stack != [self.root]:
+            raise ValueError("the root must be the last node, above all the others")
+
     @property
     def width(self) -> int:
         return max(len(nd.bag) for nd in self.nodes) - 1
 
-    def postorder(self) -> list[int]:
-        out: list[int] = []
-        stack = [(self.root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                out.append(node)
-                continue
-            stack.append((node, True))
-            for c in self.nodes[node].children:
-                stack.append((c, False))
-        return out
+    def postorder(self) -> range:
+        """Node indices in run order, children before parents: every node."""
+        return range(len(self.nodes))
 
 
 class _NiceBuilder:
-    def __init__(self):
+    """Lays out the nice decomposition of `d` in run order."""
+
+    def __init__(self, d: TreeDecomposition):
+        self.d = d
+        self.kids = d.children()
         self.nodes: list[NiceNode] = []
 
     def add(self, kind, bag, vertex, children) -> int:
@@ -302,26 +327,26 @@ class _NiceBuilder:
             top = self.add(INTRODUCE, frozenset(cur), v, (top,))
         return top
 
+    def build(self, orig: int) -> int:
+        """Lay out the subtree of bag `orig`, its children last first, each
+        adapted to `orig`'s bag, then the joins; return its top node."""
+        bag = self.d.bags[orig]
+        tops = [
+            self.adapt(self.build(kid), self.d.bags[kid], bag)
+            for kid in reversed(self.kids[orig])
+        ]
+        if not tops:
+            return self.chain_from_empty(bag)
+        top = tops.pop()  # the first child's
+        for other in reversed(tops):
+            top = self.add(JOIN, bag, None, (other, top))
+        return top
+
 
 def to_nice(d: TreeDecomposition) -> NiceTreeDecomposition:
     """Convert to a nice decomposition of equal width with O(k * width) nodes."""
-    builder = _NiceBuilder()
-    children = d.children()
-
-    def build(orig: int) -> int:
-        bag = d.bags[orig]
-        kid_tops = [
-            builder.adapt(build(kid), d.bags[kid], bag) for kid in children[orig]
-        ]
-        if not kid_tops:
-            return builder.chain_from_empty(bag)
-        top = kid_tops[0]
-        for other in kid_tops[1:]:
-            top = builder.add(JOIN, bag, None, (top, other))
-        return top
-
-    top = build(d.root)
-    top = builder.adapt(top, d.bags[d.root], frozenset())
+    builder = _NiceBuilder(d)
+    top = builder.adapt(builder.build(d.root), d.bags[d.root], frozenset())
     return NiceTreeDecomposition(k=d.k, nodes=tuple(builder.nodes), root=top)
 
 

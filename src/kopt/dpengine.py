@@ -9,7 +9,8 @@ cells share it.
 
 - **Plans.** `compile_plan(pattern, order_edges)` turns one such DP into a
   flat list of leaf, introduce, forget and join ops with precomputed table
-  axes, run as a stack machine in postorder. Each introduce op carries, per
+  axes, run as a stack machine. The nice decomposition lists its nodes in
+  the order they run, and op i runs node i. Each introduce op carries, per
   bag neighbour of the introduced slot, the pattern pairs, self-loop mask
   and order edge between the two slots; each join op carries its correction
   terms. Plans are cached and do not depend on the tour; equal ops are one
@@ -108,9 +109,11 @@ MAX_BATCH_ENTRIES = 1 << 22
 MAX_SLICE_ENTRIES = 1 << 20
 # float32 holds every integer of magnitude up to 2^24, and no larger range
 FLOAT32_EXACT = 1 << 24
-# Most bucket assignments best_move lists, at about 0.55 kB each at alpha = 0;
-# requests just under it peaked at 0.87 GB RSS (k = 8), 0.62 GB for k <= 7
-MAX_ASSIGNMENTS = 1_000_000
+# Most slot positions best_move lists: bucket assignments times k times the
+# bucket size s. Each assignment's cells hold k * s entries in each of six
+# arrays, built for every group before any runs. Requests just under it
+# peaked at 0.66 GB RSS (k = 2..7 at s = 1, k = 2..8 at s = 10).
+MAX_ASSIGNMENT_ENTRIES = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -165,13 +168,16 @@ class TourArrays:
 # Plans
 # ---------------------------------------------------------------------------
 
-# A plan runs as a stack machine over the nice decomposition's nodes in
-# postorder: a leaf pushes a table, introduce and forget ops replace the top
-# table, and a join pops two. Ops hold no node ids, so an op depends only on
-# its bag and its terms, and equal ops are one shared object in every plan.
+# A plan runs as a stack machine, op i running node i of the nice
+# decomposition, whose nodes are listed in run order: a leaf pushes a table,
+# introduce and forget ops replace the top table, and a join pops two. Ops
+# hold no node ids, so an op depends only on its bag and its terms, and equal
+# ops are one shared object in every plan; node i's children name op i's
+# inputs.
 #   (LEAF,)
 #   (INTRODUCE, bag size, index placing the child's table, blocks)
-#   (FORGET, axis of the forgotten slot, slot, the remaining bag)
+#   (FORGET, axis of the forgotten slot, slot, the remaining bag: the op's
+#   table slots in axis order)
 #   (JOIN, blocks)
 # A block is the sum of all terms of one op that involve the same one or two
 # bag slots: (slots, unary, pairs, matrix, order, index)
@@ -189,17 +195,15 @@ COMPILE_CACHE_SIZE = 1 << 14  # entries in each cache of compiled plans and ops
 @dataclass(frozen=True, slots=True)
 class Plan:
     """The DP of one (pattern, order-edge set) as a flat op list, compiled
-    from the nice decomposition `nice`; `width` is the largest bag size, so
-    one cell's largest table has s**width entries. Per op, `bags` holds its
-    table's 0-based slots in axis order and `children` the indices of its
-    child ops in the order they run."""
+    from the nice decomposition `nice`: op i runs node i, so
+    `nice.nodes[i].children` are the ops whose tables op i takes, in stack
+    order. `width` is the largest bag size, so one cell's largest table has
+    s**width entries."""
 
     k: int
     ops: tuple[tuple, ...]
     width: int
     nice: NiceTreeDecomposition
-    bags: tuple[tuple[int, ...], ...]
-    children: tuple[tuple[int, ...], ...]
 
 
 def _pattern_pairs_info(m: ConnectionPattern) -> tuple[tuple[int, bool, int, bool], ...]:
@@ -294,20 +298,6 @@ def _join_op(bag: tuple[int, ...], inside, unpaired) -> tuple:
 _LEAF_OP = (LEAF,)
 
 
-@lru_cache(maxsize=COMPILE_CACHE_SIZE)
-def _tree(nice: NiceTreeDecomposition) -> tuple[tuple, tuple]:
-    """(bags, children) of a plan compiled from `nice`, shared by all of them."""
-    bags, children, stack = [], [], []
-    for i, t in enumerate(nice.postorder()):
-        nd = nice.nodes[t]
-        bags.append(tuple(b - 1 for b in sorted(nd.bag)))
-        taken = len(nd.children)
-        children.append(tuple(stack[len(stack) - taken:]))
-        del stack[len(stack) - taken:]
-        stack.append(i)
-    return tuple(bags), tuple(children)
-
-
 def _compile(
     m: ConnectionPattern, obs: frozenset[tuple[int, int]], nice: NiceTreeDecomposition
 ) -> Plan:
@@ -324,8 +314,7 @@ def _compile(
     nodes = nice.nodes
     ops: list[tuple] = []
     forgotten: list[int] = []
-    for t in nice.postorder():
-        nd = nodes[t]
+    for nd in nodes:
         bag = tuple(sorted(nd.bag))
         if nd.kind == LEAF:
             ops.append(_LEAF_OP)
@@ -347,7 +336,7 @@ def _compile(
             raise InvariantError(f"unknown node kind {nd.kind!r}")
     if sorted(forgotten) != list(range(1, m.k + 1)):
         raise InvariantError("every slot must be forgotten exactly once")
-    return Plan(m.k, tuple(ops), nice.width + 1, nice, *_tree(nice))
+    return Plan(m.k, tuple(ops), nice.width + 1, nice)
 
 
 @lru_cache(maxsize=COMPILE_CACHE_SIZE)
@@ -489,10 +478,10 @@ def _run_plan(
 ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
     """The root values over the batch, the forget ops' output tables (if
     keep_forgets) and every op's table (if keep_tables, which tests use to
-    compare every node's table), both in postorder. A join adds into its
+    compare every node's table), both in op order. A join adds into its
     first child's table unless that table is kept. An introduce op below a
     forget op runs with it, through _introduce_forget."""
-    B, s, ops, dtype = cells.batch, cells.s, plan.ops, cells.dtype
+    B, s, ops, dtype, nodes = cells.batch, cells.s, plan.ops, cells.dtype, plan.nice.nodes
     stack: list[np.ndarray] = []
     forgets: list[np.ndarray] = []
     kept: list[np.ndarray] = []
@@ -514,7 +503,7 @@ def _run_plan(
                 forgets.append(table)
         elif kind == JOIN:
             other, table = stack.pop(), stack.pop()
-            if keep_tables or keep_forgets and ops[plan.children[i][0]][0] == FORGET:
+            if keep_tables or keep_forgets and ops[nodes[i].children[0]][0] == FORGET:
                 table = table + other
             else:
                 table += other
@@ -540,7 +529,7 @@ def _reconstruct(
     lines of the blocks of the introduce and join ops in between, each op
     visited once. The slot takes the vector's first maximum, argmax's tie
     rule."""
-    ops, bags, children = plan.ops, plan.bags, plan.children
+    ops, nodes = plan.ops, plan.nice.nodes
     table_of = dict(zip((i for i, op in enumerate(ops) if op[0] == FORGET), forgets))
     pos: dict[int, int] = {}
     todo: list[int] = []  # forget ops whose child table is still to rebuild
@@ -550,10 +539,10 @@ def _reconstruct(
         op = ops[i]
         if op[0] == FORGET:
             todo.append(i)
-            key = tuple(slice(None) if b == v else pos[b] for b in bags[i])
+            key = tuple(slice(None) if b == v else pos[b] for b in op[3])
             return table_of[i][(row, *key)]
         value = 0
-        for c in children[i]:
+        for c in nodes[i].children:
             value = value + along(c, v)
         for block in () if op[0] == LEAF else op[-1]:  # introduce and join blocks
             value = value + _block_line(block, cells, pos, v)
@@ -563,7 +552,7 @@ def _reconstruct(
     while todo:
         i = todo.pop()
         v = ops[i][2]
-        line = np.broadcast_to(along(children[i][0], v), (cells.s,))
+        line = np.broadcast_to(along(nodes[i].children[0], v), (cells.s,))
         pos[v] = int(np.argmax(line))
     along = None  # a closure that calls itself: unbound, its tables go now, not at a gc pass
     return tuple(int(cells.dom[0, v, pos[v]]) + 1 for v in range(plan.k))
@@ -735,9 +724,11 @@ def _best_move(
     alpha = default_alpha(k) if alpha is None else Fraction(alpha)
     part = make_buckets(inst.n, alpha)
     count = math.comb(part.count + k - 1, k)
-    if count > MAX_ASSIGNMENTS:
+    entries = count * k * part.size
+    if entries > MAX_ASSIGNMENT_ENTRIES:
         raise ValueError(f"{count:,} bucket assignments of {k} slots to {part.count}"
-                         f" buckets; at most {MAX_ASSIGNMENTS:,} fit in memory")
+                         f" buckets of {part.size} edges hold {entries:,} slot positions;"
+                         f" at most {MAX_ASSIGNMENT_ENTRIES:,} fit in memory")
     arrays = TourArrays(inst, tour)
     patterns = valid_patterns(k)
     assignments = list(enumerate_assignments(k, part.count))

@@ -25,7 +25,7 @@ class FormatError(ValueError):
         super().__init__(message)
 
 
-def _as_weight_matrix(weights, n: int, allow_negative: bool = True) -> np.ndarray:
+def _as_weight_matrix(weights, n: int) -> np.ndarray:
     raw = np.asarray(weights)
     if raw.shape != (n, n):
         raise ValueError(f"weight matrix must be {n}x{n}, got {raw.shape}")
@@ -40,8 +40,6 @@ def _as_weight_matrix(weights, n: int, allow_negative: bool = True) -> np.ndarra
     mat = np.array(raw, dtype=np.int64)
     if not np.array_equal(mat, mat.T):
         raise ValueError("weight matrix must be symmetric")
-    if not allow_negative and (mat < 0).any():
-        raise ValueError("negative weights not allowed here")
     np.fill_diagonal(mat, 0)
     mat.flags.writeable = False
     return mat
@@ -355,39 +353,20 @@ def random_tour(n: int, seed: int) -> Tour:
     return Tour(tuple(int(v) + 1 for v in rng.permutation(n)))
 
 
-@dataclass(frozen=True, eq=False)
-class ReductionInput:
-    """Complete graph with integer weights (negatives allowed), input to the
-    negative-triangle reduction."""
-
-    n: int
-    weights: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if self.n < 3:
-            raise ValueError("reduction input needs n >= 3")
-        object.__setattr__(self, "weights", _as_weight_matrix(self.weights, self.n))
-
-    @property
-    def max_abs_weight(self) -> int:
-        return int(np.abs(self.weights).max())
-
-    def weight(self, u: int, v: int) -> int:
-        return int(self.weights[u - 1, v - 1])
-
-
-def random_reduction_input(n: int, seed: int, wmax: int) -> ReductionInput:
+def random_reduction_input(n: int, seed: int, wmax: int) -> Instance:
+    """Random symmetric weights uniform in [-wmax, wmax], an input to the
+    negative-triangle reduction; deterministic per seed."""
     rng = np.random.default_rng(seed)
     raw = rng.integers(-wmax, wmax + 1, size=(n, n), dtype=np.int64)
     upper = np.triu(raw, 1)
-    return ReductionInput(n=n, weights=upper + upper.T)
+    return Instance(n=n, weights=upper + upper.T)
 
 
 def gen_negative_triangle_reduction(
-    g: ReductionInput, nonnegative: bool = False
+    g: Instance, nonnegative: bool = False
 ) -> tuple[Instance, Tour]:
     """Build the 4n-vertex instance + start tour whose improving 4-moves are
-    exactly the negative triangles of g.
+    exactly the negative triangles of g (whose weights may be negative).
 
     Vertex ids: a_i = 2i-1, b_i = 2i, a'_i = 2n+2i-1, b'_i = 2n+2i (1-based).
     With `nonnegative`, every off-diagonal weight is shifted up by the same
@@ -395,7 +374,7 @@ def gen_negative_triangle_reduction(
     so preserves gains.
     """
     n = g.n
-    w_max = g.max_abs_weight
+    w_max = int(np.abs(g.weights).max())
     m1 = 5 * w_max + 1
     m2 = 21 * m1 + 1
     peak = 2 * m2 if nonnegative else m2

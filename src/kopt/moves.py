@@ -91,36 +91,29 @@ def valid_pattern_count(k: int) -> int:
     return 2 ** (k - 1) * math.factorial(k - 1)
 
 
-def _segment_class(e: int, k: int) -> int:
-    """Class of endpoint e under the identification 2i ~ (2i+1) mod 2k.
+def _segment_entries(pairs, k: int) -> list[int]:
+    """The endpoints at which the segment walk enters the tour segments, in
+    walk order.
 
-    Class i consists of {2i, 2i+1} for i < k and class k of {2k, 1}; these are
-    the endpoints of the tour segment between consecutive removed edges.
+    The removed edges cut the tour into k segments: segment j < k runs from
+    endpoint 2j to 2j+1, the wrap segment from 2k to 1. The walk leaves the
+    wrap segment at endpoint 1, follows the pattern pair there into a segment,
+    crosses it to its other endpoint (e ^ 1) and follows the pair there, until
+    a pair leads back to 2k. It always stops: it follows the one cycle through
+    endpoint 1 of the pattern pairs and segments. The pattern is valid iff the
+    walk enters all k - 1 other segments.
     """
-    return k if e == 1 else e // 2
+    partner = {a: b for pair in pairs for a, b in (pair, pair[::-1])}
+    entries = []
+    e = partner[1]
+    while e != 2 * k:
+        entries.append(e)
+        e = partner[e ^ 1]
+    return entries
 
 
 def _is_valid_raw(pairs, k: int) -> bool:
-    # Contract segment classes; valid iff loop-free and the k class nodes form
-    # one connected (hence single, since 2-regular) cycle.
-    parent = list(range(k + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    merges = 0
-    for a, b in pairs:
-        ca, cb = _segment_class(a, k), _segment_class(b, k)
-        if ca == cb:
-            return False
-        ra, rb = find(ca), find(cb)
-        if ra != rb:
-            parent[ra] = rb
-            merges += 1
-    return merges == k - 1
+    return len(_segment_entries(pairs, k)) == k - 1
 
 
 def is_valid_pattern(m: ConnectionPattern) -> bool:
@@ -129,13 +122,10 @@ def is_valid_pattern(m: ConnectionPattern) -> bool:
 
 
 @lru_cache(maxsize=8)
-def _valid_patterns_cached(k: int) -> tuple[ConnectionPattern, ...]:
+def valid_patterns(k: int) -> tuple[ConnectionPattern, ...]:
+    """All valid connection patterns in canonical enumeration order; cached,
+    so every call with the same k returns the same tuple."""
     return tuple(m for m in enumerate_matchings(k) if is_valid_pattern(m))
-
-
-def valid_patterns(k: int) -> list[ConnectionPattern]:
-    """All valid connection patterns in canonical enumeration order."""
-    return list(_valid_patterns_cached(k))
 
 
 def _interference_raw(pairs) -> tuple[Counter, set[int]]:
@@ -301,15 +291,14 @@ def as_kmove(inst: Instance, tour: Tour, m: ConnectionPattern, f) -> KMove:
 def apply_move(inst: Instance, tour: Tour, m: ConnectionPattern, f) -> Tour:
     """Apply the k-move and return the new tour.
 
-    The removed edges cut the tour into k segments: segment j < k runs from
-    endpoint 2j to 2j+1, the wrap segment from 2k through w_n, w_1 to 1. The
-    walk takes the wrap segment, then follows the pattern pair at its current
-    endpoint into the next segment, forward if it enters at the even endpoint
-    and reversed if at the odd one, until a pair leads back to 2k. A walk that
-    closes before taking all k segments (a loop or a doubled added edge seals
-    segments off) raises DegenerateMoveError, as does a weight drop that is
-    not gain_partial's. The new sequence starts at the old first vertex and
-    proceeds toward the neighbor that came earlier in the old tour.
+    The new tour is the segment walk of `_segment_entries`, the walk that
+    also decides validity: it takes the wrap segment (from 2k through w_n,
+    w_1 to 1), then each segment it enters, forward if it enters at the even
+    endpoint and reversed if at the odd one. A walk that enters fewer than
+    k - 1 segments (a loop or a doubled added edge seals segments off) raises
+    DegenerateMoveError, as does a weight drop that is not gain_partial's.
+    The new sequence starts at the old first vertex and proceeds toward the
+    neighbor that came earlier in the old tour.
     """
     n, k = tour.n, m.k
     emb = _check_full_embedding(m, f if isinstance(f, Mapping) else dict(enumerate(f, 1)))
@@ -319,15 +308,13 @@ def apply_move(inst: Instance, tour: Tour, m: ConnectionPattern, f) -> Tour:
         raise ValueError(f"edge index out of range 1..{n}")
     order = tour.order
     segments = [order[a:b] for a, b in zip(emb, emb[1:])]  # segment j at j - 1
-    partner = {a: b for pair in m.pairs for a, b in (pair, pair[::-1])}
+    entries = _segment_entries(m.pairs, k)
+    if len(entries) < k - 1:
+        raise DegenerateMoveError("move splits the tour into several cycles")
     walk = list(order[emb[-1]:] + order[: emb[0]])
-    e = partner[1]
-    while e != 2 * k:
+    for e in entries:
         segment = segments[e // 2 - 1]
         walk += segment if e % 2 == 0 else segment[::-1]
-        e = partner[e ^ 1]  # the segment's other endpoint
-    if len(walk) < n:  # some segments were never reached
-        raise DegenerateMoveError("move splits the tour into several cycles")
 
     start = n - emb[-1]  # w_1's place in the wrap segment
     walk = walk[start:] + walk[:start]

@@ -18,7 +18,7 @@ import numpy as np
 
 from .buckets import BucketPartition, order_edges
 from .decomp import DepGraph
-from .instance import Instance, ReductionInput, Tour
+from .instance import Instance, Tour
 from .moves import (
     ConnectionPattern,
     InvariantError,
@@ -27,6 +27,7 @@ from .moves import (
     endpoint_is_right,
     gain_partial,
     slot_of_endpoint,
+    valid_pattern_count,
     valid_patterns,
 )
 
@@ -51,10 +52,10 @@ def naive_best_move(
     n = inst.n
     if n < 2 * k:
         raise ValueError(f"instance too small: need n >= {2 * k}")
-    patterns = valid_patterns(k)
-    work = comb(n, k) * len(patterns)
+    work = comb(n, k) * valid_pattern_count(k)
     if work > budget:
         raise BudgetExceededError(f"{work} candidate moves exceed budget {budget}")
+    patterns = valid_patterns(k)
 
     order0 = np.asarray(tour.order, dtype=np.int64) - 1
     left = order0
@@ -187,7 +188,7 @@ def enumerate_b_monotone_max(
     return OracleResult(value=best_gain, witness=best_emb)
 
 
-def has_negative_triangle(g: ReductionInput, max_vertices: int = 200) -> OracleResult:
+def has_negative_triangle(g: Instance, max_vertices: int = 200) -> OracleResult:
     """Scan all triangles; value: bool; witness: (i, j, k, total) for the
     lexicographically first negative triangle, else None."""
     if g.n > max_vertices:

@@ -63,6 +63,23 @@ def test_find_move_refuses_too_many_bucket_assignments(tmp_path, capsys, monkeyp
     assert "2,802,350,040 bucket assignments of 5 slots to 200 buckets" in capsys.readouterr().err
 
 
+def test_oracle_best_move_refuses_its_budget_before_listing_patterns(
+    tmp_path, capsys, monkeypatch
+):
+    from kopt import oracle
+
+    def fail(k):
+        raise AssertionError("valid_patterns must not run")
+
+    monkeypatch.setattr(oracle, "valid_patterns", fail)
+    ipath, tpath = write_pair(tmp_path, gen_random(16, 0, 100), random_tour(16, 1))
+    code = main(["oracle", "best-move", "--k", "8", "--in", ipath, "--tour", tpath])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: 8302694400 candidate moves exceed budget 100000000\n"
+    )
+
+
 def test_local_search_zero_steps_outputs_input_tour(tmp_path, capsys):
     inst = gen_random(10, 7, 100)
     tour = random_tour(10, 8)

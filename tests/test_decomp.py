@@ -281,3 +281,75 @@ def test_join_nodes_occur_for_branching_graphs():
     nice = to_nice(decomposition_from_order(g, order))
     assert any(nd.kind == JOIN for nd in nice.nodes)
     assert validate_decomposition(g, nice)[0]
+
+
+def test_tree_decomposition_with_a_cycle_is_refused():
+    # 0 -> 1 -> 0 never reaches the root: the validator's subtree walk would
+    # follow it forever
+    from kopt.decomp import TreeDecomposition
+
+    bags = (frozenset({1, 2}), frozenset({1, 2}), frozenset({2}))
+    with pytest.raises(ValueError, match="bag 0 does not reach the root"):
+        TreeDecomposition(k=2, bags=bags, parent=(1, 0, -1), root=2)
+    with pytest.raises(ValueError, match="one parent per bag"):
+        TreeDecomposition(k=2, bags=bags, parent=(2, -1), root=1)
+    with pytest.raises(ValueError, match="parent\\[root\\] == -1"):
+        TreeDecomposition(k=2, bags=bags, parent=(2, 2, 0), root=2)
+    with pytest.raises(ValueError, match="bag 0 does not reach the root"):
+        TreeDecomposition(k=2, bags=bags, parent=(-1, 2, -1), root=2)
+    TreeDecomposition(k=2, bags=bags, parent=(1, 2, -1), root=2)
+
+
+LEAF_0 = NiceNode("leaf", frozenset(), None, ())
+
+
+@pytest.mark.parametrize(
+    "nodes,root",
+    [
+        pytest.param(
+            (
+                NiceNode("introduce", frozenset({1}), 1, (1,)),
+                NiceNode("forget", frozenset(), 1, (0,)),
+            ),
+            1,
+            id="cycle",
+        ),
+        pytest.param(
+            (
+                LEAF_0,
+                NiceNode("introduce", frozenset({1}), 1, (0,)),
+                NiceNode("join", frozenset({1}), None, (1, 1)),
+                NiceNode("forget", frozenset(), 1, (2,)),
+            ),
+            3,
+            id="child-used-twice",
+        ),
+        pytest.param(
+            (
+                LEAF_0,
+                NiceNode("introduce", frozenset({1}), 1, (0,)),
+                NiceNode("forget", frozenset(), 1, (1,)),
+                LEAF_0,
+            ),
+            2,
+            id="root-not-last",
+        ),
+    ],
+)
+def test_nice_decomposition_refuses_nodes_out_of_run_order(nodes, root):
+    with pytest.raises(ValueError):
+        NiceTreeDecomposition(k=1, nodes=nodes, root=root)
+
+
+def test_to_nice_leaves_no_reference_cycles():
+    import gc
+
+    g = DepGraph(4, frozenset([(1, 4), (2, 4), (3, 4)]))
+    d = decomposition_from_order(g, treewidth_exact(g)[1])
+    gc.collect()
+    gc.disable()
+    try:
+        to_nice(d)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

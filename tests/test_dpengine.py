@@ -585,7 +585,7 @@ def test_reconstruction_matches_argmax_over_full_tables():
                 root, forgets, _ = _run_plan(plan, cells, keep_forgets=True)
                 _, _, tables = _run_plan(plan, cells, keep_tables=True)
                 joins_on_forgets += sum(
-                    op[0] == JOIN and plan.ops[plan.children[i][0]][0] == FORGET
+                    op[0] == JOIN and plan.ops[plan.nice.nodes[i].children[0]][0] == FORGET
                     for i, op in enumerate(plan.ops)
                 )
                 for row, a in enumerate(group):
@@ -762,6 +762,67 @@ def test_warm_best_move_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_cold_best_move_leaves_no_reference_cycles():
+    """From empty caches best_move also builds every decomposition and plan,
+    and that leaves nothing for a garbage-collection pass either."""
+    code = (
+        "import gc\n"
+        "from kopt import best_move, gen_random, random_tour\n"
+        "inst, tour = gen_random(100, 0, 10000), random_tour(100, 1)\n"
+        "gc.collect()\n"
+        "gc.disable()\n"
+        "best_move(inst, tour, 3)\n"
+        "print(gc.collect())\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "0"
+
+
+def test_compiled_plans_are_pinned():
+    """The ops and width of every plan for k = 2..5 (each valid pattern with
+    each order-edge set) hash to a pinned digest, so a change to the node
+    order or to op building that changes any op fails here."""
+    import hashlib
+    from itertools import combinations
+
+    from kopt.dpengine import compile_plan
+
+    digest = hashlib.sha256()
+    plans = 0
+    for k in range(2, 6):
+        path = [(i, i + 1) for i in range(1, k)]
+        subsets = [frozenset(c) for size in range(k) for c in combinations(path, size)]
+        for m in valid_patterns(k):
+            for obs in subsets:
+                plan = compile_plan(m, obs)
+                digest.update(repr((plan.ops, plan.width)).encode())
+                plans += 1
+    assert plans == 6564
+    assert digest.hexdigest() == (
+        "87fcbb7b74c7f02649e1240111ef105a89864b20dc892a640f9e186708b9d6a4"
+    )
+
+
+def test_assignment_memory_is_bounded_before_any_assignment_is_listed(monkeypatch):
+    """988,260 assignments of 3 slots to 180 buckets of 10 edges are under a
+    bound on their count alone, but their cells hold 29,647,800 positions."""
+    from kopt import dpengine
+
+    def fail(*args):
+        raise AssertionError("enumerate_assignments must not run")
+
+    monkeypatch.setattr(dpengine, "enumerate_assignments", fail)
+    inst, tour = gen_random(1800, 0, 10000), random_tour(1800, 1)
+    with pytest.raises(ValueError, match="988,260 bucket assignments of 3 slots to 180"
+                       " buckets of 10 edges hold 29,647,800 slot positions"):
+        best_move(inst, tour, 3, alpha=Fraction(3, 10), policy="first")
 
 
 def test_first_policy_search_runs_no_winner_again(monkeypatch):

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from kopt.instance import (
     FormatError,
     Instance,
-    ReductionInput,
     Tour,
     euclidean_instance,
     gen_negative_triangle_reduction,
@@ -128,8 +127,6 @@ def test_json_loaders_reject_malformed_documents(load, text):
 def test_non_integer_weights_rejected_not_truncated(weights):
     with pytest.raises(ValueError, match="integers"):
         Instance(n=3, weights=weights)
-    with pytest.raises(ValueError, match="integers"):
-        ReductionInput(n=3, weights=weights)
 
 
 def test_edge_weight_contract():
@@ -184,7 +181,7 @@ def test_reduction_m1_m2_constants():
     w[0, 1] = w[1, 0] = 3
     w[1, 2] = w[2, 1] = -3
     w[0, 2] = w[2, 0] = 2
-    inst, tour = gen_negative_triangle_reduction(ReductionInput(3, w))
+    inst, tour = gen_negative_triangle_reduction(Instance(3, w))
     # W = 3 gives M1 = 16 and M2 = 337
     assert inst.weight(1, 2) == 16      # (a_1, b_1) = M1
     assert inst.weight(7, 8) == -48     # (a_1', b_1') = -3 M1
@@ -201,14 +198,14 @@ def test_reduction_negative_triangle_gives_improving_4_move():
     w[0, 1] = w[1, 0] = 1
     w[1, 2] = w[2, 1] = 1
     w[0, 2] = w[2, 0] = -3
-    inst, tour = gen_negative_triangle_reduction(ReductionInput(3, w))
+    inst, tour = gen_negative_triangle_reduction(Instance(3, w))
     assert naive_best_move(inst, tour, 4).value > 0
 
 
 def test_reduction_all_positive_has_no_improving_4_move():
     w = np.full((3, 3), 5, dtype=np.int64)
     np.fill_diagonal(w, 0)
-    inst, tour = gen_negative_triangle_reduction(ReductionInput(3, w))
+    inst, tour = gen_negative_triangle_reduction(Instance(3, w))
     assert naive_best_move(inst, tour, 4).value <= 0
 
 
@@ -236,7 +233,7 @@ def test_reduction_overflow_guard():
     big = np.zeros((3, 3), dtype=np.int64)
     big[0, 1] = big[1, 0] = (1 << 40) // 4
     with pytest.raises(ValueError, match="overflow"):
-        gen_negative_triangle_reduction(ReductionInput(3, big))
+        gen_negative_triangle_reduction(Instance(3, big))
 
 
 def test_weight_magnitude_guard():
@@ -271,5 +268,3 @@ def test_weight_magnitude_guard_does_not_wrap(weights):
     # int64; both must fail rather than load as a different instance
     with pytest.raises(ValueError, match=r"2\^40"):
         Instance(n=3, weights=weights)
-    with pytest.raises(ValueError, match=r"2\^40"):
-        ReductionInput(n=3, weights=weights)

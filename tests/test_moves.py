@@ -75,21 +75,44 @@ def test_valid_pattern_count_closed_form(k):
     assert (matching_count(k), valid_pattern_count(k)) == (total, valid)
 
 
+def _is_one_cycle(n, edges):
+    """The multigraph on 1..n with these edges is one cycle through all n
+    vertices; a doubled edge counts twice, so it closes a cycle of two."""
+    nbrs = {v: [] for v in range(1, n + 1)}
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    if any(len(vs) != 2 for vs in nbrs.values()):
+        return False
+    prev, cur, length = 1, nbrs[1][0], 1
+    while cur != 1:
+        a, b = nbrs[cur]
+        prev, cur = cur, b if a == prev else a
+        length += 1
+    return length == n
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_validity_agrees_with_move_application(k):
-    """Independent check: a pattern is valid iff applying it at a spread-out
-    embedding of a generic tour yields a Hamiltonian cycle."""
+    """Independent check: a pattern is valid iff at a spread-out embedding of
+    a generic tour the tour edges minus the removed ones plus the pattern's
+    added pairs form one Hamiltonian cycle, and iff apply_move succeeds."""
     n = 2 * k + 3
     inst = gen_random(n, 5, 1000)
     tour = Tour(tuple(range(1, n + 1)))
     embedding = tuple(range(1, 2 * k + 1, 2))  # spaced: no two removed edges adjacent
+    kept = [tour.edge(i) for i in range(1, n + 1) if i not in embedding]
+    ends = {}  # endpoint id -> vertex
+    for slot, i in enumerate(embedding, 1):
+        ends[2 * slot - 1], ends[2 * slot] = tour.edge(i)
     for m in enumerate_matchings(k):
+        one_cycle = _is_one_cycle(n, kept + [(ends[a], ends[b]) for a, b in m.pairs])
         try:
             apply_move(inst, tour, m, embedding)
             applied = True
         except DegenerateMoveError:
             applied = False
-        assert applied == is_valid_pattern(m), m.pairs
+        assert one_cycle == applied == is_valid_pattern(m), m.pairs
 
 
 def _embeddings(n, k):

@@ -6,7 +6,7 @@ import pytest
 from kopt.buckets import BucketPartition
 from kopt.decomp import DepGraph
 from kopt.instance import (
-    ReductionInput,
+    Instance,
     Tour,
     euclidean_instance,
     gen_random,
@@ -40,6 +40,18 @@ def test_naive_budget_guard():
     inst = gen_random(12, 0, 10)
     with pytest.raises(BudgetExceededError):
         naive_best_move(inst, random_tour(12, 1), 5, budget=10)
+
+
+@pytest.mark.parametrize("k,n", [(8, 16), (9, 18)])
+def test_naive_budget_is_checked_before_any_pattern_is_listed(monkeypatch, k, n):
+    from kopt import oracle
+
+    def fail(k):
+        raise AssertionError("valid_patterns must not run")
+
+    monkeypatch.setattr(oracle, "valid_patterns", fail)
+    with pytest.raises(BudgetExceededError, match="exceed budget"):
+        naive_best_move(gen_random(n, 0, 10), random_tour(n, 1), k)
 
 
 def test_naive_requires_enough_vertices():
@@ -94,7 +106,7 @@ def test_negative_triangle_witness():
     w[0, 1] = w[1, 0] = 1
     w[1, 2] = w[2, 1] = 1
     w[0, 2] = w[2, 0] = -3
-    res = has_negative_triangle(ReductionInput(3, w))
+    res = has_negative_triangle(Instance(3, w))
     assert res.value is True
     assert res.witness == (1, 2, 3, -1)
 
@@ -102,11 +114,11 @@ def test_negative_triangle_witness():
 def test_negative_triangle_all_positive():
     w = np.full((4, 4), 7, dtype=np.int64)
     np.fill_diagonal(w, 0)
-    res = has_negative_triangle(ReductionInput(4, w))
+    res = has_negative_triangle(Instance(4, w))
     assert res.value is False and res.witness is None
 
 
 def test_negative_triangle_budget():
     w = np.zeros((201, 201), dtype=np.int64)
     with pytest.raises(BudgetExceededError):
-        has_negative_triangle(ReductionInput(201, w))
+        has_negative_triangle(Instance(201, w))
