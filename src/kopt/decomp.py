@@ -18,10 +18,27 @@ in S, whatever order S was eliminated in. So eliminating v after S costs v's
 degree in G_S, and the best width for eliminating the rest is h[S] = tw(G_S).
 The next vertex of the order is thus the smallest v of degree at most tw(G)
 in G_S with tw(G_{S+v}) <= tw(G).
+
+`validate_decomposition` checks the nice form, where the definition (every
+slot and every edge in a bag, the bags holding a slot connected) comes down
+to counting. `to_nice` keeps each bag of a TreeDecomposition and puts
+between two adjacent bags only bags inside one of them that hold their
+intersection, so it decomposes g exactly when the original does. The
+constructor makes the nodes a tree. Given the kind rules and an empty root
+bag, the top of a connected run of nodes holding slot v is not the root, and
+its parent forgets v, since join and introduce nodes hold their children's
+bags; the child of each node that forgets v tops such a run. So v is
+forgotten exactly once when the bags holding it are present and connected.
+An edge in some bag lies in an introduce node's bag: on the way down to an
+empty leaf, the first node whose child lacks an end of it introduces that
+end. The separator property follows: a slot on both sides of a tree edge
+lies in both its bags, by connectivity, and an edge of g with one end only
+below and the other only above it would lie in no bag.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
@@ -219,9 +236,6 @@ class TreeDecomposition:
                 ch[p].append(i)
         return ch
 
-    def tree_edges(self) -> list[tuple[int, int]]:
-        return [(p, i) for i, p in enumerate(self.parent) if p >= 0]
-
 
 def decomposition_from_order(g: DepGraph, order: tuple[int, ...]) -> TreeDecomposition:
     """Standard fill-in construction; the width equals the order's elimination width."""
@@ -354,119 +368,48 @@ def to_nice(d: TreeDecomposition) -> NiceTreeDecomposition:
 # Validation
 # ---------------------------------------------------------------------------
 
-def _decomposition_parts(d):
-    if isinstance(d, NiceTreeDecomposition):
-        bags = [nd.bag for nd in d.nodes]
-        edges = [(i, c) for i, nd in enumerate(d.nodes) for c in nd.children]
-        return bags, edges, d
-    bags = list(d.bags)
-    return bags, d.tree_edges(), None
-
-
 def validate_decomposition(g: DepGraph, d) -> tuple[bool, list[str]]:
-    """Check the bag cover/edge/connectivity conditions, the separator property
-    of every tree edge, and (for nice decompositions) the node-kind rules.
+    """Check that the nice decomposition `d`, or `to_nice(d)` for a
+    TreeDecomposition, decomposes g: the node-kind rules, then (as they rest
+    on those rules) an empty root bag, bags inside 1..k, one forget node per
+    slot, and every edge of g in an introduce node's bag. The module
+    docstring shows why these suffice.
 
-    Returns (ok, diagnostics); diagnostics name each offending vertex or edge.
-    """
-    bags, tree_edges, nice = _decomposition_parts(d)
+    Returns (ok, diagnostics); diagnostics name each offending node, slot or
+    edge."""
+    nice = to_nice(d) if isinstance(d, TreeDecomposition) else d
+    nodes = nice.nodes
     diags: list[str] = []
-    nodes = range(len(bags))
+    for i, nd in enumerate(nodes):
+        kids = [nodes[c].bag for c in nd.children]
+        if nd.kind == LEAF:
+            if nd.bag or kids:
+                diags.append(f"leaf node {i} must have an empty bag and no children")
+        elif nd.kind in (INTRODUCE, FORGET):
+            # the node's bag holds an introduced vertex, its child's a forgotten one
+            if len(kids) != 1:
+                diags.append(f"{nd.kind} node {i} must have one child")
+            elif kids[0] != nd.bag ^ {nd.vertex} or (nd.kind == FORGET) == (nd.vertex in nd.bag):
+                diags.append(f"{nd.kind} node {i} bag rule violated")
+        elif nd.kind == JOIN:
+            if kids != [nd.bag, nd.bag]:
+                diags.append(f"join node {i} must have two children with equal bags")
+        else:
+            diags.append(f"node {i} has unknown kind {nd.kind!r}")
+    if diags:
+        return False, diags
 
-    covered = set().union(*bags) if bags else set()
+    if nodes[nice.root].bag:
+        diags.append("root bag must be empty")
+    stray = set().union(*(nd.bag for nd in nodes)) - set(range(1, g.k + 1))
+    diags += [f"slot {v} is outside 1..{g.k}" for v in sorted(stray)]
+    forgets = Counter(nd.vertex for nd in nodes if nd.kind == FORGET)
     for v in range(1, g.k + 1):
-        if v not in covered:
+        if not forgets[v]:
             diags.append(f"vertex {v} appears in no bag")
-    for a, b in g.edges:
-        if not any(a in bag and b in bag for bag in bags):
-            diags.append(f"edge ({a},{b}) is contained in no bag")
-
-    adj: dict[int, list[int]] = {i: [] for i in nodes}
-    for p, c in tree_edges:
-        adj[p].append(c)
-        adj[c].append(p)
-    for v in range(1, g.k + 1):
-        holding = [i for i in nodes if v in bags[i]]
-        if not holding:
-            continue
-        seen = {holding[0]}
-        stack = [holding[0]]
-        holding_set = set(holding)
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w in holding_set and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if seen != holding_set:
+        elif forgets[v] > 1:
             diags.append(f"bags containing vertex {v} are not connected in the tree")
-
-    # separator property: removing a tree edge splits the vertex sets so that
-    # their intersection lies inside the shared bag intersection
-    children_map: dict[int, list[int]] = {i: [] for i in nodes}
-    for p, c in tree_edges:
-        children_map[p].append(c)
-
-    def subtree_union(c: int) -> set[int]:
-        out: set[int] = set()
-        stack = [c]
-        while stack:
-            u = stack.pop()
-            out |= bags[u]
-            stack.extend(children_map[u])
-        return out
-
-    for p, c in tree_edges:
-        below = subtree_union(c)
-        above = set()
-        reach = {c}
-        stack = [p]
-        while stack:
-            u = stack.pop()
-            if u in reach:
-                continue
-            reach.add(u)
-            above |= bags[u]
-            stack.extend(w for w in adj[u] if w not in reach)
-        overlap = below & above
-        allowed = bags[p] & bags[c]
-        if not overlap <= allowed:
-            diags.append(
-                f"tree edge ({p},{c}) separator violated by vertices "
-                f"{sorted(overlap - allowed)}"
-            )
-        sep = allowed
-        for a, b in g.edges:
-            if a in below - sep and b in above - sep or b in below - sep and a in above - sep:
-                diags.append(f"edge ({a},{b}) crosses the separation at tree edge ({p},{c})")
-
-    if nice is not None:
-        for i, nd in enumerate(nice.nodes):
-            if nd.kind == LEAF:
-                if nd.bag or nd.children:
-                    diags.append(f"leaf node {i} must have an empty bag and no children")
-            elif nd.kind == INTRODUCE:
-                if len(nd.children) != 1:
-                    diags.append(f"introduce node {i} must have one child")
-                else:
-                    child = nice.nodes[nd.children[0]]
-                    if nd.vertex not in nd.bag or child.bag != nd.bag - {nd.vertex}:
-                        diags.append(f"introduce node {i} bag rule violated")
-            elif nd.kind == FORGET:
-                if len(nd.children) != 1:
-                    diags.append(f"forget node {i} must have one child")
-                else:
-                    child = nice.nodes[nd.children[0]]
-                    if nd.vertex in nd.bag or child.bag != nd.bag | {nd.vertex}:
-                        diags.append(f"forget node {i} bag rule violated")
-            elif nd.kind == JOIN:
-                if len(nd.children) != 2 or any(
-                    nice.nodes[c].bag != nd.bag for c in nd.children
-                ):
-                    diags.append(f"join node {i} must have two children with equal bags")
-            else:
-                diags.append(f"node {i} has unknown kind {nd.kind!r}")
-        if nice.nodes[nice.root].bag:
-            diags.append("root bag must be empty")
-
+    covered = {frozenset((u, nd.vertex)) for nd in nodes if nd.kind == INTRODUCE for u in nd.bag}
+    diags += [f"edge ({a},{b}) is contained in no bag"
+              for a, b in sorted(g.edges) if frozenset((a, b)) not in covered]
     return not diags, diags

@@ -189,7 +189,10 @@ class TourArrays:
 #   block's (batch, slot positions...) array on the op's table axes.
 # Slots are 1-based in the op constructors' arguments and 0-based in ops.
 
-COMPILE_CACHE_SIZE = 1 << 14  # entries in each cache of compiled plans and ops
+# Entries in each cache of compiled plans and ops. One k=6 call compiles at
+# most valid_pattern_count(6) * 2**5 = 122,880 plans (2**5 order-edge sets),
+# so a second call finds them all; a k=7 call compiles more than it holds.
+COMPILE_CACHE_SIZE = 1 << 17
 
 
 @dataclass(frozen=True, slots=True)
@@ -301,6 +304,8 @@ _LEAF_OP = (LEAF,)
 def _compile(
     m: ConnectionPattern, obs: frozenset[tuple[int, int]], nice: NiceTreeDecomposition
 ) -> Plan:
+    """The plan of pattern m and order-edge set obs over `nice`, which its
+    callers have validated as a decomposition of their dependence graph."""
     pairs_info = _pattern_pairs_info(m)
     self_paired = {sa for sa, _, sb, _ in pairs_info if sa == sb}
     # each added edge between two slots, from both ends, and in slot order
@@ -313,7 +318,6 @@ def _compile(
             ordered_pairs.append((sa, ra, sb, rb) if sa < sb else (sb, rb, sa, ra))
     nodes = nice.nodes
     ops: list[tuple] = []
-    forgotten: list[int] = []
     for nd in nodes:
         bag = tuple(sorted(nd.bag))
         if nd.kind == LEAF:
@@ -326,16 +330,11 @@ def _compile(
             )
             ops.append(_introduce_op(bag, i, touching, i in self_paired, ordered))
         elif nd.kind == FORGET:
-            forgotten.append(nd.vertex)
             ops.append(_forget_op(tuple(sorted(nodes[nd.children[0]].bag)), nd.vertex))
-        elif nd.kind == JOIN:
+        else:  # JOIN
             inside = tuple(sorted(p for p in ordered_pairs if p[0] in bag and p[2] in bag))
             unpaired = tuple(s for s in bag if s not in self_paired)
             ops.append(_join_op(bag, inside, unpaired))
-        else:
-            raise InvariantError(f"unknown node kind {nd.kind!r}")
-    if sorted(forgotten) != list(range(1, m.k + 1)):
-        raise InvariantError("every slot must be forgotten exactly once")
     return Plan(m.k, tuple(ops), nice.width + 1, nice)
 
 
@@ -474,13 +473,14 @@ def _introduce_forget(
 
 
 def _run_plan(
-    plan: Plan, cells: _Cells, *, keep_forgets: bool = False, keep_tables: bool = False
+    plan: Plan, cells: _Cells, *, keep_tables: bool = False
 ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """The root values over the batch, the forget ops' output tables (if
-    keep_forgets) and every op's table (if keep_tables, which tests use to
-    compare every node's table), both in op order. A join adds into its
-    first child's table unless that table is kept. An introduce op below a
-    forget op runs with it, through _introduce_forget."""
+    """The root values over the batch, the forget ops' output tables, from
+    which _reconstruct rebuilds an embedding, and every op's table (if
+    keep_tables, which tests use to compare every node's table), both in op
+    order. A join adds into its first child's table unless that table is
+    kept. An introduce op below a forget op runs with it, through
+    _introduce_forget."""
     B, s, ops, dtype, nodes = cells.batch, cells.s, plan.ops, cells.dtype, plan.nice.nodes
     stack: list[np.ndarray] = []
     forgets: list[np.ndarray] = []
@@ -499,11 +499,10 @@ def _run_plan(
                 )
             else:
                 table = stack.pop().max(axis=axis)
-            if keep_forgets:
-                forgets.append(table)
+            forgets.append(table)
         elif kind == JOIN:
             other, table = stack.pop(), stack.pop()
-            if keep_tables or keep_forgets and ops[nodes[i].children[0]][0] == FORGET:
+            if keep_tables or ops[nodes[i].children[0]][0] == FORGET:
                 table = table + other
             else:
                 table += other
@@ -593,11 +592,8 @@ def solve_fixed(
     if nice is not None and nice is not plan.nice:
         if nice.k != k:
             raise ValueError("decomposition is for a different k")
-        dep = dependence_graph(interference_graph(m), obs)
-        _, diags = validate_decomposition(dep, nice)
-        stray = set().union(*(nd.bag for nd in nice.nodes)) - set(range(1, k + 1))
-        diags += [f"slot {v} is outside 1..{k}" for v in sorted(stray)]
-        if diags:
+        ok, diags = validate_decomposition(dependence_graph(interference_graph(m), obs), nice)
+        if not ok:
             raise ValueError(f"invalid decomposition: {'; '.join(diags)}")
         plan = _compile(m, obs, nice)
 
@@ -625,7 +621,7 @@ def _solve_cell(
     whose gain must equal the root value."""
     cells = _Cells(arrays, part, [assignment])
     if kept is None:
-        root, forgets, _ = _run_plan(plan, cells, keep_forgets=True)
+        root, forgets, _ = _run_plan(plan, cells)
         kept = forgets, 0, float(root[0])
     forgets, row, root_val = kept
     if root_val == NEG_INF:
@@ -677,7 +673,7 @@ class _GroupRuns:
         for lo in range(0, cells.batch, chunk):
             self.last = None  # free the previous run's tables first
             rows = cells if chunk >= cells.batch else cells.rows(lo, lo + chunk)
-            root, forgets, _ = _run_plan(plan, rows, keep_forgets=True)
+            root, forgets, _ = _run_plan(plan, rows)
             values += root.tolist()
             self.last = m, obs, lo, forgets
         return values

@@ -343,9 +343,9 @@ def gen_random(n: int, seed: int, wmax: int) -> Instance:
     if wmax < 1:
         raise ValueError("wmax must be >= 1")
     rng = np.random.default_rng(seed)
-    raw = rng.integers(1, wmax + 1, size=(n, n), dtype=np.int64)
-    upper = np.triu(raw, 1)
-    return Instance(n=n, weights=upper + upper.T)
+    upper = np.triu(rng.integers(1, wmax + 1, size=(n, n), dtype=np.int64), 1)
+    upper += upper.T
+    return Instance(n=n, weights=upper)
 
 
 def random_tour(n: int, seed: int) -> Tour:
@@ -357,9 +357,9 @@ def random_reduction_input(n: int, seed: int, wmax: int) -> Instance:
     """Random symmetric weights uniform in [-wmax, wmax], an input to the
     negative-triangle reduction; deterministic per seed."""
     rng = np.random.default_rng(seed)
-    raw = rng.integers(-wmax, wmax + 1, size=(n, n), dtype=np.int64)
-    upper = np.triu(raw, 1)
-    return Instance(n=n, weights=upper + upper.T)
+    upper = np.triu(rng.integers(-wmax, wmax + 1, size=(n, n), dtype=np.int64), 1)
+    upper += upper.T
+    return Instance(n=n, weights=upper)
 
 
 def gen_negative_triangle_reduction(

@@ -1,6 +1,7 @@
 """Dependence graphs, exact treewidth, and (nice) tree decompositions."""
 
 import random
+from collections import Counter
 from itertools import combinations, permutations
 
 import pytest
@@ -8,10 +9,14 @@ import pytest
 from kopt import decomp
 from kopt.buckets import order_edges
 from kopt.decomp import (
+    FORGET,
+    INTRODUCE,
     JOIN,
+    LEAF,
     DepGraph,
     NiceNode,
     NiceTreeDecomposition,
+    TreeDecomposition,
     adjacency,
     decomposition_from_order,
     dependence_graph,
@@ -257,8 +262,9 @@ def test_validator_names_disconnected_vertex():
 
 
 def test_separation_property_on_produced_decompositions():
-    # validate_decomposition already checks separations; exercise it on many
-    # real dependence graphs
+    # the separator property follows from what validate_decomposition checks
+    # (see the decomp module docstring); exercise it on many real dependence
+    # graphs
     for m in valid_patterns(4):
         dep = dependence_graph(interference_graph(m), order_edges((1, 1, 2, 2)))
         width, order = treewidth_exact(dep)
@@ -284,8 +290,8 @@ def test_join_nodes_occur_for_branching_graphs():
 
 
 def test_tree_decomposition_with_a_cycle_is_refused():
-    # 0 -> 1 -> 0 never reaches the root: the validator's subtree walk would
-    # follow it forever
+    # 0 -> 1 -> 0 never reaches the root: to_nice, which the validator runs,
+    # would recurse along it forever
     from kopt.decomp import TreeDecomposition
 
     bags = (frozenset({1, 2}), frozenset({1, 2}), frozenset({2}))
@@ -353,3 +359,102 @@ def test_to_nice_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_validator_refuses_bag_vertices_outside_1_to_k():
+    g = DepGraph(3, frozenset([(1, 2), (2, 3)]))
+    d = TreeDecomposition(
+        k=3, bags=(frozenset({1, 2}), frozenset({2, 3, 4})), parent=(1, -1), root=1
+    )
+    assert validate_decomposition(g, d) == (False, ["slot 4 is outside 1..3"])
+
+
+def decomposes_by_definition(g, bags, tree_edges) -> bool:
+    """Bags inside 1..k, every vertex and every edge of g in a bag, and the
+    bags holding each vertex connected in the tree, by BFS."""
+    k = g.k
+    if any(not bag <= set(range(1, k + 1)) for bag in bags):
+        return False
+    if any(not any(a in bag and b in bag for bag in bags) for a, b in g.edges):
+        return False
+    adj = {i: [] for i in range(len(bags))}
+    for p, c in tree_edges:
+        adj[p].append(c)
+        adj[c].append(p)
+    for v in range(1, k + 1):
+        holders = {i for i, bag in enumerate(bags) if v in bag}
+        if not holders:
+            return False
+        seen = {min(holders)}
+        queue = [min(holders)]
+        while queue:
+            u = queue.pop(0)
+            for w in adj[u]:
+                if w in holders and w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        if seen != holders:
+            return False
+    return True
+
+
+def nice_by_definition(g, nice) -> bool:
+    """The node-kind rules, an empty root bag, and the definition above."""
+    nodes = nice.nodes
+    for nd in nodes:
+        kids = [nodes[c].bag for c in nd.children]
+        if nd.kind == LEAF:
+            ok = not nd.bag and not kids
+        elif nd.kind == INTRODUCE:
+            ok = nd.vertex in nd.bag and kids == [nd.bag - {nd.vertex}]
+        elif nd.kind == FORGET:
+            ok = nd.vertex not in nd.bag and kids == [nd.bag | {nd.vertex}]
+        else:
+            ok = nd.kind == JOIN and kids == [nd.bag, nd.bag]
+        if not ok:
+            return False
+    edges = [(i, c) for i, nd in enumerate(nodes) for c in nd.children]
+    return not nodes[nice.root].bag and decomposes_by_definition(
+        g, [nd.bag for nd in nodes], edges
+    )
+
+
+def drop_vertex(rng, bags):
+    """The bags with one vertex taken out of one non-empty bag, and its index."""
+    i = rng.choice([i for i, bag in enumerate(bags) if bag])
+    bags = list(bags)
+    bags[i] = bags[i] - {rng.choice(sorted(bags[i]))}
+    return bags, i
+
+
+def test_validator_agrees_with_the_definition():
+    """Random decompositions from elimination orders, each against its own
+    graph and another, with and without a vertex dropped from a bag, and
+    their nice forms, which get a dropped vertex too."""
+    rng = random.Random(5)
+    verdicts = Counter()
+    for seed in range(300):
+        k = rng.randint(2, 7)
+        g = random_graph(k, seed + 3000, p=rng.uniform(0.1, 0.9))
+        order = list(range(1, k + 1))
+        rng.shuffle(order)
+        valid = decomposition_from_order(g, tuple(order))
+        bags, _ = drop_vertex(rng, valid.bags)
+        dropped = TreeDecomposition(k, tuple(bags), valid.parent, valid.root)
+        for d in (valid, dropped):
+            nice = to_nice(d)
+            nodes = list(nice.nodes)
+            bags, i = drop_vertex(rng, [nd.bag for nd in nodes])
+            nodes[i] = NiceNode(nodes[i].kind, bags[i], nodes[i].vertex, nodes[i].children)
+            nice_dropped = NiceTreeDecomposition(k, tuple(nodes), nice.root)
+            for graph in (g, random_graph(k, seed + 4000, p=0.3)):
+                ok, diags = validate_decomposition(graph, d)
+                tree_edges = [(p, c) for c, p in enumerate(d.parent) if p >= 0]
+                assert ok == decomposes_by_definition(graph, d.bags, tree_edges), diags
+                assert ok == (not diags)
+                verdicts[ok] += 1
+                for n in (nice, nice_dropped):
+                    ok, diags = validate_decomposition(graph, n)
+                    assert ok == nice_by_definition(graph, n), diags
+                    verdicts[ok] += 1
+    assert min(verdicts.values()) > 500

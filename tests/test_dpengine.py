@@ -582,7 +582,7 @@ def test_reconstruction_matches_argmax_over_full_tables():
             for obs, group in groups.items():
                 plan = compile_plan(m, obs)
                 cells = _Cells(arrays, part, group)
-                root, forgets, _ = _run_plan(plan, cells, keep_forgets=True)
+                root, forgets, _ = _run_plan(plan, cells)
                 _, _, tables = _run_plan(plan, cells, keep_tables=True)
                 joins_on_forgets += sum(
                     op[0] == JOIN and plan.ops[plan.nice.nodes[i].children[0]][0] == FORGET
@@ -695,7 +695,7 @@ def test_one_position_slices_give_the_whole_tables(monkeypatch, k):
         for obs, group in groups.items():
             plan = compile_plan(m, obs)
             cells = _Cells(arrays, part, group)
-            root, forgets, _ = _run_plan(plan, cells, keep_forgets=True)
+            root, forgets, _ = _run_plan(plan, cells)
             whole_root, _, tables = _run_plan(plan, cells, keep_tables=True)
             assert np.array_equal(root, whole_root)
             at_forgets = [t for op, t in zip(plan.ops, tables) if op[0] == FORGET]
@@ -808,6 +808,15 @@ def test_compiled_plans_are_pinned():
     assert digest.hexdigest() == (
         "87fcbb7b74c7f02649e1240111ef105a89864b20dc892a640f9e186708b9d6a4"
     )
+
+
+def test_compile_cache_holds_every_plan_of_a_k6_call():
+    """A k=6 call compiles one plan per valid pattern and order-edge set, of
+    which there are 2**5, so a second call compiles none of them again."""
+    from kopt.dpengine import compile_plan
+    from kopt.moves import valid_pattern_count
+
+    assert compile_plan.cache_info().maxsize >= valid_pattern_count(6) * 2**5
 
 
 def test_assignment_memory_is_bounded_before_any_assignment_is_listed(monkeypatch):

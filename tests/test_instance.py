@@ -176,6 +176,28 @@ def test_gen_random_determinism_and_guards():
         gen_random(4, 42, 100)
 
 
+@pytest.mark.parametrize("make,low", [(gen_random, 1), (random_reduction_input, -100)])
+def test_random_weights_are_one_draw_mirrored(make, low):
+    for n, seed in ((5, 0), (12, 3), (50, 7)):
+        draw = np.random.default_rng(seed).integers(low, 101, size=(n, n), dtype=np.int64)
+        upper = np.triu(draw, 1)
+        assert np.array_equal(make(n, seed, 100).weights, upper + upper.T)
+
+
+@pytest.mark.parametrize("make", [gen_random, random_reduction_input])
+def test_random_weights_peak_below_two_and_a_half_matrices(make):
+    import tracemalloc
+
+    n = 1000
+    tracemalloc.start()
+    try:
+        make(n, 0, 10000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * n * n * np.dtype(np.int64).itemsize
+
+
 def test_reduction_m1_m2_constants():
     w = np.zeros((3, 3), dtype=np.int64)
     w[0, 1] = w[1, 0] = 3
