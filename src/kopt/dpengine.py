@@ -22,6 +22,19 @@ cells share it.
   Every table has shape `(B, s, ..., s)`: axis 0 runs over the group's
   assignments, and each bag slot has one axis over the `s = part.size`
   positions of its bucket.
+- **Order edges by running maxima.** Where the decomposition forgets slot v
+  into slot w (decomp: their order edge is v's only tie to w), the
+  forget-into op takes the table over v and the rest, which holds all of v's
+  other terms, and turns v's axis into w's: at w's position j it holds the
+  maximum over v's positions i < j (i > j when w < v), -inf at j = 0, by
+  np.maximum.accumulate and a shift of one position. This is exact: the
+  order term is 0 or -inf, no other term holds both v and w, and both slots
+  lie in one bucket, where positions compare as the tour edges do, so
+  max over i of T(i, rest) + [i < j] is max over i < j of T(i, rest). Then
+  w's terms are added as an introduce op adds them. The step builds no table
+  over v and w together, so a k = 4 or 5 plan at one bucket holds at most 3
+  slots in a table where it held 4, and it adds no terms, so the dtype bound
+  below holds.
 - **Padding.** The short last bucket is padded to `s` positions whose
   entries are -inf, as are loops and order violations.
 - **In place.** All terms between the introduced slot and one bag neighbour
@@ -40,7 +53,9 @@ cells share it.
   until the next run starts. The winning cell's embedding is rebuilt top-down
   from those tables: at each forget op, the child's table is summed again
   along the forgotten slot only, from the kept forget tables below it and the
-  lines of the blocks in between, and the slot takes its first maximum. When
+  lines of the blocks in between, and the slot takes its first maximum: at a
+  forget-into op, its first maximum among the positions before w's chosen
+  one (after it, when w < v), the one that gave w's entry its value. When
   the winner lies in that last chunk nothing runs again; otherwise it is run
   once alone. Its embedding is turned into a `KMove` once, whose gain must
   equal the root value, and applied once through `apply_move`, which builds
@@ -70,6 +85,7 @@ import numpy as np
 from .buckets import BucketPartition, enumerate_assignments, make_buckets, order_edges
 from .decomp import (
     FORGET,
+    FORGET_INTO,
     INTRODUCE,
     JOIN,
     LEAF,
@@ -178,6 +194,8 @@ class TourArrays:
 #   (INTRODUCE, bag size, index placing the child's table, blocks)
 #   (FORGET, axis of the forgotten slot, slot, the remaining bag: the op's
 #   table slots in axis order)
+#   (FORGET_INTO, axis of the forgotten slot v, v, the op's table slots in
+#   axis order, the slot w it brings in, w's blocks)
 #   (JOIN, blocks)
 # A block is the sum of all terms of one op that involve the same one or two
 # bag slots: (slots, unary, pairs, matrix, order, index)
@@ -200,7 +218,8 @@ class Plan:
     """The DP of one (pattern, order-edge set) as a flat op list, compiled
     from the nice decomposition `nice`: op i runs node i, so
     `nice.nodes[i].children` are the ops whose tables op i takes, in stack
-    order. `width` is the largest bag size, so one cell's largest table has
+    order. `width` is the largest table's slot count, the largest bag size,
+    as every table is over one node's bag: one cell's largest table has
     s**width entries."""
 
     k: int
@@ -222,18 +241,21 @@ def _pattern_pairs_info(m: ConnectionPattern) -> tuple[tuple[int, bool, int, boo
     )
 
 
-_DECOMP_CACHE: dict[tuple[int, frozenset[tuple[int, int]]], NiceTreeDecomposition] = {}
+_DECOMP_CACHE: dict[
+    tuple[int, frozenset[tuple[int, int]], frozenset[tuple[int, int]]], NiceTreeDecomposition
+] = {}
 
 
-def nice_decomposition_for(dep: DepGraph) -> NiceTreeDecomposition:
-    """Width-optimal nice decomposition of the dependence graph, cached by edge
-    set and validated once on construction."""
-    key = (dep.k, dep.edges)
+def nice_decomposition_for(dep: DepGraph, order_only=frozenset()) -> NiceTreeDecomposition:
+    """Nice decomposition of the dependence graph of least effective width,
+    its edges `order_only` being order edges and nothing else, cached by
+    both edge sets and validated once on construction."""
+    key = (dep.k, dep.edges, frozenset(order_only))
     cached = _DECOMP_CACHE.get(key)
     if cached is not None:
         return cached
-    _, order = treewidth_exact(dep)
-    nice = to_nice(decomposition_from_order(dep, order))
+    _, order = treewidth_exact(dep, order_only)
+    nice = to_nice(decomposition_from_order(dep, order, order_only))
     ok, diags = validate_decomposition(dep, nice)
     if not ok:
         raise InvariantError(f"invalid decomposition produced: {diags}")
@@ -280,6 +302,16 @@ def _forget_op(child_bag: tuple[int, ...], v: int) -> tuple:
 
 
 @lru_cache(maxsize=COMPILE_CACHE_SIZE)
+def _forget_into_op(child_bag: tuple[int, ...], v: int, w: int, touching, self_paired: bool,
+                    ordered) -> tuple:
+    """Slot v leaves `child_bag` through its order edge with w, whose axis
+    its own becomes, and w joins the bag as _introduce_op has it join."""
+    bag = tuple(sorted(set(child_bag) - {v} | {w}))
+    blocks = _introduce_op(bag, w, touching, self_paired, ordered)[3]
+    return FORGET_INTO, 1 + child_bag.index(v), v - 1, tuple(b - 1 for b in bag), w - 1, blocks
+
+
+@lru_cache(maxsize=COMPILE_CACHE_SIZE)
 def _join_op(bag: tuple[int, ...], inside, unpaired) -> tuple:
     """Take the bag's gain, counted in both children, out once: the removed
     edges of the `unpaired` slots (a re-added edge cancels its own) and the
@@ -299,6 +331,8 @@ def _join_op(bag: tuple[int, ...], inside, unpaired) -> tuple:
 
 
 _LEAF_OP = (LEAF,)
+# the ops whose output tables _run_plan keeps for _reconstruct
+_FORGETS = (FORGET, FORGET_INTO)
 
 
 def _compile(
@@ -317,20 +351,29 @@ def _compile(
             from_slot.setdefault(sb, []).append((sa, rb, ra))
             ordered_pairs.append((sa, ra, sb, rb) if sa < sb else (sb, rb, sa, ra))
     nodes = nice.nodes
+
+    def introduced(i: int, bag: tuple[int, ...]) -> tuple:
+        """_introduce_op's terms of slot i joining `bag`."""
+        touching = tuple(sorted(p for p in from_slot.get(i, ()) if p[0] in bag))
+        ordered = tuple(j for j in (i - 1, i + 1) if j in bag and (min(i, j), max(i, j)) in obs)
+        return touching, i in self_paired, ordered
+
     ops: list[tuple] = []
     for nd in nodes:
         bag = tuple(sorted(nd.bag))
         if nd.kind == LEAF:
             ops.append(_LEAF_OP)
         elif nd.kind == INTRODUCE:
-            i = nd.vertex
-            touching = tuple(sorted(p for p in from_slot.get(i, ()) if p[0] in bag))
-            ordered = tuple(
-                j for j in (i - 1, i + 1) if j in bag and (min(i, j), max(i, j)) in obs
-            )
-            ops.append(_introduce_op(bag, i, touching, i in self_paired, ordered))
+            ops.append(_introduce_op(bag, nd.vertex, *introduced(nd.vertex, bag)))
         elif nd.kind == FORGET:
             ops.append(_forget_op(tuple(sorted(nodes[nd.children[0]].bag)), nd.vertex))
+        elif nd.kind == FORGET_INTO:
+            v, w = nd.vertex, nd.into
+            if (min(v, w), max(v, w)) not in obs or any(p[0] == w for p in from_slot.get(v, ())):
+                raise InvariantError(f"slots {v} and {w} must be joined by an order edge alone"
+                                     " to forget one into the other")
+            child_bag = tuple(sorted(nodes[nd.children[0]].bag))
+            ops.append(_forget_into_op(child_bag, v, w, *introduced(w, bag)))
         else:  # JOIN
             inside = tuple(sorted(p for p in ordered_pairs if p[0] in bag and p[2] in bag))
             unpaired = tuple(s for s in bag if s not in self_paired)
@@ -342,8 +385,9 @@ def _compile(
 def compile_plan(m: ConnectionPattern, obs: frozenset[tuple[int, int]]) -> Plan:
     """The DP plan of every cell with pattern m and order-edge set obs, over
     the cached width-optimal nice decomposition of its dependence graph."""
-    dep = dependence_graph(interference_graph(m), obs)
-    return _compile(m, obs, nice_decomposition_for(dep))
+    ig = interference_graph(m)
+    dep = dependence_graph(ig, obs)
+    return _compile(m, obs, nice_decomposition_for(dep, obs - ig.edges))
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +516,26 @@ def _introduce_forget(
     return out
 
 
+def _forget_into(op: tuple, child: np.ndarray, cells: _Cells) -> np.ndarray:
+    """Slot v's axis of the child table becomes slot w's: at each position
+    of w, the maximum over v's positions before it (after it, when w < v),
+    -inf if there are none. Then w's terms are added, as an introduce op
+    adds them."""
+    _, axis, v, _, w, blocks = op
+    out = np.empty_like(child)
+    if w < v:  # a suffix maximum is a prefix maximum along the reversed axis
+        flip = (slice(None),) * axis + (slice(None, None, -1),)
+        child, rev = child[flip], out[flip]
+    else:
+        rev = out
+    rev[_along(axis, 0, 1)] = NEG_INF
+    np.maximum.accumulate(child[_along(axis, 0, cells.s - 1)], axis=axis,
+                          out=rev[_along(axis, 1, cells.s)])
+    for block in blocks:
+        out += _block_value(block, cells)
+    return out
+
+
 def _run_plan(
     plan: Plan, cells: _Cells, *, keep_tables: bool = False
 ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
@@ -500,9 +564,12 @@ def _run_plan(
             else:
                 table = stack.pop().max(axis=axis)
             forgets.append(table)
+        elif kind == FORGET_INTO:
+            table = _forget_into(op, stack.pop(), cells)
+            forgets.append(table)
         elif kind == JOIN:
             other, table = stack.pop(), stack.pop()
-            if keep_tables or ops[nodes[i].children[0]][0] == FORGET:
+            if keep_tables or ops[nodes[i].children[0]][0] in _FORGETS:
                 table = table + other
             else:
                 table += other
@@ -529,14 +596,14 @@ def _reconstruct(
     visited once. The slot takes the vector's first maximum, argmax's tie
     rule."""
     ops, nodes = plan.ops, plan.nice.nodes
-    table_of = dict(zip((i for i, op in enumerate(ops) if op[0] == FORGET), forgets))
+    table_of = dict(zip((i for i, op in enumerate(ops) if op[0] in _FORGETS), forgets))
     pos: dict[int, int] = {}
     todo: list[int] = []  # forget ops whose child table is still to rebuild
 
     def along(i: int, v: int | None):
         """Op i's table at `pos`, as a vector over slot v if its bag holds v."""
         op = ops[i]
-        if op[0] == FORGET:
+        if op[0] in _FORGETS:
             todo.append(i)
             key = tuple(slice(None) if b == v else pos[b] for b in op[3])
             return table_of[i][(row, *key)]
@@ -550,8 +617,13 @@ def _reconstruct(
     along(len(ops) - 1, None)  # queues the topmost forget ops
     while todo:
         i = todo.pop()
-        v = ops[i][2]
+        op = ops[i]
+        v = op[2]
         line = np.broadcast_to(along(nodes[i].children[0], v), (cells.s,))
+        if op[0] == FORGET_INTO:  # v's positions before w's (after it, when w < v)
+            w = op[4]
+            before = np.arange(cells.s) < pos[w] if v < w else np.arange(cells.s) > pos[w]
+            line = np.where(before, line, NEG_INF)
         pos[v] = int(np.argmax(line))
     along = None  # a closure that calls itself: unbound, its tables go now, not at a gc pass
     return tuple(int(cells.dom[0, v, pos[v]]) + 1 for v in range(plan.k))
@@ -694,8 +766,10 @@ class _GroupRuns:
 def default_alpha(k: int) -> Fraction:
     """Per-k bucket exponents: the computed optima for k = 5..8, and a single
     bucket for k <= 4 where bucketing buys nothing at practical sizes."""
-    # c_of_k(4).alpha is 2/3, but k <= 4 stays at 1 until the benchmark's
-    # move-k4-n64 workload is re-pinned for it (ROADMAP items 1 and 5).
+    # c_of_k(4).alpha is 2/3, with exponent 10/3, but c_of_k prices every
+    # order edge as a table axis. The engine runs order edges by running
+    # maxima, so at one bucket no k = 4 table holds more than 3 slots, and
+    # alpha 1 costs n^3.
     table = {
         5: Fraction(2, 3),
         6: Fraction(3, 4),

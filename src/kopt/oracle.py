@@ -1,10 +1,11 @@
-"""Independent brute-force references for the solver, treewidth, and the
-negative-triangle reduction.
+"""Independent brute-force references for the solver, treewidth, effective
+width, and the negative-triangle reduction.
 
 These deliberately share no nontrivial code with the implementations they
-check: the move search enumerates embeddings directly, the treewidth oracle
-tries elimination orders with explicit fill-in, and the triangle scan is a
-plain loop. Budget guards are explicit; oracles either finish exhaustively or
+check: the move search enumerates embeddings directly, the treewidth and
+effective-width oracles try elimination orders with explicit fill-in (the
+second also tracking which order-only edges fill has not touched), and the
+triangle scan is a plain loop. Budget guards are explicit; oracles either finish exhaustively or
 refuse.
 """
 
@@ -131,6 +132,53 @@ def treewidth_bruteforce(g: DepGraph, max_vertices: int = 8) -> OracleResult:
             order.pop()
 
     search(base_adj, [], 0)
+    return OracleResult(value=best, witness=best_order)
+
+
+def effective_width_bruteforce(
+    g: DepGraph, order_only, max_vertices: int = 8
+) -> OracleResult:
+    """Minimum over all elimination orders of the effective width: eliminating
+    v costs its degree in the filled graph, less one when an edge of
+    `order_only` that no fill has touched joins it to a remaining vertex.
+    value: int width; witness: the lexicographically smallest optimal order."""
+    k = g.k
+    if k > max_vertices:
+        raise BudgetExceededError(f"{k}! elimination orders is too many")
+    base_adj: dict[int, set[int]] = {v: set() for v in range(1, k + 1)}
+    for a, b in g.edges:
+        base_adj[a].add(b)
+        base_adj[b].add(a)
+    base_pure = {frozenset(e) for e in order_only}
+    if not base_pure <= {frozenset(e) for e in g.edges}:
+        raise ValueError("order-only edges must be edges of the graph")
+
+    best = k
+    best_order: tuple[int, ...] | None = None
+
+    def search(adj, pure, order: list[int], width: int):
+        nonlocal best, best_order
+        if not adj:
+            if width < best or best_order is None:
+                best, best_order = width, tuple(order)
+            return
+        for v in sorted(adj):
+            nbrs = adj[v]
+            cost = len(nbrs) - any(frozenset((v, u)) in pure for u in nbrs)
+            new_width = max(width, cost)
+            if new_width >= best and best_order is not None:
+                continue
+            rest = {
+                u: (others | nbrs) - {u, v} if u in nbrs else others - {v}
+                for u, others in adj.items()
+                if u != v
+            }
+            filled = {frozenset((a, b)) for a in nbrs for b in nbrs if a != b}
+            order.append(v)
+            search(rest, pure - filled, order, new_width)
+            order.pop()
+
+    search(base_adj, base_pure, [], 0)
     return OracleResult(value=best, witness=best_order)
 
 

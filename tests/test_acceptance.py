@@ -206,7 +206,7 @@ def test_criterion_6_structural_invariants():
 
     # every decomposition produced along the way validates
     bad_decomps = 0
-    for (k, edges), nice in list(_DECOMP_CACHE.items()):
+    for (k, edges, _), nice in list(_DECOMP_CACHE.items()):
         ok, _ = validate_decomposition(DepGraph(k, edges), nice)
         if not ok:
             bad_decomps += 1

@@ -10,6 +10,7 @@ from kopt import decomp
 from kopt.buckets import order_edges
 from kopt.decomp import (
     FORGET,
+    FORGET_INTO,
     INTRODUCE,
     JOIN,
     LEAF,
@@ -26,7 +27,7 @@ from kopt.decomp import (
     validate_decomposition,
 )
 from kopt.moves import ConnectionPattern, interference_graph, valid_patterns
-from kopt.oracle import treewidth_bruteforce
+from kopt.oracle import effective_width_bruteforce, treewidth_bruteforce
 
 
 def complete_graph(k):
@@ -458,3 +459,114 @@ def test_validator_agrees_with_the_definition():
                     assert ok == nice_by_definition(graph, n), diags
                     verdicts[ok] += 1
     assert min(verdicts.values()) > 500
+
+
+# ---------------------------------------------------------------------------
+# The order-edge rule: effective width and forget-into nodes
+# ---------------------------------------------------------------------------
+
+
+def effective_decomposition(g, only):
+    """treewidth_exact's effective width and order, and the nice form built
+    on that order, which must validate and have that width."""
+    width, order = treewidth_exact(g, only)
+    d = decomposition_from_order(g, order, only)
+    nice = to_nice(d)
+    ok, diags = validate_decomposition(g, nice)
+    assert ok, diags
+    assert d.width == nice.width == width
+    return width, order, nice
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_effective_width_matches_bruteforce_on_every_pattern_and_order_edge_set(k):
+    path = [(i, i + 1) for i in range(1, k)]
+    forget_intos = 0
+    for m in valid_patterns(k):
+        iedges = interference_graph(m).edges
+        for size in range(k):
+            for obs in combinations(path, size):
+                g = dependence_graph(interference_graph(m), frozenset(obs))
+                only = frozenset(obs) - iedges
+                brute = effective_width_bruteforce(g, only)
+                width, order, nice = effective_decomposition(g, only)
+                assert (width, order) == (brute.value, brute.witness), (m.pairs, obs)
+                forget_intos += sum(nd.kind == FORGET_INTO for nd in nice.nodes)
+    assert forget_intos > 0
+
+
+def test_effective_width_matches_bruteforce_on_random_graphs():
+    rng = random.Random(11)
+    lowered = 0
+    for seed in range(2000):
+        k = rng.randint(1, 7)
+        g = random_graph(k, seed + 5000, p=rng.uniform(0.1, 0.9))
+        only = frozenset(e for e in g.edges if rng.random() < 0.5)
+        brute = effective_width_bruteforce(g, only)
+        width, order, _ = effective_decomposition(g, only)
+        assert (width, order) == (brute.value, brute.witness), (g, only)
+        lowered += width < treewidth_exact(g)[0]
+    assert lowered > 200
+
+
+def test_effective_width_is_the_treewidth_without_order_only_edges():
+    """With no order-only edge nothing is pure: the oracle gives the
+    treewidth, and the subset DP's own walk gives treewidth_exact's order,
+    which is why plans without such an edge did not change."""
+    for seed in range(300):
+        g = random_graph(1 + seed % 8, seed + 9000, p=0.2 + (seed % 7) / 10)
+        tw = treewidth(adjacency(g.k, g.edges))
+        assert effective_width_bruteforce(g, frozenset()).value == tw
+        assert decomp._effective_order(g, frozenset()) == treewidth_exact(g)
+        d = decomposition_from_order(g, treewidth_exact(g)[1], frozenset())
+        assert d.into == ()
+
+
+def test_one_bucket_plans_hold_at_most_three_slots_for_k_up_to_5():
+    """At one bucket every order edge is present: for k = 4 and 5 the widest
+    table then has n^3 entries, against n^4 without the rule."""
+    for k in (4, 5):
+        obs = frozenset((i, i + 1) for i in range(1, k))
+        widths = Counter()
+        for m in valid_patterns(k):
+            ig = interference_graph(m)
+            g = dependence_graph(ig, obs)
+            widths[effective_decomposition(g, obs - ig.edges)[0], treewidth_exact(g)[0]] += 1
+        assert max(w for w, _ in widths) == 2
+        assert max(tw for _, tw in widths) == 3
+
+
+def bad_forget_into(w_below=False, v_outside=False, not_an_edge=False):
+    """A nice decomposition of the path 1-2-3 with a forget-into node of
+    slot 1 into slot 2, broken in one way if asked."""
+    g = DepGraph(3, frozenset([(2, 3)] if not_an_edge else [(1, 2), (2, 3)]))
+    first = frozenset({1, 2}) if w_below else frozenset({3} if v_outside else {1})
+    nodes = [LEAF_0]
+    cur = set()
+    for v in sorted(first):
+        cur.add(v)
+        nodes.append(NiceNode(INTRODUCE, frozenset(cur), v, (len(nodes) - 1,)))
+    if w_below:
+        nodes.append(NiceNode(FORGET, frozenset({1}), 2, (len(nodes) - 1,)))
+        cur = {1}
+    nodes.append(NiceNode(FORGET_INTO, frozenset(cur - {1} | {2}), 1, (len(nodes) - 1,), 2))
+    cur = cur - {1} | {2}
+    for v in sorted({3} - cur):
+        cur.add(v)
+        nodes.append(NiceNode(INTRODUCE, frozenset(cur), v, (len(nodes) - 1,)))
+    for v in sorted(cur):
+        cur.remove(v)
+        nodes.append(NiceNode(FORGET, frozenset(cur), v, (len(nodes) - 1,)))
+    return g, NiceTreeDecomposition(3, tuple(nodes), len(nodes) - 1)
+
+
+@pytest.mark.parametrize("fault, message", [
+    (None, None),
+    ("w_below", "forget-into node 4: slot 2 is already below it"),
+    ("v_outside", "forget-into node 2: slot 1 is not in its child's bag"),
+    ("not_an_edge", "forget-into node 2: (1,2) is not an edge of the graph"),
+])
+def test_validator_refuses_a_bad_forget_into_node(fault, message):
+    g, nice = bad_forget_into(**({fault: True} if fault else {}))
+    ok, diags = validate_decomposition(g, nice)
+    assert (ok, diags) == ((True, []) if fault is None else (False, [message]))

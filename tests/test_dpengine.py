@@ -6,7 +6,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +15,7 @@ import pytest
 from kopt.buckets import enumerate_assignments, make_buckets, order_edges
 from kopt.decomp import (
     FORGET,
+    FORGET_INTO,
     INTRODUCE,
     JOIN,
     NiceNode,
@@ -116,6 +117,65 @@ def test_dp_tables_match_definitional_maxima():
             _compare_all_tables(inst, tour, m, assignment, part, nice, reference)
 
 
+def _forget_into_chain(k, first, v, w):
+    """A nice decomposition that introduces the slots `first`, forgets v
+    into w, and then introduces and forgets the remaining slots in order."""
+    nodes, cur = [NiceNode("leaf", frozenset(), None, ())], set()
+
+    def add(kind, vertex, into=None):
+        nodes.append(NiceNode(kind, frozenset(cur), vertex, (len(nodes) - 1,), into))
+
+    for u in first:
+        cur.add(u)
+        add(INTRODUCE, u)
+    cur.remove(v)
+    cur.add(w)
+    add(FORGET_INTO, v, w)
+    for u in range(1, k + 1):
+        if u not in cur and u not in first:
+            cur.add(u)
+            add(INTRODUCE, u)
+    for u in sorted(cur):
+        cur.remove(u)
+        add(FORGET, u)
+    return NiceTreeDecomposition(k, tuple(nodes), len(nodes) - 1)
+
+
+def test_forget_into_tables_match_definitional_maxima():
+    """Every table of plans with forget-into ops, prefix (v < w) and suffix
+    (w < v) ones, against the definitional maxima: hand-built chains for
+    k = 2 and 3, and the k = 5 plans whose decompositions forget a slot into
+    a smaller one (at k <= 4 none does). Buckets of 3 pad the last one."""
+    from kopt.buckets import BucketPartition
+    from kopt.dpengine import compile_plan
+
+    inst, tour = gen_random(11, 16, 100), random_tour(11, 17)
+    part = BucketPartition(n=11, size=3)
+    k3 = ConnectionPattern(3, ((1, 2), (3, 5), (4, 6)))  # interference edge (2, 3) only
+    cases = [
+        (IDENTITY_2, (1, 1), _forget_into_chain(2, (1,), 1, 2)),
+        (IDENTITY_2, (4, 4), _forget_into_chain(2, (2,), 2, 1)),
+        (k3, (2, 2, 3), _forget_into_chain(3, (1,), 1, 2)),
+        (k3, (1, 1, 1), _forget_into_chain(3, (1,), 1, 2)),
+        (k3, (1, 1, 1), _forget_into_chain(3, (2, 3), 2, 1)),
+        (k3, (4, 4, 4), _forget_into_chain(3, (2, 3), 2, 1)),
+    ]
+    groups = {}
+    for a in enumerate_assignments(5, part.count):
+        groups.setdefault(order_edges(a), []).append(a)
+    for m in valid_patterns(5):
+        for obs, group in groups.items():
+            nice = compile_plan(m, obs).nice
+            if any(nd.kind == FORGET_INTO and nd.into < nd.vertex for nd in nice.nodes):
+                cases += [(m, a, nice) for a in group[:2]]
+    suffix = 0
+    for m, assignment, nice in cases:
+        suffix += any(nd.kind == FORGET_INTO and nd.into < nd.vertex for nd in nice.nodes)
+        reference = _reference_tables(inst, tour, m, assignment, part, nice)
+        _compare_all_tables(inst, tour, m, assignment, part, nice, reference)
+    assert suffix > 10
+
+
 def _legal(inst, tour, m, assignment, part, f):
     """Key/extension legality: bucket membership, in-bag order, loop-free."""
     from kopt.buckets import check_b_monotone
@@ -179,10 +239,10 @@ def _reference_tables(inst, tour, m, assignment, part, nice):
 
 
 def _compare_all_tables(inst, tour, m, assignment, part, nice, reference):
-    from kopt.dpengine import _Cells, _run_plan, compile_plan
+    from kopt.dpengine import _Cells, _compile, _run_plan
 
     arrays = TourArrays(inst, tour)
-    plan = compile_plan(m, order_edges(assignment))
+    plan = _compile(m, order_edges(assignment), nice)
     _, _, tables = _run_plan(plan, _Cells(arrays, part, [assignment]), keep_tables=True)
     for t, got in zip(nice.postorder(), tables, strict=True):
         bag = sorted(nice.nodes[t].bag)
@@ -376,6 +436,50 @@ def test_float32_exact_at_its_weight_bound(k):
             assert (res.gain, res.embedding) == (brute.value, brute.witness), (m.pairs, a)
 
 
+def _cell_order_gains(inst, tour, k, alpha):
+    """(first, best) by enumerating every strictly increasing embedding, not
+    by the DP: best is the largest gain; first is the largest gain of the
+    first (pattern, assignment) cell holding an improving embedding, or best
+    when no cell does, which is what policy="first" returns."""
+    part = make_buckets(inst.n, alpha)
+    combos = np.array(list(combinations(range(inst.n), k)))
+    cells = combos // part.size
+    order0 = np.asarray(tour.order) - 1
+    ends = order0, np.roll(order0, -1)  # left and right vertex of each tour edge
+    w = inst.weights
+    removed = w[ends[0][combos], ends[1][combos]].sum(axis=1)
+    per_pattern = []
+    for m in valid_patterns(k):
+        gains = removed.copy()
+        for a, b in m.pairs:  # endpoint e is side (e - 1) % 2 of slot (e - 1) // 2
+            gains -= w[ends[(a - 1) % 2][combos[:, (a - 1) // 2]],
+                       ends[(b - 1) % 2][combos[:, (b - 1) // 2]]]
+        per_pattern.append(gains)
+    best = max(int(g.max()) for g in per_pattern)
+    for gains in per_pattern:
+        if (gains > 0).any():
+            cell = min(map(tuple, cells[gains > 0]))
+            return int(gains[(cells == cell).all(axis=1)].max()), best
+    return best, best
+
+
+ORACLE_CASES = [(k, 12, seed) for k in (2, 3, 4) for seed in range(3)] + [
+    (5, 10, 0), (5, 10, 1), pytest.param(6, 12, 0, marks=pytest.mark.slow)]
+
+
+@pytest.mark.parametrize("k, n, seed", ORACLE_CASES)
+def test_best_move_gains_match_the_oracles_at_every_alpha(k, n, seed):
+    """Both policies at alpha 0, 1/2, 2/3 and 1, the best gain also against
+    naive_best_move. At k = 6 alpha 0 is left out: best_move visits each of
+    its 47.5 million cells through solve_fixed."""
+    inst, tour = gen_random(n, 700 + 10 * k + seed, 100), random_tour(n, 800 + 10 * k + seed)
+    for alpha in (0, Fraction(1, 2), Fraction(2, 3), 1)[k == 6:]:
+        first, best = _cell_order_gains(inst, tour, k, alpha)
+        assert best == naive_best_move(inst, tour, k).value
+        got = [best_move(inst, tour, k, alpha=alpha, policy=p).gain for p in ("best", "first")]
+        assert got == [best, first], alpha
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_best_move_matches_oracle_small(seed):
     inst = gen_random(10, seed, 100)
@@ -544,15 +648,23 @@ def test_all_cells_tie_on_equal_weights(size):
 def _argmax_positions(plan, tables, row):
     """Slot -> position by argmax over full tables: walk the ops backwards,
     each node's key from its parent, and take np.argmax of each forget op's
-    child slice (the op before it in postorder) at the key."""
+    child slice (the op before it in postorder) at the key. A forget-into
+    op of v into w takes the argmax over v's positions before w's (after it,
+    when w < v), the others set to -inf."""
     keys, pos = [{}], {}
     for i in range(len(plan.ops) - 1, -1, -1):
         op, key = plan.ops[i], keys.pop()
-        if op[0] == FORGET:
-            _, axis, slot, bag = op
-            at = [row] + [key[b] for b in bag]
+        if op[0] in (FORGET, FORGET_INTO):
+            axis, slot, bag = op[1:4]
+            child_bag = [b for b in bag if op[0] == FORGET or b != op[4]]
+            at = [row] + [key[b] for b in child_bag]
             at.insert(axis, slice(None))
-            pos[slot] = int(np.argmax(tables[i - 1][tuple(at)]))
+            line = tables[i - 1][tuple(at)]
+            if op[0] == FORGET_INTO:
+                w = op[4]
+                keep = np.arange(len(line)) < key[w] if slot < w else np.arange(len(line)) > key[w]
+                line = np.where(keep, line, -np.inf)
+            pos[slot] = int(np.argmax(line))
             keys.append({**key, slot: pos[slot]})
         elif op[0] == INTRODUCE:
             keys.append(key)
@@ -571,7 +683,7 @@ def test_reconstruction_matches_argmax_over_full_tables():
 
     n = 11
     part = BucketPartition(n=n, size=4)
-    rows = no_embedding = joins_on_forgets = 0
+    rows = no_embedding = joins_on_forgets = forget_intos = 0
     for k in (2, 3, 4, 5):
         inst, tour = gen_random(n, 70 + k, 3), random_tour(n, 80 + k)
         arrays = TourArrays(inst, tour)
@@ -588,6 +700,7 @@ def test_reconstruction_matches_argmax_over_full_tables():
                     op[0] == JOIN and plan.ops[plan.nice.nodes[i].children[0]][0] == FORGET
                     for i, op in enumerate(plan.ops)
                 )
+                forget_intos += sum(op[0] == FORGET_INTO for op in plan.ops)
                 for row, a in enumerate(group):
                     pos = _argmax_positions(plan, tables, row)
                     want = tuple(int(cells.dom[row, v, pos[v]]) + 1 for v in range(k))
@@ -595,7 +708,7 @@ def test_reconstruction_matches_argmax_over_full_tables():
                     assert got == want, (m.pairs, a)
                     rows += 1
                     no_embedding += root[row] == float("-inf")
-    assert joins_on_forgets > 0
+    assert joins_on_forgets > 0 and forget_intos > 0
     assert 0 < no_embedding < rows
 
 
@@ -619,10 +732,11 @@ def test_first_max_positions_is_argmax(monkeypatch, max_entries):
     groups = {}
     for a in filter(lambda a: _fits(a, part), enumerate_assignments(k, part.count)):
         groups.setdefault(order_edges(a), []).append(a)
-    handed = rerun = 0
+    handed = rerun = forget_intos = 0
     for m in valid_patterns(k):
         for obs, group in groups.items():
             plan = compile_plan(m, obs)
+            forget_intos += sum(op[0] == FORGET_INTO for op in plan.ops)
             cells = _Cells(arrays, part, group)
             root, _, tables = _run_plan(plan, cells, keep_tables=True)
             for row, a in enumerate(group):
@@ -637,7 +751,7 @@ def test_first_max_positions_is_argmax(monkeypatch, max_entries):
                 want = tuple(int(cells.dom[row, v, pos[v]]) + 1 for v in range(k))
                 assert got.gain == int(round(root[row]))
                 assert got.embedding == want, (m.pairs, a)
-    assert handed > 0
+    assert handed > 0 and forget_intos > 0
     assert (rerun > 0) == (max_entries == 1)
 
 
@@ -698,7 +812,7 @@ def test_one_position_slices_give_the_whole_tables(monkeypatch, k):
             root, forgets, _ = _run_plan(plan, cells)
             whole_root, _, tables = _run_plan(plan, cells, keep_tables=True)
             assert np.array_equal(root, whole_root)
-            at_forgets = [t for op, t in zip(plan.ops, tables) if op[0] == FORGET]
+            at_forgets = [t for op, t in zip(plan.ops, tables) if op[0] in (FORGET, FORGET_INTO)]
             assert len(forgets) == len(at_forgets)
             for got, want in zip(forgets, at_forgets):
                 assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -732,9 +846,9 @@ def test_sliced_and_chunked_best_move_gives_the_same_move(monkeypatch, k):
 
 
 def test_k4_n64_peak_memory_stays_small():
-    """One warm best_move at k = 4, n = 64, alpha = 1 (one bucket, so 64^4
-    entries in each widest table) peaks under 16 MB of traced allocations:
-    those tables are never built whole."""
+    """One warm best_move at k = 4, n = 64, alpha = 1 (one bucket) peaks
+    under 16 MB of traced allocations: forget-into ops keep every table at
+    64^3 entries or fewer, where the widest would hold 64^4 without them."""
     import tracemalloc
 
     inst, tour = gen_random(64, 0, 10_000), random_tour(64, 1)
@@ -806,8 +920,58 @@ def test_compiled_plans_are_pinned():
                 plans += 1
     assert plans == 6564
     assert digest.hexdigest() == (
-        "87fcbb7b74c7f02649e1240111ef105a89864b20dc892a640f9e186708b9d6a4"
+        "75cbc5cabc508b5ccec2b91c2810fd277c1011fb55f995e545299b4201cc32fd"
     )
+
+
+def test_plans_with_no_order_only_edge_are_unchanged():
+    """The 1,445 plans of the test above whose order edges all carry a
+    pattern pair too (every plan with no order edge among them) have nothing
+    the order-edge rule can use: they hash to the digest they had before the
+    rule existed."""
+    import hashlib
+    from itertools import combinations
+
+    from kopt.dpengine import compile_plan
+
+    digest = hashlib.sha256()
+    plans = 0
+    for k in range(2, 6):
+        path = [(i, i + 1) for i in range(1, k)]
+        subsets = [frozenset(c) for size in range(k) for c in combinations(path, size)]
+        for m in valid_patterns(k):
+            for obs in subsets:
+                if obs <= interference_graph(m).edges:
+                    plan = compile_plan(m, obs)
+                    assert all(op[0] != FORGET_INTO for op in plan.ops)
+                    digest.update(repr((plan.ops, plan.width)).encode())
+                    plans += 1
+    assert plans == 1445
+    assert digest.hexdigest() == (
+        "3e259b713082031a21341ac48e9ffc5cdf3d77f499386981a1d41f042ef4f27b"
+    )
+
+
+def test_compile_refuses_a_forget_into_without_a_pure_order_edge():
+    """The validator cannot tell an order edge from an interference edge;
+    the compiler refuses to forget a slot into one it shares a pattern pair
+    with, or into one no order edge joins it to."""
+    from kopt.buckets import BucketPartition
+    from kopt.dpengine import _compile
+    from kopt.moves import InvariantError
+
+    inst, tour = gen_random(8, 18, 100), random_tour(8, 19)
+    part = BucketPartition(n=8, size=8)
+    chain = _forget_into_chain(2, (1,), 1, 2)
+    assert interference_graph(SWAP_2).edges == frozenset({(1, 2)})
+    refusal = "slots 1 and 2 must be joined by an order edge alone"
+    with pytest.raises(InvariantError, match=refusal):
+        solve_fixed(inst, tour, SWAP_2, (1, 1), part, chain)
+    with pytest.raises(InvariantError, match=refusal):
+        _compile(IDENTITY_2, frozenset(), chain)
+    # the same chain is fine where the order edge is pure
+    res = solve_fixed(inst, tour, IDENTITY_2, (1, 1), part, chain)
+    assert res.gain == enumerate_b_monotone_max(inst, tour, IDENTITY_2, (1, 1), part).value
 
 
 def test_compile_cache_holds_every_plan_of_a_k6_call():
