@@ -58,7 +58,10 @@ introduces that end. The separator property follows: a slot on both sides of
 a tree edge lies in both its bags, by connectivity, and an edge of g with
 one end only below and the other only above it would lie in no bag. A
 forget-into edge v-w is the exception the DP needs: it must be an edge of g,
-v lies only below the node, and w nowhere below it. That no interference
+v lies only below the node, and w nowhere below it. The kind rule keeps w out
+of the child's bag; a bag further below holding w would top a run whose
+parent forgets w, and w, in the node's bag and not the root's, is forgotten
+again above, so the count refuses it. That no interference
 edge joins v and w is not the graph's to tell; dpengine's compiler checks it
 against the pattern.
 """
@@ -476,8 +479,8 @@ def to_nice(d: TreeDecomposition) -> NiceTreeDecomposition:
 def validate_decomposition(g: DepGraph, d) -> tuple[bool, list[str]]:
     """Check that the nice decomposition `d`, or `to_nice(d)` for a
     TreeDecomposition, decomposes g: the node-kind rules (for a forget-into
-    node of v into w also that v-w is an edge of g and that no node below it
-    holds w), then (as they rest on those rules) an empty root bag, bags
+    node of v into w also that v-w is an edge of g and that its child's bag
+    lacks w), then (as they rest on those rules) an empty root bag, bags
     inside 1..k, one forget or forget-into node per slot, and every edge of g
     in an introduce node's bag or joining a forget-into node's two slots. The
     module docstring shows why these suffice.
@@ -487,10 +490,8 @@ def validate_decomposition(g: DepGraph, d) -> tuple[bool, list[str]]:
     nice = to_nice(d) if isinstance(d, TreeDecomposition) else d
     nodes = nice.nodes
     diags: list[str] = []
-    below: list[frozenset[int]] = []  # the slots of each node's subtree
     for i, nd in enumerate(nodes):
         kids = [nodes[c].bag for c in nd.children]
-        below.append(nd.bag.union(*(below[c] for c in nd.children)))
         if nd.kind == LEAF:
             if nd.bag or kids:
                 diags.append(f"leaf node {i} must have an empty bag and no children")
@@ -506,8 +507,8 @@ def validate_decomposition(g: DepGraph, d) -> tuple[bool, list[str]]:
                 diags.append(f"forget-into node {i} must have one child")
             elif v not in kids[0]:
                 diags.append(f"forget-into node {i}: slot {v} is not in its child's bag")
-            elif w in below[nd.children[0]]:
-                diags.append(f"forget-into node {i}: slot {w} is already below it")
+            elif w in kids[0]:
+                diags.append(f"forget-into node {i}: slot {w} is already in its child's bag")
             elif nd.bag != kids[0] - {v} | {w}:
                 diags.append(f"forget-into node {i} bag rule violated")
             elif (min(v, w), max(v, w)) not in g.edges:
@@ -522,7 +523,7 @@ def validate_decomposition(g: DepGraph, d) -> tuple[bool, list[str]]:
 
     if nodes[nice.root].bag:
         diags.append("root bag must be empty")
-    stray = below[nice.root] - set(range(1, g.k + 1))
+    stray = set().union(*(nd.bag for nd in nodes)) - set(range(1, g.k + 1))
     diags += [f"slot {v} is outside 1..{g.k}" for v in sorted(stray)]
     forgets = Counter(nd.vertex for nd in nodes if nd.kind in (FORGET, FORGET_INTO))
     for v in range(1, g.k + 1):

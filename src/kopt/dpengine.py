@@ -45,12 +45,14 @@ cells share it.
   its table whole when it holds more than `MAX_SLICE_ENTRIES` entries. It is
   summed in pieces along the axis the forget removes, each piece into one
   reused buffer, and each piece's maximum is folded into the forget's output.
-  A table that fits runs the same code as one piece.
+  A table that fits runs the same code as one piece. An introduce op under a
+  forget-into op is not sliced: its table is built whole.
 - **Chunks.** The batch axis is cut into chunks so that no table holds more
   than `MAX_BATCH_ENTRIES` entries, or one cell's table when that is larger.
 - **Check once.** Root values give every cell's gain. Each run keeps the
   tables its forget ops output, and a group run holds on to its last chunk's
-  until the next run starts. The winning cell's embedding is rebuilt top-down
+  until the next run starts. A forget-into op's kept table has its full bag
+  width, one slot more than a forget op's output over the same input. The winning cell's embedding is rebuilt top-down
   from those tables: at each forget op, the child's table is summed again
   along the forgotten slot only, from the kept forget tables below it and the
   lines of the blocks in between, and the slot takes its first maximum: at a

@@ -95,52 +95,13 @@ def naive_best_move(
     return OracleResult(value=best_gain, witness=move)
 
 
-def treewidth_bruteforce(g: DepGraph, max_vertices: int = 8) -> OracleResult:
-    """Minimum over all elimination orders of the fill-aware elimination width.
-    value: int width; witness: the lexicographically smallest optimal order."""
-    k = g.k
-    if k > max_vertices:
-        raise BudgetExceededError(f"{k}! elimination orders is too many")
-    base_adj: dict[int, set[int]] = {v: set() for v in range(1, k + 1)}
-    for a, b in g.edges:
-        base_adj[a].add(b)
-        base_adj[b].add(a)
-
-    best = k  # upper bound: width never exceeds k-1
-    best_order: tuple[int, ...] | None = None
-
-    def search(adj: dict[int, set[int]], order: list[int], width: int):
-        nonlocal best, best_order
-        if width >= best and best_order is not None:
-            return
-        if not adj:
-            if width < best or best_order is None:
-                best, best_order = width, tuple(order)
-            return
-        for v in sorted(adj):
-            cost = len(adj[v])
-            new_width = max(width, cost)
-            if new_width >= best and best_order is not None:
-                continue
-            rest = {
-                u: (nbrs | adj[v]) - {u, v} if u in adj[v] else nbrs - {v}
-                for u, nbrs in adj.items()
-                if u != v
-            }
-            order.append(v)
-            search(rest, order, new_width)
-            order.pop()
-
-    search(base_adj, [], 0)
-    return OracleResult(value=best, witness=best_order)
-
-
-def effective_width_bruteforce(
-    g: DepGraph, order_only, max_vertices: int = 8
+def treewidth_bruteforce(
+    g: DepGraph, max_vertices: int = 8, order_only=frozenset()
 ) -> OracleResult:
-    """Minimum over all elimination orders of the effective width: eliminating
-    v costs its degree in the filled graph, less one when an edge of
-    `order_only` that no fill has touched joins it to a remaining vertex.
+    """Minimum over all elimination orders of the fill-aware elimination width:
+    eliminating v costs its degree in the filled graph, less one when an edge
+    of `order_only` that no fill has touched joins it to a remaining vertex
+    (with no such edges, the treewidth).
     value: int width; witness: the lexicographically smallest optimal order."""
     k = g.k
     if k > max_vertices:
@@ -153,10 +114,10 @@ def effective_width_bruteforce(
     if not base_pure <= {frozenset(e) for e in g.edges}:
         raise ValueError("order-only edges must be edges of the graph")
 
-    best = k
+    best = k  # upper bound: width never exceeds k-1
     best_order: tuple[int, ...] | None = None
 
-    def search(adj, pure, order: list[int], width: int):
+    def search(adj: dict[int, set[int]], pure, order: list[int], width: int):
         nonlocal best, best_order
         if not adj:
             if width < best or best_order is None:
@@ -173,13 +134,18 @@ def effective_width_bruteforce(
                 for u, others in adj.items()
                 if u != v
             }
-            filled = {frozenset((a, b)) for a in nbrs for b in nbrs if a != b}
             order.append(v)
-            search(rest, pure - filled, order, new_width)
+            # fill joins every two of v's neighbours
+            search(rest, {e for e in pure if not e <= nbrs}, order, new_width)
             order.pop()
 
     search(base_adj, base_pure, [], 0)
     return OracleResult(value=best, witness=best_order)
+
+
+def effective_width_bruteforce(g: DepGraph, order_only, max_vertices: int = 8) -> OracleResult:
+    """The effective width of g with the order-only edges `order_only`."""
+    return treewidth_bruteforce(g, max_vertices, order_only)
 
 
 def enumerate_b_monotone_max(

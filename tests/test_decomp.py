@@ -536,11 +536,14 @@ def test_one_bucket_plans_hold_at_most_three_slots_for_k_up_to_5():
         assert max(tw for _, tw in widths) == 3
 
 
-def bad_forget_into(w_below=False, v_outside=False, not_an_edge=False):
+def bad_forget_into(w_in_child=False, w_below=False, v_outside=False, not_an_edge=False):
     """A nice decomposition of the path 1-2-3 with a forget-into node of
     slot 1 into slot 2, broken in one way if asked."""
     g = DepGraph(3, frozenset([(2, 3)] if not_an_edge else [(1, 2), (2, 3)]))
-    first = frozenset({1, 2}) if w_below else frozenset({3} if v_outside else {1})
+    if w_in_child or w_below:
+        first = frozenset({1, 2})
+    else:
+        first = frozenset({3} if v_outside else {1})
     nodes = [LEAF_0]
     cur = set()
     for v in sorted(first):
@@ -562,7 +565,9 @@ def bad_forget_into(w_below=False, v_outside=False, not_an_edge=False):
 
 @pytest.mark.parametrize("fault, message", [
     (None, None),
-    ("w_below", "forget-into node 4: slot 2 is already below it"),
+    ("w_in_child", "forget-into node 3: slot 2 is already in its child's bag"),
+    # 2 is forgotten below the node and again above it
+    ("w_below", "bags containing vertex 2 are not connected in the tree"),
     ("v_outside", "forget-into node 2: slot 1 is not in its child's bag"),
     ("not_an_edge", "forget-into node 2: (1,2) is not an edge of the graph"),
 ])
