@@ -1,44 +1,47 @@
 """Dependence graphs, exact treewidth, and (nice) tree decompositions.
 
-`treewidth` is the one width routine. While the smallest degree d in the graph
-is at most 2, it eliminates the smallest vertex v of that degree: v goes, and
-its neighbours become adjacent. Then tw(G) = max(d, tw(G')) for the graph G'
-left. Eliminating v first costs d, so tw(G) <= max(d, tw(G')). G' is a minor
-of G (v merges into a neighbour), so tw(G') <= tw(G). And tw(G) >= d, since a
-graph of minimum degree 1 has an edge and one of minimum degree 2 a cycle.
-That is why a degree-2 vertex is contracted only once no vertex has degree
-below 2: inside a path it would count 2 for a graph of width 1. The core left
-has minimum degree 3, and an exact subset DP gives its width. Cores of more
-than MAX_TW_VERTICES vertices are refused before the DP runs.
+`treewidth` gives the treewidth of a graph on any labels. While the smallest
+degree d in the graph is at most 2, it eliminates the smallest vertex v of
+that degree: v goes, and its neighbours become adjacent. Then
+tw(G) = max(d, tw(G')) for the graph G' left. Eliminating v first costs d, so
+tw(G) <= max(d, tw(G')). G' is a minor of G (v merges into a neighbour), so
+tw(G') <= tw(G). And tw(G) >= d, since a graph of minimum degree 1 has an
+edge and one of minimum degree 2 a cycle. That is why a degree-2 vertex is
+contracted only once no vertex has degree below 2: inside a path it would
+count 2 for a graph of width 1. The core left has minimum degree 3, and an
+exact subset DP gives its width. Cores of more than MAX_TW_VERTICES vertices
+are refused before the DP runs.
 
-`treewidth_exact` builds the lexicographically smallest optimal elimination
-order on top of it. Let G_S be the graph left after eliminating the set S: u
-and w are adjacent in G_S when a path joins them whose inner vertices all lie
-in S, whatever order S was eliminated in. So eliminating v after S costs v's
-degree in G_S, and the best width for eliminating the rest is h[S] = tw(G_S).
-The next vertex of the order is thus the smallest v of degree at most tw(G)
-in G_S with tw(G_{S+v}) <= tw(G).
+`treewidth_exact(g, order_only)` reads an elimination order of least
+effective width, the lexicographically smallest, off one table. Let G_S be
+the graph left after eliminating the set S: u and w are adjacent in G_S when
+a path joins them whose inner vertices all lie in S, whatever order S was
+eliminated in. An order edge v-w puts slot v before slot w (or after it) in
+one bucket. Say v is eliminated after S and that edge is its only tie to w:
+no interference edge joins them (the caller names such edges `order_only`),
+and no fill edge does, as no path between them runs inside S. Then the DP
+builds no table over v, w and v's other neighbours: it sums v's other terms
+into a table over v and the rest, and a running maximum along v's axis makes
+that a table over w and the rest (see dpengine). So eliminating v after S
+costs its degree in G_S, less one when such a pure order edge leaves it, and
+both depend on S alone; `_reach` walks them on bitmasks. The best width for
+eliminating the rest once S is eliminated, h[S], is the least over v outside
+S of max(cost(S, v), h[S + v]), and `_subset_table` fills it in from the
+full set down to h[{}], the effective width. With no order-only edge nothing
+is pure and h[{}] is the treewidth. The order walks the table from S = {}:
+its next vertex is the smallest v outside S with cost(S, v) and h[S + v]
+both at most the width. The table runs over all 2^k sets, with no reductions
+first, so graphs of more than MAX_TW_VERTICES vertices are refused; the
+dependence graphs of the solver have at most 8.
 
-The order-edge rule. An order edge v-w puts slot v before slot w (or after
-it) in one bucket. Say v is eliminated and that edge is its only tie to w: no
-interference edge joins them (the caller names such edges `order_only`), and
-no fill edge does. Then the DP builds no table over v, w and v's other
-neighbours: it sums v's other terms into a table over v and the rest, and a
-running maximum along v's axis makes that a table over w and the rest (see
-dpengine). Eliminating v then costs one less than its degree in G_S, and the
-effective width is the least, over orders, of the largest such cost. Whether
-v-w is still pure after S is eliminated depends on S alone: a fill edge joins
-v and w exactly when a path between them runs inside S, whatever the order S
-went in. So the same subset DP over S gives the effective width, with
-_elimination_cost one lower when v has a pure order neighbour, and
-`treewidth_exact(g, order_only)` reads the lexicographically smallest order
-off its table by the rule above. With no order-only edge nothing is pure, the
-table holds tw(G_S), and the order is the one `treewidth` gives.
-`decomposition_from_order(g, order, order_only)` leaves w out of v's bag, and
-`to_nice` puts a forget-into node there, which forgets v and introduces w at
-once. No bag below it holds w, since such a bag would come from a path from v
-to w through eliminated vertices. So no bag holds both v and w, and the nice
-form decomposes g less its forget-into edges.
+`decomposition_from_order(g, order, order_only)` gives each v the bag of v
+and its neighbours in G_S, S the vertices before v in the order, less the
+smallest w that a pure order edge joins to v, and hangs it below the bag of
+the first of those neighbours to go. `to_nice` puts a forget-into node where
+w is left out, which forgets v and introduces w at once. No bag below it
+holds w, since such a bag would come from a path from v to w through
+eliminated vertices. So no bag holds both v and w, and the nice form
+decomposes g less its forget-into edges.
 
 `validate_decomposition` checks the nice form, where the definition (every
 slot and every edge in a bag, the bags holding a slot connected) comes down
@@ -71,7 +74,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
 
 from .moves import InterferenceGraph, InvariantError
 
@@ -116,32 +118,8 @@ def dependence_graph(interference: InterferenceGraph, order_edge_set) -> DepGrap
 
 
 # ---------------------------------------------------------------------------
-# Exact treewidth: safe reductions, then a subset DP on the core
+# Exact width: a subset DP, and treewidth's reductions before it
 # ---------------------------------------------------------------------------
-
-def _elimination_cost(adj: list[int], eliminated: int, v: int, order_only=None) -> int:
-    """Back-degree of eliminating v after `eliminated`: vertices outside the
-    eliminated set adjacent to v directly or through eliminated vertices. One
-    less when `order_only` (bitmasks of order-only edges) joins v to one of
-    them that no path through eliminated vertices reaches: a pure order edge."""
-    comp = 1 << v
-    reach = adj[v]
-    through = 0  # the neighbours of the eliminated vertices v reaches
-    frontier = reach & eliminated & ~comp
-    while frontier:
-        comp |= frontier
-        f = frontier
-        while f:
-            low = f & -f
-            through |= adj[low.bit_length() - 1]
-            f ^= low
-        reach |= through
-        frontier = reach & eliminated & ~comp
-    cost = (reach & ~eliminated & ~(1 << v)).bit_count()
-    if order_only and order_only[v] & ~eliminated & ~through:
-        cost -= 1
-    return cost
-
 
 def _masks(n: int, edges) -> list[int]:
     adj = [0] * n
@@ -151,40 +129,70 @@ def _masks(n: int, edges) -> list[int]:
     return adj
 
 
-def _subset_table(n: int, edges, order_only=frozenset()) -> dict[int, int]:
-    """h[S] for every set S of the vertices 0..n-1: the best width for
-    eliminating the remaining vertices once S is eliminated, filled in from
-    the largest S down to h[0], the width. An order-only edge lowers a cost
-    as _elimination_cost says."""
-    adj, only = _masks(n, edges), _masks(n, order_only) if order_only else None
+def _graph_masks(g: DepGraph, order_only) -> tuple[list[int], list[int]]:
+    """Neighbour bitmasks of g (vertex v at bit v - 1) and of `order_only`,
+    which must be edges of g."""
+    order_only = _normalize_edges(order_only, g.k)
+    if not order_only <= g.edges:
+        raise ValueError("order-only edges must be edges of the graph")
+    return (_masks(g.k, ((a - 1, b - 1) for a, b in g.edges)),
+            _masks(g.k, ((a - 1, b - 1) for a, b in order_only)))
+
+
+def _reach(adj: list[int], only: list[int], eliminated: int, v: int) -> tuple[int, int]:
+    """(later, pure) for eliminating v after `eliminated`: the vertices
+    outside the eliminated set adjacent to v directly or through eliminated
+    vertices, and those of them joined to v by an order-only edge (`only`)
+    that no path through eliminated vertices doubles."""
+    comp = 1 << v
+    reach = adj[v]
+    through = 0  # the neighbours of the eliminated vertices v reaches
+    frontier = reach & eliminated
+    while frontier:
+        comp |= frontier
+        f = frontier
+        while f:
+            low = f & -f
+            through |= adj[low.bit_length() - 1]
+            f ^= low
+        reach |= through
+        frontier = reach & eliminated & ~comp
+    return reach & ~eliminated & ~comp, only[v] & ~eliminated & ~through
+
+
+def _elimination_cost(adj: list[int], only: list[int], eliminated: int, v: int) -> int:
+    """v's degree in the graph left after `eliminated`, less one when a pure
+    order edge leaves it."""
+    later, pure = _reach(adj, only, eliminated, v)
+    return later.bit_count() - (pure != 0)
+
+
+def _subset_table(adj: list[int], only: list[int]) -> list[int]:
+    """h[S] for every set S of the vertices 0..n-1, filled in from the full
+    set down to h[0], the width: every superset of S is a larger number."""
+    n = len(adj)
     full = (1 << n) - 1
-    h = {full: 0}
-    for size in range(n - 1, -1, -1):
-        for combo in combinations(range(n), size):
-            s = 0
-            for v in combo:
-                s |= 1 << v
-            rest = full & ~s
-            best = n  # width never exceeds n-1; n acts as +infinity
-            r = rest
-            while r:
-                low = r & -r
-                v = low.bit_length() - 1
-                r ^= low
-                val = _elimination_cost(adj, s, v, only)
-                sub = h[s | low]
-                if sub > val:
-                    val = sub
-                if val < best:
-                    best = val
-            h[s] = best
+    h = [0] * (full + 1)
+    for s in range(full - 1, -1, -1):
+        best = n  # width never exceeds n-1; n acts as +infinity
+        r = full & ~s
+        while r:
+            low = r & -r
+            r ^= low
+            val = _elimination_cost(adj, only, s, low.bit_length() - 1)
+            sub = h[s | low]
+            if sub > val:
+                val = sub
+            if val < best:
+                best = val
+        h[s] = best
     return h
 
 
 @cache
 def _subset_dp(n: int, edges: frozenset[tuple[int, int]]) -> int:
     """Treewidth of the graph on 0..n-1."""
-    return _subset_table(n, edges)[0]
+    return _subset_table(_masks(n, edges), [0] * n)[0]
 
 
 def _eliminate(adj: dict, v) -> None:
@@ -221,53 +229,21 @@ def treewidth(adj: dict) -> int:
 
 
 def treewidth_exact(g: DepGraph, order_only=frozenset()) -> tuple[int, tuple[int, ...]]:
-    """Exact treewidth plus the lexicographically smallest optimal elimination
-    order, so downstream decompositions are deterministic. With `order_only`,
-    the edges of g that are order edges and nothing else, the width is the
-    effective width under the order-edge rule (module docstring) instead.
+    """The effective width of g under the order-edge rule, `order_only` being
+    the edges of g that are order edges and nothing else (with none, the
+    treewidth), and the lexicographically smallest elimination order of that
+    width, so downstream decompositions are deterministic. Both are read off
+    the subset table as the module docstring describes.
 
-    The order is built greedily as the module docstring describes: next comes
-    the smallest vertex whose elimination costs at most the width and leaves
-    a rest that can be eliminated within the width.
-    """
-    if order_only:
-        return _effective_order(g, order_only)
-    adj = adjacency(g.k, g.edges)
-    width = treewidth(adj)
-    order = []
-    while adj:
-        for v in sorted(adj):
-            if len(adj[v]) > width:
-                continue
-            rest = {u: set(nbrs) for u, nbrs in adj.items()}
-            _eliminate(rest, v)
-            if treewidth(rest) <= width:
-                order.append(v)
-                adj = rest
-                break
-        else:
-            raise InvariantError(f"no vertex continues an optimal order after {order}")
-    return width, tuple(order)
-
-
-def _effective_order(g: DepGraph, order_only) -> tuple[int, tuple[int, ...]]:
-    """treewidth_exact under the order-edge rule, read off the subset DP's
-    whole table: which order edges are pure after eliminating S depends on S
-    alone, so the state is S, not the graph left."""
-    order_only = _normalize_edges(order_only, g.k)
-    if not order_only <= g.edges:
-        raise ValueError("order-only edges must be edges of the graph")
-    n = g.k
-    edges = frozenset((a - 1, b - 1) for a, b in g.edges)
-    only = frozenset((a - 1, b - 1) for a, b in order_only)
-    if n > MAX_TW_VERTICES:
-        raise ValueError(f"the effective-width DP supports at most {MAX_TW_VERTICES} vertices")
-    h = _subset_table(n, edges, only)
-    adj, only_adj = _masks(n, edges), _masks(n, only)
+    Raises ValueError for a graph of more than MAX_TW_VERTICES vertices."""
+    adj, only = _graph_masks(g, order_only)
+    if g.k > MAX_TW_VERTICES:
+        raise ValueError(f"treewidth_exact supports at most {MAX_TW_VERTICES} vertices")
+    h = _subset_table(adj, only)
     width, s, order = h[0], 0, []
-    while len(order) < n:
-        v = next((v for v in range(n) if not s >> v & 1
-                  and _elimination_cost(adj, s, v, only_adj) <= width
+    while len(order) < g.k:
+        v = next((v for v in range(g.k) if not s >> v & 1
+                  and _elimination_cost(adj, only, s, v) <= width
                   and h[s | 1 << v] <= width), None)
         if v is None:
             raise InvariantError(f"no vertex continues an optimal order after {order}")
@@ -327,30 +303,21 @@ def decomposition_from_order(
     w), and its bag lacks w: the width is then the order's effective width."""
     if sorted(order) != list(range(1, g.k + 1)):
         raise ValueError("order must be a permutation of 1..k")
-    nbrs = adjacency(g.k, g.edges)
-    pure = {frozenset(e) for e in order_only}
-    position = {v: i for i, v in enumerate(order)}
+    adj, only = _graph_masks(g, order_only)
+    position = {v - 1: i for i, v in enumerate(order)}
     bags: list[frozenset[int]] = []
-    later_sets: list[set[int]] = []
+    parent: list[int] = []
     into: list[tuple[int, int] | None] = []
-    for v in order:
-        later = {u for u in nbrs[v] if position[u] > position[v]}
-        w = min((u for u in later if frozenset((u, v)) in pure), default=None)
-        bags.append(frozenset({v} | later) - {w})
-        into.append(None if w is None else (v, w))
-        later_sets.append(later)
-        for u in later:
-            nbrs[u].discard(v)
-            nbrs[u].update(later - {u})
-        pure -= {frozenset(e) for e in combinations(later, 2)}  # now joined by fill
-    parent = [-1] * g.k
-    for i in range(g.k - 1):
-        later = later_sets[i]
-        if later:
-            anchor = min(later, key=position.__getitem__)
-            parent[i] = position[anchor]
-        else:
-            parent[i] = i + 1
+    eliminated = 0
+    for i, v in enumerate(order):
+        later, pure = _reach(adj, only, eliminated, v - 1)
+        w = pure & -pure  # the smallest
+        bag = (later | 1 << (v - 1)) & ~w
+        bags.append(frozenset(u + 1 for u in range(g.k) if bag >> u & 1))
+        into.append((v, w.bit_length()) if w else None)
+        parent.append(min((position[u] for u in range(g.k) if later >> u & 1),
+                          default=i + 1 if i + 1 < g.k else -1))
+        eliminated |= 1 << (v - 1)
     return TreeDecomposition(
         k=g.k, bags=tuple(bags), parent=tuple(parent), root=g.k - 1,
         into=tuple(into) if any(into) else (),

@@ -1,12 +1,12 @@
-"""Independent brute-force references for the solver, treewidth, effective
-width, and the negative-triangle reduction.
+"""Independent brute-force references for the solver, treewidth (and the
+effective width under order-only edges), and the negative-triangle reduction.
 
 These deliberately share no nontrivial code with the implementations they
-check: the move search enumerates embeddings directly, the treewidth and
-effective-width oracles try elimination orders with explicit fill-in (the
-second also tracking which order-only edges fill has not touched), and the
-triangle scan is a plain loop. Budget guards are explicit; oracles either finish exhaustively or
-refuse.
+check: the move search enumerates embeddings directly, the treewidth oracle
+tries elimination orders with explicit fill-in (tracking, when given
+order-only edges, which of them fill has not touched), and the triangle scan
+is a plain loop. Budget guards are explicit; oracles either finish
+exhaustively or refuse.
 """
 
 from __future__ import annotations
@@ -141,11 +141,6 @@ def treewidth_bruteforce(
 
     search(base_adj, base_pure, [], 0)
     return OracleResult(value=best, witness=best_order)
-
-
-def effective_width_bruteforce(g: DepGraph, order_only, max_vertices: int = 8) -> OracleResult:
-    """The effective width of g with the order-only edges `order_only`."""
-    return treewidth_bruteforce(g, max_vertices, order_only)
 
 
 def enumerate_b_monotone_max(

@@ -27,7 +27,7 @@ from kopt.decomp import (
     validate_decomposition,
 )
 from kopt.moves import ConnectionPattern, interference_graph, valid_patterns
-from kopt.oracle import effective_width_bruteforce, treewidth_bruteforce
+from kopt.oracle import treewidth_bruteforce
 
 
 def complete_graph(k):
@@ -142,19 +142,23 @@ def test_treewidth_on_interference_unions_vs_bruteforce():
                 assert treewidth_exact(g) == (brute.value, brute.witness)
 
 
-def test_long_cycle_reduces_past_the_dp_size_bound():
+def no_dp(*args):
+    raise AssertionError("subset DP ran")
+
+
+def test_long_cycle_reduces_past_the_dp_size_bound(monkeypatch):
+    """treewidth's reductions leave no core of the 40-cycle; treewidth_exact,
+    which reads its order off the table over all subsets, refuses it."""
     g = cycle_graph(40)
-    width, order = treewidth_exact(g)
-    assert width == 2
-    assert sorted(order) == list(range(1, 41))
-    assert elimination_width(g, order) == 2
+    monkeypatch.setattr(decomp, "_subset_table", no_dp)
+    assert treewidth(adjacency(g.k, g.edges)) == 2
+    with pytest.raises(ValueError, match="at most 24 vertices"):
+        treewidth_exact(g)
 
 
 def test_oversized_core_is_refused_before_the_dp(monkeypatch):
-    def no_dp(n, edges):
-        raise AssertionError("subset DP ran")
-
     monkeypatch.setattr(decomp, "_subset_dp", no_dp)
+    monkeypatch.setattr(decomp, "_subset_table", no_dp)
     with pytest.raises(ValueError, match="at most 24"):
         treewidth(adjacency(25, complete_graph(25).edges))
     with pytest.raises(ValueError, match="at most 24"):
@@ -181,6 +185,24 @@ def test_decomposition_from_order_examples():
     d = decomposition_from_order(p5, (1, 2, 3, 4, 5))
     assert d.width == 1
     assert validate_decomposition(p5, d)[0]
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_every_order_validates_and_matches_elimination_width(k):
+    """Every order of random graphs, with no order-only edge (width equal to
+    the order's elimination width) and with some (width at most that)."""
+    rng = random.Random(k)
+    for seed in range(12):
+        g = random_graph(k, seed + 7000, p=rng.uniform(0.2, 0.9))
+        only = frozenset(e for e in g.edges if rng.random() < 0.5)
+        for order in permutations(range(1, k + 1)):
+            want = elimination_width(g, order)
+            for order_only in (frozenset(), only):
+                d = decomposition_from_order(g, order, order_only)
+                ok, diags = validate_decomposition(g, d)
+                assert ok, diags
+                assert d.width <= want
+                assert d.width == want or order_only
 
 
 @pytest.mark.parametrize("seed", range(50))
@@ -488,7 +510,7 @@ def test_effective_width_matches_bruteforce_on_every_pattern_and_order_edge_set(
             for obs in combinations(path, size):
                 g = dependence_graph(interference_graph(m), frozenset(obs))
                 only = frozenset(obs) - iedges
-                brute = effective_width_bruteforce(g, only)
+                brute = treewidth_bruteforce(g, order_only=only)
                 width, order, nice = effective_decomposition(g, only)
                 assert (width, order) == (brute.value, brute.witness), (m.pairs, obs)
                 forget_intos += sum(nd.kind == FORGET_INTO for nd in nice.nodes)
@@ -502,7 +524,7 @@ def test_effective_width_matches_bruteforce_on_random_graphs():
         k = rng.randint(1, 7)
         g = random_graph(k, seed + 5000, p=rng.uniform(0.1, 0.9))
         only = frozenset(e for e in g.edges if rng.random() < 0.5)
-        brute = effective_width_bruteforce(g, only)
+        brute = treewidth_bruteforce(g, order_only=only)
         width, order, _ = effective_decomposition(g, only)
         assert (width, order) == (brute.value, brute.witness), (g, only)
         lowered += width < treewidth_exact(g)[0]
@@ -510,14 +532,14 @@ def test_effective_width_matches_bruteforce_on_random_graphs():
 
 
 def test_effective_width_is_the_treewidth_without_order_only_edges():
-    """With no order-only edge nothing is pure: the oracle gives the
-    treewidth, and the subset DP's own walk gives treewidth_exact's order,
-    which is why plans without such an edge did not change."""
+    """With no order-only edge nothing is pure: the oracle and the table
+    over all subsets give the treewidth that treewidth's reductions and core
+    DP give."""
     for seed in range(300):
         g = random_graph(1 + seed % 8, seed + 9000, p=0.2 + (seed % 7) / 10)
         tw = treewidth(adjacency(g.k, g.edges))
-        assert effective_width_bruteforce(g, frozenset()).value == tw
-        assert decomp._effective_order(g, frozenset()) == treewidth_exact(g)
+        assert treewidth_bruteforce(g, order_only=frozenset()).value == tw
+        assert treewidth_exact(g)[0] == tw
         d = decomposition_from_order(g, treewidth_exact(g)[1], frozenset())
         assert d.into == ()
 
@@ -575,3 +597,17 @@ def test_validator_refuses_a_bad_forget_into_node(fault, message):
     g, nice = bad_forget_into(**({fault: True} if fault else {}))
     ok, diags = validate_decomposition(g, nice)
     assert (ok, diags) == ((True, []) if fault is None else (False, [message]))
+
+
+@pytest.mark.parametrize("build", [
+    lambda g, only: treewidth_exact(g, only),
+    lambda g, only: decomposition_from_order(g, (1, 2, 3), only),
+], ids=["treewidth_exact", "decomposition_from_order"])
+@pytest.mark.parametrize("only, message", [
+    ({(1, 3)}, "order-only edges must be edges of the graph"),
+    ({(1, 9)}, "vertex out of range 1..3"),
+    ({(2, 2)}, "loops are not allowed"),
+], ids=["not-an-edge", "out-of-range", "loop"])
+def test_bad_order_only_edges_are_refused(build, only, message):
+    with pytest.raises(ValueError, match=message):
+        build(path_graph(3), only)
