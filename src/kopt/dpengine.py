@@ -41,6 +41,20 @@ cells share it.
   are folded into one `(B, s, s)` block that is added to the table in place;
   a join adds into its first child's table in place, unless that table is a
   kept forget output.
+- **Shared blocks.** A two-slot block's `(B, s, s)` value depends on the
+  block's terms and on the group's cells, not on the pattern. Over more
+  than one bucket each group's cells memoize these values, keyed by the
+  block's terms (slots, unary, pairs, matrix, order; the op's index is
+  applied to the stored array as a view), so all of the group's pattern runs
+  gather each block once. Stored arrays are read-only, which checks that no
+  op writes into a block: introduce ops sum into fresh buffers and joins add
+  blocks into their tables. One budget of `MAX_BATCH_ENTRIES` entries serves
+  every group of one best_move call; past it, and in chunked runs, a block
+  is computed as before. At one bucket there is no memo: the one cell's
+  blocks hold s^2 entries beside tables of s^3, so sharing saves no work,
+  and keeping them made a warm k = 3, n = 100 call slower (11-14 ms, not
+  8-9 ms) by where the heap put them: with glibc's mmap threshold pinned,
+  both took the same time.
 - **Sliced pairs.** An introduce op whose parent is a forget op never builds
   its table whole when it holds more than `MAX_SLICE_ENTRIES` entries. It is
   summed in pieces along the axis the forget removes, each piece into one
@@ -111,6 +125,7 @@ from .moves import (
     gain_partial,
     interference_graph,
     slot_of_endpoint,
+    valid_pattern_count,
     valid_patterns,
 )
 
@@ -132,6 +147,11 @@ FLOAT32_EXACT = 1 << 24
 # arrays, built for every group before any runs. Requests just under it
 # peaked at 0.66 GB RSS (k = 2..7 at s = 1, k = 2..8 at s = 10).
 MAX_ASSIGNMENT_ENTRIES = 2_000_000
+# Most cells, valid patterns times bucket assignments, that best_move visits.
+# Each passes through solve_fixed, about 5 us when it needs no run (k = 5,
+# alpha 0, n = 10: 768,768 cells in 3.6 s), so a call at the bound spends
+# 40 s on that alone.
+MAX_CELLS = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -405,12 +425,25 @@ def _order_mask(s: int, dtype: type) -> np.ndarray:
     return mask
 
 
+@dataclass(slots=True)
+class _Budget:
+    """Entries that the shared-block memos of one best_move call may still
+    store."""
+
+    left: int
+
+
 class _Cells:
     """Bucket assignments gathered over one tour: axis 0 is the batch, axis 1
     the slot, axis 2 the position inside the slot's bucket, padded to s. Every
-    array is in the dtype of the assignments' k (TourArrays.dtype)."""
+    array is in the dtype of the assignments' k (TourArrays.dtype).
 
-    def __init__(self, arrays: TourArrays, part: BucketPartition, assignments):
+    With a `budget` the cells keep a memo of their two-slot block values,
+    keyed by the block's terms, while the budget lasts; else `memo` is None."""
+
+    def __init__(
+        self, arrays: TourArrays, part: BucketPartition, assignments, budget: _Budget | None = None
+    ):
         self.arrays, self.part = arrays, part
         self.assignments = np.asarray(assignments, dtype=np.int64)
         self.dtype = arrays.dtype(self.assignments.shape[1])
@@ -426,6 +459,8 @@ class _Cells:
         self.pad = np.where(valid, self.dtype(0), self.dtype(NEG_INF))
         self.gain_in = rem + self.pad
         self.neg_rem = -rem
+        self.budget = budget
+        self.memo: dict[tuple, np.ndarray] | None = None if budget is None else {}
 
     @property
     def batch(self) -> int:
@@ -436,10 +471,30 @@ class _Cells:
 
 
 def _block_value(block: tuple, cells: _Cells) -> np.ndarray:
-    """The block's terms summed over the batch, placed on the op's table axes."""
+    """The block's terms summed over the batch, placed on the op's table axes.
+    A two-slot block's value is looked up in, or stored read-only into, the
+    cells' memo when they have one."""
     slots, unary, pairs, matrix, order, index = block
     if len(slots) == 1:
         return getattr(cells, unary[0][1])[:, slots[0]][index]
+    memo = cells.memo
+    if memo is None:
+        return _pair_value(block, cells)[index]
+    key = block[:5]
+    value = memo.get(key)
+    if value is None:
+        value = _pair_value(block, cells)
+        if value.size <= cells.budget.left:
+            cells.budget.left -= value.size
+            value.flags.writeable = False
+            memo[key] = value
+    return value[index]
+
+
+def _pair_value(block: tuple, cells: _Cells) -> np.ndarray:
+    """A two-slot block's terms summed over the batch: (B, s, s), or
+    (1, s, s) for an order edge alone."""
+    slots, unary, pairs, matrix, order, _ = block
     a, b = slots
     mat = getattr(cells, matrix)
     value = _order_mask(cells.s, cells.dtype) if order else None
@@ -450,7 +505,7 @@ def _block_value(block: tuple, cells: _Cells) -> np.ndarray:
         u = getattr(cells, src)[:, slots[dim]]
         u = u[:, :, None] if dim == 0 else u[:, None, :]
         value = u if value is None else value + u
-    return value[index]
+    return value
 
 
 def _block_line(block: tuple, cells: _Cells, pos: dict[int, int], v: int | None):
@@ -714,14 +769,19 @@ class _GroupRuns:
     assignment that shares its pattern and order-edge set in one batch, in
     chunks of the batch axis. An assignment that does not fit has root value
     -inf. The forget tables of the latest chunk run are kept, tagged with its
-    pattern, order-edge set and first row, until the next run starts."""
+    pattern, order-edge set and first row, until the next run starts.
+
+    Over more than one bucket each group's cells memoize their two-slot
+    blocks for every pattern's unchunked run, within one budget of
+    MAX_BATCH_ENTRIES entries for all groups."""
 
     def __init__(self, arrays: TourArrays, part: BucketPartition, assignments):
         groups: dict[frozenset[tuple[int, int]], list[tuple[int, ...]]] = {}
         for assignment in assignments:
             if _fits(assignment, part):
                 groups.setdefault(order_edges(assignment), []).append(assignment)
-        self.cells = {obs: _Cells(arrays, part, group) for obs, group in groups.items()}
+        budget = _Budget(MAX_BATCH_ENTRIES) if part.count > 1 else None
+        self.cells = {obs: _Cells(arrays, part, group, budget) for obs, group in groups.items()}
         self.row = {a: i for group in groups.values() for i, a in enumerate(group)}
         self.pattern: ConnectionPattern | None = None
         self.values: dict[frozenset[tuple[int, int]], list[float]] = {}  # of self.pattern
@@ -801,6 +861,11 @@ def _best_move(
         raise ValueError(f"{count:,} bucket assignments of {k} slots to {part.count}"
                          f" buckets of {part.size} edges hold {entries:,} slot positions;"
                          f" at most {MAX_ASSIGNMENT_ENTRIES:,} fit in memory")
+    pattern_count = valid_pattern_count(k)
+    if pattern_count * count > MAX_CELLS:
+        raise ValueError(f"{pattern_count:,} valid patterns times {count:,} bucket assignments"
+                         f" make {pattern_count * count:,} cells; at most {MAX_CELLS:,} are"
+                         " searched")
     arrays = TourArrays(inst, tour)
     patterns = valid_patterns(k)
     assignments = list(enumerate_assignments(k, part.count))
@@ -860,7 +925,10 @@ def best_move(
     when the cell lies in it, as an improving cell under policy="first" with
     one bucket always does, else from one more run of that cell alone. Its
     KMove is built once, and its gain must equal the cell's; apply_move then
-    builds the new tour once and checks its weight.
+    builds the new tour once and checks its weight. A request of more than
+    MAX_CELLS cells, or whose assignments hold more than
+    MAX_ASSIGNMENT_ENTRIES slot positions, raises ValueError before any plan
+    runs.
     """
     return _best_move(inst, tour, k, alpha, policy)[0]
 

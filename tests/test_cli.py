@@ -63,6 +63,20 @@ def test_find_move_refuses_too_many_bucket_assignments(tmp_path, capsys, monkeyp
     assert "2,802,350,040 bucket assignments of 5 slots to 200 buckets" in capsys.readouterr().err
 
 
+def test_find_move_refuses_too_many_cells(tmp_path, capsys, monkeypatch):
+    from kopt import dpengine
+
+    def fail(*args):
+        raise AssertionError("no plan may run")
+
+    monkeypatch.setattr(dpengine, "_run_plan", fail)
+    ipath, tpath = write_pair(tmp_path, gen_random(12, 0, 100), random_tour(12, 1))
+    code = main(["find-move", "--k", "6", "--alpha", "0", "--in", ipath, "--tour", tpath])
+    assert code == 2
+    assert "3,840 valid patterns times 12,376 bucket assignments make 47,523,840 cells" in (
+        capsys.readouterr().err)
+
+
 def test_oracle_best_move_refuses_its_budget_before_listing_patterns(
     tmp_path, capsys, monkeypatch
 ):

@@ -470,9 +470,12 @@ ORACLE_CASES = [(k, 12, seed) for k in (2, 3, 4) for seed in range(3)] + [
 @pytest.mark.parametrize("k, n, seed", ORACLE_CASES)
 def test_best_move_gains_match_the_oracles_at_every_alpha(k, n, seed):
     """Both policies at alpha 0, 1/2, 2/3 and 1, the best gain also against
-    naive_best_move. At k = 6 alpha 0 is left out: best_move visits each of
-    its 47.5 million cells through solve_fixed."""
+    naive_best_move. At k = 6 best_move refuses alpha 0: its 47.5 million
+    cells are over MAX_CELLS."""
     inst, tour = gen_random(n, 700 + 10 * k + seed, 100), random_tour(n, 800 + 10 * k + seed)
+    if k == 6:
+        with pytest.raises(ValueError, match="47,523,840 cells"):
+            best_move(inst, tour, k, alpha=0)
     for alpha in (0, Fraction(1, 2), Fraction(2, 3), 1)[k == 6:]:
         first, best = _cell_order_gains(inst, tour, k, alpha)
         assert best == naive_best_move(inst, tour, k).value
@@ -845,6 +848,86 @@ def test_sliced_and_chunked_best_move_gives_the_same_move(monkeypatch, k):
     assert answers() == whole
 
 
+# ---------------------------------------------------------------------------
+# Blocks shared by the pattern runs of one plan group
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_shared_blocks_give_every_pattern_the_tables_of_fresh_cells(k):
+    """Every pattern's run of each group over the group's memoizing cells,
+    one after another, against a run over fresh cells with no memo, every
+    table entry for entry: weights in 1..3 make ties, buckets of 4, 4 and 3
+    pad the last one. Every stored block is read-only."""
+    from kopt.buckets import BucketPartition
+    from kopt.dpengine import _Cells, _GroupRuns, _run_plan, compile_plan
+
+    inst, tour = gen_random(11, 150 + k, 3), random_tour(11, 160 + k)
+    part = BucketPartition(n=11, size=4)
+    arrays = TourArrays(inst, tour)
+    runs = _GroupRuns(arrays, part, list(enumerate_assignments(k, part.count)))
+    groups = [(obs, cells) for obs, cells in runs.cells.items() if cells.batch > 1]
+    assert groups
+    for obs, shared in groups:
+        for m in valid_patterns(k):
+            plan = compile_plan(m, obs)
+            fresh = _Cells(arrays, part, shared.assignments)
+            assert fresh.memo is None
+            got = _run_plan(plan, shared, keep_tables=True)
+            want = _run_plan(plan, fresh, keep_tables=True)
+            assert np.array_equal(got[0], want[0])
+            for got_tables, want_tables in zip(got[1:], want[1:]):
+                assert len(got_tables) == len(want_tables)
+                for g, w in zip(got_tables, want_tables):
+                    assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert shared.memo
+        assert not any(value.flags.writeable for value in shared.memo.values())
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_block_memo_budget_and_one_bucket_gate(monkeypatch, k):
+    """With no budget left, best_move gives the same results and keeps no
+    block; at one bucket no group has a memo at all."""
+    from kopt import dpengine
+
+    n, alpha = 12, Fraction(1, 2)
+    assert make_buckets(n, alpha).count > 1
+    inst, tour = gen_random(n, 170 + k, 100), random_tour(n, 180 + k)
+    made, budget = [], None
+    init = dpengine._GroupRuns.__init__
+
+    def spy(self, *args):
+        init(self, *args)
+        if budget is not None:
+            for cells in self.cells.values():
+                cells.budget.left = budget
+        made.append(self)
+
+    monkeypatch.setattr(dpengine._GroupRuns, "__init__", spy)
+
+    def results():
+        made.clear()
+        got = [best_move(inst, tour, k, alpha=alpha, policy=p) for p in ("best", "first")]
+        assert len(made) == 2
+        return got
+
+    def memos():
+        return [cells.memo for runs in made for cells in runs.cells.values()]
+
+    whole = results()
+    assert any(memos())
+    budget = 0
+    assert results() == whole
+    assert not any(memos())
+
+    budget = None
+    made.clear()
+    best_move(inst, tour, k, alpha=1)
+    local_search(inst, tour, k, alpha=1, max_steps=2)
+    assert len(made) >= 2
+    assert all(memo is None for memo in memos())
+
+
 def test_k4_n64_peak_memory_stays_small():
     """One warm best_move at k = 4, n = 64, alpha = 1 (one bucket) peaks
     under 16 MB of traced allocations: forget-into ops keep every table at
@@ -863,24 +946,27 @@ def test_k4_n64_peak_memory_stays_small():
 
 
 def test_warm_best_move_leaves_no_reference_cycles():
-    """The winner's rebuild holds its run's tables; they are freed when
+    """The winner's rebuild holds its run's tables, and over more than one
+    bucket the groups hold their shared blocks; both are freed when
     best_move returns, not at the next garbage collection."""
     import gc
 
     inst, tour = gen_random(12, 99, 100), random_tour(12, 98)
-    best_move(inst, tour, 3)  # fills the caches
-    gc.collect()
-    gc.disable()
-    try:
-        best_move(inst, tour, 3)
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
+    for k, alpha in ((3, None), (4, Fraction(1, 2))):
+        best_move(inst, tour, k, alpha=alpha)  # fills the caches
+        gc.collect()
+        gc.disable()
+        try:
+            best_move(inst, tour, k, alpha=alpha)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def test_cold_best_move_leaves_no_reference_cycles():
     """From empty caches best_move also builds every decomposition and plan,
-    and that leaves nothing for a garbage-collection pass either."""
+    and that leaves nothing for a garbage-collection pass either, at one
+    bucket or at several."""
     code = (
         "import gc\n"
         "from kopt import best_move, gen_random, random_tour\n"
@@ -889,6 +975,8 @@ def test_cold_best_move_leaves_no_reference_cycles():
         "gc.disable()\n"
         "best_move(inst, tour, 3)\n"
         "print(gc.collect())\n"
+        "best_move(inst, tour, 4, alpha=0.5)\n"
+        "print(gc.collect())\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -896,7 +984,7 @@ def test_cold_best_move_leaves_no_reference_cycles():
         capture_output=True, text=True, timeout=300,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "0"
+    assert out.stdout.split() == ["0", "0"]
 
 
 def test_compiled_plans_are_pinned():
@@ -996,6 +1084,26 @@ def test_assignment_memory_is_bounded_before_any_assignment_is_listed(monkeypatc
     with pytest.raises(ValueError, match="988,260 bucket assignments of 3 slots to 180"
                        " buckets of 10 edges hold 29,647,800 slot positions"):
         best_move(inst, tour, 3, alpha=Fraction(3, 10), policy="first")
+
+
+def test_cell_count_is_bounded_before_any_plan_runs(monkeypatch):
+    """k = 6 at alpha 0 and n = 12 has 3,840 valid patterns and 12,376
+    bucket assignments: their few slot positions pass the assignment bound,
+    but 47.5 million cells do not pass the cell bound. The largest call the
+    tests make, k = 5 at alpha 0 and n = 10, has 768,768 cells."""
+    from kopt import dpengine
+
+    assert 384 * 2002 <= dpengine.MAX_CELLS < 3840 * 12376
+
+    def fail(*args):
+        raise AssertionError("no assignment may be listed and no plan run")
+
+    for name in ("enumerate_assignments", "valid_patterns", "_run_plan"):
+        monkeypatch.setattr(dpengine, name, fail)
+    inst, tour = gen_random(12, 0, 100), random_tour(12, 1)
+    with pytest.raises(ValueError, match="3,840 valid patterns times 12,376 bucket assignments"
+                       " make 47,523,840 cells; at most 8,388,608"):
+        best_move(inst, tour, 6, alpha=0)
 
 
 def test_first_policy_search_runs_no_winner_again(monkeypatch):
