@@ -33,32 +33,41 @@ def ceil_rational_power(n: int, alpha: Fraction) -> int:
 
 @dataclass(frozen=True)
 class BucketPartition:
-    """Partition of [n] into consecutive intervals of a fixed size (last may be short)."""
+    """Partition of [n] into `count` consecutive intervals whose sizes differ
+    by at most one: the first n mod count buckets hold one edge more."""
 
     n: int
-    size: int
+    count: int
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if not (1 <= self.size <= self.n):
-            raise ValueError("bucket size must be in 1..n")
+        if not (1 <= self.count <= self.n):
+            raise ValueError("bucket count must be in 1..n")
 
     @property
-    def count(self) -> int:
-        return -(-self.n // self.size)
+    def size(self) -> int:
+        """The largest bucket's size: the DP's positions per slot."""
+        return -(-self.n // self.count)
 
     def bucket_of(self, index: int) -> int:
         """Bucket id (1-based) holding tour-edge index `index` (1-based)."""
         if not (1 <= index <= self.n):
             raise ValueError(f"index out of range 1..{self.n}")
-        return (index - 1) // self.size + 1
+        q, r = divmod(self.n, self.count)
+        i = index - 1
+        long_edges = r * (q + 1)  # the edges of the r buckets of q + 1
+        if i < long_edges:
+            return i // (q + 1) + 1
+        return r + (i - long_edges) // q + 1
 
     def bounds(self, j: int) -> tuple[int, int]:
         """Inclusive 1-based (lo, hi) of bucket j."""
         if not (1 <= j <= self.count):
             raise ValueError(f"bucket id out of range 1..{self.count}")
-        return (j - 1) * self.size + 1, min(j * self.size, self.n)
+        q, r = divmod(self.n, self.count)
+        lo = (j - 1) * q + min(j - 1, r) + 1
+        return lo, lo + q - (j > r)
 
     def indices(self, j: int) -> range:
         lo, hi = self.bounds(j)
@@ -75,7 +84,9 @@ MAX_ALPHA_DENOMINATOR = 10**4
 
 
 def make_buckets(n: int, alpha) -> BucketPartition:
-    """Buckets of size ceil(n**alpha); alpha=1 gives one bucket, alpha=0 singletons."""
+    """ceil(n / ceil(n**alpha)) buckets, as many as buckets of ceil(n**alpha)
+    edges need, their sizes balanced: the largest holds ceil(n / count) <=
+    ceil(n**alpha) edges. alpha=1 gives one bucket, alpha=0 singletons."""
     alpha = Fraction(alpha)
     if not (0 <= alpha <= 1):
         raise ValueError("alpha must lie in [0, 1]")
@@ -84,7 +95,7 @@ def make_buckets(n: int, alpha) -> BucketPartition:
             f"alpha {alpha} has denominator {alpha.denominator};"
             f" at most {MAX_ALPHA_DENOMINATOR} is allowed"
         )
-    return BucketPartition(n=n, size=ceil_rational_power(n, alpha))
+    return BucketPartition(n=n, count=-(-n // ceil_rational_power(n, alpha)))
 
 
 def enumerate_assignments(k: int, n_buckets: int) -> Iterator[tuple[int, ...]]:

@@ -20,8 +20,9 @@ cells share it.
   (pattern, group) asked for runs the pattern's plan once over the whole
   group, and the group's other cells read their root values from that run.
   Every table has shape `(B, s, ..., s)`: axis 0 runs over the group's
-  assignments, and each bag slot has one axis over the `s = part.size`
-  positions of its bucket.
+  assignments, and each bag slot has one axis over `s = part.size`
+  positions, the largest bucket's size: position j of a slot in bucket b is
+  the tour edge j after b's first.
 - **Order edges by running maxima.** Where the decomposition forgets slot v
   into slot w (decomp: their order edge is v's only tie to w), the
   forget-into op takes the table over v and the rest, which holds all of v's
@@ -35,8 +36,10 @@ cells share it.
   over v and w together, so a k = 4 or 5 plan at one bucket holds at most 3
   slots in a table where it held 4, and it adds no terms, so the dtype bound
   below holds.
-- **Padding.** The short last bucket is padded to `s` positions whose
-  entries are -inf, as are loops and order violations.
+- **Padding.** The buckets are balanced (buckets.make_buckets): each holds
+  s or s - 1 edges. A bucket of s - 1 is padded to `s` positions, and the
+  padded position's entries are -inf, as are loops and order violations.
+  When the bucket count divides n nothing is padded.
 - **In place.** All terms between the introduced slot and one bag neighbour
   are folded into one `(B, s, s)` block that is added to the table in place;
   a join adds into its first child's table in place, unless that table is a
@@ -143,8 +146,8 @@ MAX_SLICE_ENTRIES = 1 << 20
 # float32 holds every integer of magnitude up to 2^24, and no larger range
 FLOAT32_EXACT = 1 << 24
 # Most slot positions best_move lists: bucket assignments times k times the
-# bucket size s. Each assignment's cells hold k * s entries in each of six
-# arrays, built for every group before any runs. Requests just under it
+# largest bucket's size s. Each assignment's cells hold k * s entries in each
+# of six arrays, built for every group before any runs. Requests just under it
 # peaked at 0.66 GB RSS (k = 2..7 at s = 1, k = 2..8 at s = 10).
 MAX_ASSIGNMENT_ENTRIES = 2_000_000
 # Most cells, valid patterns times bucket assignments, that best_move visits.
@@ -425,6 +428,16 @@ def _order_mask(s: int, dtype: type) -> np.ndarray:
     return mask
 
 
+@lru_cache(maxsize=64)
+def _bucket_spans(part: BucketPartition) -> tuple[np.ndarray, np.ndarray]:
+    """Each bucket's first tour-edge index, 0-based, and size, in bucket
+    order."""
+    lo, hi = np.array([part.bounds(j) for j in range(1, part.count + 1)]).T
+    starts, sizes = lo - 1, hi - lo + 1
+    starts.flags.writeable = sizes.flags.writeable = False
+    return starts, sizes
+
+
 @dataclass(slots=True)
 class _Budget:
     """Entries that the shared-block memos of one best_move call may still
@@ -435,7 +448,8 @@ class _Budget:
 
 class _Cells:
     """Bucket assignments gathered over one tour: axis 0 is the batch, axis 1
-    the slot, axis 2 the position inside the slot's bucket, padded to s. Every
+    the slot, axis 2 the position inside the slot's bucket, counted from the
+    bucket's first edge and padded to s (`pad` is -inf past its size). Every
     array is in the dtype of the assignments' k (TourArrays.dtype).
 
     With a `budget` the cells keep a memo of their two-slot block values,
@@ -449,8 +463,11 @@ class _Cells:
         self.dtype = arrays.dtype(self.assignments.shape[1])
         self.wf, self.neg_w, removed_w = arrays.matrices(self.dtype)
         s = part.size
-        dom = (self.assignments[:, :, None] - 1) * s + np.arange(s)
-        valid = dom < arrays.n
+        starts, sizes = _bucket_spans(part)
+        buckets = self.assignments[:, :, None] - 1
+        at = np.arange(s)
+        dom = starts[buckets] + at
+        valid = at < sizes[buckets]
         dom = np.minimum(dom, arrays.n - 1)
         rem = removed_w[dom]
         self.s = s
@@ -858,8 +875,9 @@ def _best_move(
     count = math.comb(part.count + k - 1, k)
     entries = count * k * part.size
     if entries > MAX_ASSIGNMENT_ENTRIES:
+        sizes = part.size if part.n % part.count == 0 else f"{part.size - 1} or {part.size}"
         raise ValueError(f"{count:,} bucket assignments of {k} slots to {part.count}"
-                         f" buckets of {part.size} edges hold {entries:,} slot positions;"
+                         f" buckets of {sizes} edges hold {entries:,} slot positions;"
                          f" at most {MAX_ASSIGNMENT_ENTRIES:,} fit in memory")
     pattern_count = valid_pattern_count(k)
     if pattern_count * count > MAX_CELLS:

@@ -102,8 +102,8 @@ def test_criterion_3_definitional_dp_correctness():
     for k in (2, 3):
         inst = gen_random(n, 21 + k, 500)
         tour = random_tour(n, 23 + k)
-        for size in (8, 4, 2):  # 1, 2, and 4 buckets
-            part = BucketPartition(n=n, size=size)
+        for count in (1, 2, 4):
+            part = BucketPartition(n=n, count=count)
             for m in valid_patterns(k):
                 for assignment in enumerate_assignments(k, part.count):
                     dp = solve_fixed(inst, tour, m, assignment, part)

@@ -33,12 +33,15 @@ def test_sqrt_bucketing_example():
     part = make_buckets(10, Fraction(1, 2))
     assert part.size == 4
     assert part.count == 3
-    assert [part.bounds(j) for j in (1, 2, 3)] == [(1, 4), (5, 8), (9, 10)]
+    assert [part.bounds(j) for j in (1, 2, 3)] == [(1, 4), (5, 7), (8, 10)]
 
 
 def test_three_quarters_default_size():
+    assert ceil_rational_power(100, Fraction(3, 4)) == 32  # ceil(31.62..)
     part = make_buckets(100, Fraction(3, 4))
-    assert part.size == 32  # ceil(100^0.75) = ceil(31.62..)
+    assert part.count == 4  # ceil(100 / 32)
+    assert [part.bucket_size(j) for j in range(1, 5)] == [25] * 4
+    assert part.size == 25
 
 
 def test_alpha_range_guard():
@@ -59,7 +62,38 @@ def test_alpha_with_a_huge_denominator_is_refused_at_once(alpha, monkeypatch):
 
 
 def test_alpha_at_the_denominator_bound_still_works():
-    assert make_buckets(200, Fraction(6667, 10000)).size == 35  # ceil(200^0.6667)
+    alpha = Fraction(6667, 10000)
+    assert ceil_rational_power(200, alpha) == 35  # ceil(200^0.6667)
+    part = make_buckets(200, alpha)
+    assert part.count == 6  # ceil(200 / 35)
+    assert [part.bucket_size(j) for j in range(1, 7)] == [34, 34, 33, 33, 33, 33]
+    assert part.size == 34
+
+
+@pytest.mark.parametrize("alpha", [0, Fraction(1, 3), Fraction(1, 2), Fraction(2, 3),
+                                   Fraction(3, 4), Fraction(6667, 10000), 1])
+def test_balanced_buckets_keep_the_count_and_cover_every_edge_once(alpha):
+    """For n = 1..300: as many buckets as buckets of ceil(n^alpha) edges
+    need, consecutive, their sizes summing to n and differing by at most one
+    (the longer ones first), `size` the largest, and bucket_of the inverse
+    of bounds."""
+    for n in range(1, 301):
+        part = make_buckets(n, alpha)
+        assert part.count == -(-n // ceil_rational_power(n, Fraction(alpha)))
+        sizes = [part.bucket_size(j) for j in range(1, part.count + 1)]
+        assert sum(sizes) == n
+        assert sizes == sorted(sizes, reverse=True) and sizes[0] - sizes[-1] <= 1
+        assert part.size == max(sizes)
+        owner = []
+        for j in range(1, part.count + 1):
+            lo, hi = part.bounds(j)
+            assert lo == len(owner) + 1 and part.indices(j) == range(lo, hi + 1)
+            owner += [j] * (hi - lo + 1)
+        assert [part.bucket_of(i) for i in range(1, n + 1)] == owner
+        if alpha == 0:
+            assert sizes == [1] * n
+        if alpha == 1:
+            assert sizes == [n]
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 10, 100, 1000])
@@ -92,7 +126,7 @@ def test_order_edges_examples():
 
 
 def test_check_b_monotone_cases():
-    part = make_buckets(10, Fraction(1, 2))  # buckets 1-4, 5-8, 9-10
+    part = make_buckets(10, Fraction(1, 2))  # buckets 1-4, 5-7, 8-10
     assignment = (1, 1, 2)
     assert check_b_monotone(assignment, part, {})
     assert check_b_monotone(assignment, part, {1: 2, 2: 3, 3: 6})
@@ -136,10 +170,12 @@ def test_assignment_count_upper_bound():
 
 def test_bucket_partition_guards():
     with pytest.raises(ValueError):
-        BucketPartition(n=0, size=1)
+        BucketPartition(n=0, count=1)
     with pytest.raises(ValueError):
-        BucketPartition(n=5, size=6)
-    part = BucketPartition(n=10, size=4)
+        BucketPartition(n=5, count=6)
+    with pytest.raises(ValueError):
+        BucketPartition(n=5, count=0)
+    part = BucketPartition(n=10, count=3)
     with pytest.raises(ValueError):
         part.bucket_of(11)
     with pytest.raises(ValueError):

@@ -88,8 +88,8 @@ def test_solve_fixed_matches_exhaustive_enumeration(k):
 
     inst = gen_random(8, 4, 100)
     tour = random_tour(8, 5)
-    for size in (8, 4, 2):  # 1, 2, and 4 buckets
-        part = BucketPartition(n=8, size=size)
+    for count in (1, 2, 4):
+        part = BucketPartition(n=8, count=count)
         for m in valid_patterns(k):
             for assignment in enumerate_assignments(k, part.count):
                 dp = solve_one(inst, tour, m, assignment, part)
@@ -108,7 +108,7 @@ def test_dp_tables_match_definitional_maxima():
     for k, m in [(2, SWAP_2), (3, ConnectionPattern(3, ((2, 5), (4, 1), (6, 3))))]:
         from kopt.buckets import BucketPartition
 
-        part = BucketPartition(n=n, size=4)
+        part = BucketPartition(n=n, count=2)
         for assignment in enumerate_assignments(k, part.count):
             obs = order_edges(assignment)
             dep = dependence_graph(interference_graph(m), obs)
@@ -145,12 +145,13 @@ def test_forget_into_tables_match_definitional_maxima():
     """Every table of plans with forget-into ops, prefix (v < w) and suffix
     (w < v) ones, against the definitional maxima: hand-built chains for
     k = 2 and 3, and the k = 5 plans whose decompositions forget a slot into
-    a smaller one (at k <= 4 none does). Buckets of 3 pad the last one."""
+    a smaller one (at k <= 4 none does). Buckets of 3, 3, 3 and 2 pad the
+    last one."""
     from kopt.buckets import BucketPartition
     from kopt.dpengine import compile_plan
 
     inst, tour = gen_random(11, 16, 100), random_tour(11, 17)
-    part = BucketPartition(n=11, size=3)
+    part = BucketPartition(n=11, count=4)
     k3 = ConnectionPattern(3, ((1, 2), (3, 5), (4, 6)))  # interference edge (2, 3) only
     cases = [
         (IDENTITY_2, (1, 1), _forget_into_chain(2, (1,), 1, 2)),
@@ -292,8 +293,8 @@ def test_join_rule_against_synthetic_decomposition():
 
     from kopt.buckets import BucketPartition
 
-    for size, assignment in [(9, (1, 1, 1)), (5, (1, 1, 2)), (3, (1, 2, 3))]:
-        part = BucketPartition(n=9, size=size)
+    for count, assignment in [(1, (1, 1, 1)), (2, (1, 1, 2)), (3, (1, 2, 3))]:
+        part = BucketPartition(n=9, count=count)
         obs = order_edges(assignment)
         dep = dependence_graph(ig, obs)
         if any(not any(a in nd.bag and b in nd.bag for nd in nodes) for a, b in dep.edges):
@@ -376,7 +377,7 @@ def _k10_cell(bound, seed, dtype):
         if is_valid_pattern(m):
             break
     inst, tour = _instance_up_to(20, bound, seed), random_tour(20, seed + 1)
-    part = BucketPartition(n=20, size=10)
+    part = BucketPartition(n=20, count=2)
     assignment = (1,) * 5 + (2,) * 5
     assert TourArrays(inst, tour).dtype(10) is dtype
     return (solve_fixed(inst, tour, m, assignment, part),
@@ -422,7 +423,7 @@ def test_float32_exact_at_its_weight_bound(k):
     n = 2 * k + 3
     bound = (FLOAT32_EXACT - 1) // (4 * k)
     inst, tour = _instance_up_to(n, bound, k), random_tour(n, k)
-    part = BucketPartition(n=n, size=k + 1)
+    part = BucketPartition(n=n, count=3)
     arrays = TourArrays(inst, tour)
     assert arrays.max_weight == bound and arrays.dtype(k) is np.float32
     assert _table_dtypes(inst, tour, k, part) == {np.dtype(np.float32)}
@@ -443,7 +444,8 @@ def _cell_order_gains(inst, tour, k, alpha):
     when no cell does, which is what policy="first" returns."""
     part = make_buckets(inst.n, alpha)
     combos = np.array(list(combinations(range(inst.n), k)))
-    cells = combos // part.size
+    starts = [part.bounds(j)[0] - 1 for j in range(1, part.count + 1)]  # 0-based
+    cells = np.searchsorted(starts, combos, side="right")  # 1-based bucket ids
     order0 = np.asarray(tour.order) - 1
     ends = order0, np.roll(order0, -1)  # left and right vertex of each tour edge
     w = inst.weights
@@ -568,13 +570,13 @@ def test_local_search_strictly_decreasing_and_terminates_locally_optimal():
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_batched_root_values_match_exhaustive_enumeration(k):
-    """Buckets of 4, 4 and 2 edges: the short last bucket is padded."""
+    """Buckets of 4, 3 and 3 edges: the two short ones are padded."""
     from kopt.buckets import BucketPartition
     from kopt.dpengine import _GroupRuns
 
     inst = gen_random(10, 30 + k, 100)
     tour = random_tour(10, 40 + k)
-    part = BucketPartition(n=10, size=4)
+    part = BucketPartition(n=10, count=3)
     assignments = list(enumerate_assignments(k, part.count))
     arrays = TourArrays(inst, tour)
     runs = _GroupRuns(arrays, part, assignments)
@@ -584,6 +586,50 @@ def test_batched_root_values_match_exhaustive_enumeration(k):
             got = solve_fixed(inst, tour, m, assignment, part, arrays=arrays, runs=runs)
             brute = enumerate_b_monotone_max(inst, tour, m, assignment, part).value
             assert (got.gain, got.embedding) == (brute, None), (m.pairs, assignment)
+
+
+@pytest.mark.parametrize("n, alpha", [
+    (10, Fraction(1, 2)), (11, Fraction(2, 3)), (41, Fraction(1, 2)), (41, Fraction(2, 3)),
+    (12, Fraction(1, 2)), (40, Fraction(2, 3)),
+])
+def test_cells_gather_each_slot_from_its_bucket_start(n, alpha):
+    """Balanced buckets: each slot's row positions are its bucket's edges,
+    from the bucket's first, and `pad` is -inf exactly past the bucket's
+    size. The bucket count leaves a remainder at n = 10, 11 and 41, so some
+    buckets are one edge short of s; at n = 12 and 40 it divides n."""
+    from kopt.dpengine import _Cells
+
+    part = make_buckets(n, alpha)
+    inst, tour = gen_random(n, n, 100), random_tour(n, n + 1)
+    assignments = list(enumerate_assignments(3, part.count))
+    cells = _Cells(TourArrays(inst, tour), part, assignments)
+    assert cells.s == part.size
+    padded = 0
+    for row, a in enumerate(assignments):
+        for slot, b in enumerate(a):
+            size = part.bucket_size(b)
+            assert (cells.dom[row, slot, :size] + 1).tolist() == list(part.indices(b))
+            assert (cells.pad[row, slot, :size] == 0).all()
+            assert (cells.pad[row, slot, size:] == -np.inf).all()
+            padded += size < part.size
+    assert (padded > 0) == (n % part.count != 0)
+
+
+@pytest.mark.parametrize("k, n", [(3, 10), (3, 11), (4, 10), (4, 11), (5, 11), (5, 12)])
+def test_balanced_buckets_give_the_oracle_gains(k, n):
+    """best_move at alpha 1/2 and 2/3 over balanced buckets, against
+    naive_best_move (policy "best") and the enumeration by cell (both
+    policies): at n = 10 and 11 the bucket count leaves a remainder, except
+    n = 10 at 2/3 (two buckets of 5); at n = 12 it divides n."""
+    inst, tour = gen_random(n, 900 + 10 * k + n, 100), random_tour(n, 950 + 10 * k + n)
+    naive = naive_best_move(inst, tour, k).value
+    for alpha in (Fraction(1, 2), Fraction(2, 3)):
+        part = make_buckets(n, alpha)
+        assert (n % part.count == 0) == (n == 12 or (n, alpha) == (10, Fraction(2, 3)))
+        first, best = _cell_order_gains(inst, tour, k, alpha)
+        assert best == naive
+        got = [best_move(inst, tour, k, alpha=alpha, policy=p).gain for p in ("best", "first")]
+        assert got == [best, first], alpha
 
 
 def _reference_best_move(inst, tour, k, alpha, policy):
@@ -632,7 +678,7 @@ def test_all_cells_tie_on_equal_weights(size):
     n, k = 12, 3
     inst = Instance(n=n, weights=[[7] * n for _ in range(n)])
     tour = random_tour(n, 3)
-    part = BucketPartition(n=n, size=size)
+    part = BucketPartition(n=n, count=n // size)
     alpha = Fraction(1, 2) if size == 4 else Fraction(1, 4)
     assert make_buckets(n, alpha) == part
     assignments = list(enumerate_assignments(k, part.count))
@@ -685,7 +731,7 @@ def test_reconstruction_matches_argmax_over_full_tables():
     from kopt.dpengine import _Cells, _reconstruct, _run_plan, compile_plan
 
     n = 11
-    part = BucketPartition(n=n, size=4)
+    part = BucketPartition(n=n, count=3)
     rows = no_embedding = joins_on_forgets = forget_intos = 0
     for k in (2, 3, 4, 5):
         inst, tour = gen_random(n, 70 + k, 3), random_tour(n, 80 + k)
@@ -729,7 +775,7 @@ def test_first_max_positions_is_argmax(monkeypatch, max_entries):
 
     monkeypatch.setattr(dpengine, "MAX_BATCH_ENTRIES", max_entries)
     n, k = 11, 4
-    part = BucketPartition(n=n, size=4)
+    part = BucketPartition(n=n, count=3)
     inst, tour = gen_random(n, 90, 3), random_tour(n, 91)
     arrays = TourArrays(inst, tour)
     groups = {}
@@ -764,7 +810,7 @@ def test_chunked_batches_give_the_unchunked_answers(monkeypatch):
 
     inst = gen_random(12, 80, 100)
     tour = random_tour(12, 81)
-    part = BucketPartition(n=12, size=3)
+    part = BucketPartition(n=12, count=4)
     assignments = list(enumerate_assignments(3, part.count))
     arrays = TourArrays(inst, tour)
 
@@ -802,7 +848,7 @@ def test_one_position_slices_give_the_whole_tables(monkeypatch, k):
     monkeypatch.setattr(dpengine, "_introduce", introduce)
     monkeypatch.setattr(dpengine, "MAX_SLICE_ENTRIES", 1)
     n = 11
-    part = BucketPartition(n=n, size=4)
+    part = BucketPartition(n=n, count=3)
     inst, tour = gen_random(n, 110 + k, 3), random_tour(n, 120 + k)
     arrays = TourArrays(inst, tour)
     groups = {}
@@ -863,7 +909,7 @@ def test_shared_blocks_give_every_pattern_the_tables_of_fresh_cells(k):
     from kopt.dpengine import _Cells, _GroupRuns, _run_plan, compile_plan
 
     inst, tour = gen_random(11, 150 + k, 3), random_tour(11, 160 + k)
-    part = BucketPartition(n=11, size=4)
+    part = BucketPartition(n=11, count=3)
     arrays = TourArrays(inst, tour)
     runs = _GroupRuns(arrays, part, list(enumerate_assignments(k, part.count)))
     groups = [(obs, cells) for obs, cells in runs.cells.items() if cells.batch > 1]
@@ -1049,7 +1095,7 @@ def test_compile_refuses_a_forget_into_without_a_pure_order_edge():
     from kopt.moves import InvariantError
 
     inst, tour = gen_random(8, 18, 100), random_tour(8, 19)
-    part = BucketPartition(n=8, size=8)
+    part = BucketPartition(n=8, count=1)
     chain = _forget_into_chain(2, (1,), 1, 2)
     assert interference_graph(SWAP_2).edges == frozenset({(1, 2)})
     refusal = "slots 1 and 2 must be joined by an order edge alone"

@@ -73,7 +73,7 @@ def test_treewidth_bruteforce_known_values():
 
 def test_bmonotone_enumeration_no_embedding():
     inst = gen_random(8, 3, 10)
-    part = BucketPartition(n=8, size=1)
+    part = BucketPartition(n=8, count=8)
     res = enumerate_b_monotone_max(inst, random_tour(8, 4), SWAP_2, (3, 3), part)
     assert res.value is None and res.witness is None
 
@@ -85,7 +85,7 @@ def test_bmonotone_enumeration_single_bucket_matches_direct_max():
 
     inst = gen_random(8, 5, 50)
     tour = random_tour(8, 6)
-    part = BucketPartition(n=8, size=8)
+    part = BucketPartition(n=8, count=1)
     res = enumerate_b_monotone_max(inst, tour, SWAP_2, (1, 1), part)
     expected = max(
         gain_partial(inst, tour, SWAP_2, {1: a, 2: b})
@@ -96,7 +96,7 @@ def test_bmonotone_enumeration_single_bucket_matches_direct_max():
 
 def test_bmonotone_budget_guard():
     inst = gen_random(8, 7, 10)
-    part = BucketPartition(n=8, size=8)
+    part = BucketPartition(n=8, count=1)
     with pytest.raises(BudgetExceededError):
         enumerate_b_monotone_max(inst, random_tour(8, 8), SWAP_2, (1, 1), part, budget=3)
 
