@@ -15,14 +15,17 @@ cells share it.
   and order edge between the two slots; each join op carries its correction
   terms. Plans are cached and do not depend on the tour; equal ops are one
   shared object, so a cached plan costs little more than its op list.
-- **Batch axis.** `best_move` still visits every cell through `solve_fixed`,
-  but groups the feasible assignments by order-edge set: the first cell of a
-  (pattern, group) asked for runs the pattern's plan once over the whole
-  group, and the group's other cells read their root values from that run.
-  Every table has shape `(B, s, ..., s)`: axis 0 runs over the group's
-  assignments, and each bag slot has one axis over `s = part.size`
-  positions, the largest bucket's size: position j of a slot in bucket b is
-  the tour edge j after b's first.
+- **Batch axis.** Every plan runs through `_GroupRuns`, over a group of
+  fitting assignments that share an order-edge set. `best_move` still visits
+  every cell through `solve_fixed`: the first cell of a (pattern, group)
+  asked for runs the pattern's plan once over the whole group, and the
+  group's other cells read their root values from that run. A standalone
+  `solve_fixed` call, and a winner that the latest run did not hold, run as
+  a group of one, so chunks, shared blocks and the memory bound below hold
+  for every run. Every table has shape `(B, s, ..., s)`: axis 0 runs over
+  the group's assignments, and each bag slot has one axis over
+  `s = part.size` positions, the largest bucket's size: position j of a
+  slot in bucket b is the tour edge j after b's first.
 - **Order edges by running maxima.** Where the decomposition forgets slot v
   into slot w (decomp: their order edge is v's only tie to w), the
   forget-into op takes the table over v and the rest, which holds all of v's
@@ -66,19 +69,23 @@ cells share it.
   forget-into op is not sliced: its table is built whole.
 - **Chunks.** The batch axis is cut into chunks so that no table holds more
   than `MAX_BATCH_ENTRIES` entries, or one cell's table when that is larger.
+  A plan whose one cell needs a table of more than `MAX_TABLE_BYTES`, counted
+  from the widest table it builds whole, is refused before it runs.
 - **Check once.** Root values give every cell's gain. Each run keeps the
   tables its forget ops output, and a group run holds on to its last chunk's
-  until the next run starts. A forget-into op's kept table has its full bag
-  width, one slot more than a forget op's output over the same input. The winning cell's embedding is rebuilt top-down
-  from those tables: at each forget op, the child's table is summed again
-  along the forgotten slot only, from the kept forget tables below it and the
-  lines of the blocks in between, and the slot takes its first maximum: at a
-  forget-into op, its first maximum among the positions before w's chosen
-  one (after it, when w < v), the one that gave w's entry its value. When
-  the winner lies in that last chunk nothing runs again; otherwise it is run
-  once alone. Its embedding is turned into a `KMove` once, whose gain must
-  equal the root value, and applied once through `apply_move`, which builds
-  the new tour from the move's k segments and checks its weight.
+  cells and forget tables until the next run starts. A forget-into op's kept
+  table has its full bag width, one slot more than a forget op's output over
+  the same input. The winning cell's embedding is rebuilt top-down from
+  those tables, at the cell's row: at each forget op, the child's table is
+  summed again along the forgotten slot only, from the kept forget tables
+  below it and the lines of the blocks in between, and the slot takes its
+  first maximum: at a forget-into op, its first maximum among the positions
+  before w's chosen one (after it, when w < v), the one that gave w's entry
+  its value. When the winner lies in that last chunk nothing runs again;
+  otherwise its group of one runs once. Its embedding is turned into a
+  `KMove` once, whose gain must equal the root value, and applied once
+  through `apply_move`, which builds the new tour from the move's k segments
+  and checks its weight.
 
 -inf marks assignments with no legal completion. Every other table entry,
 and every partial sum the kernel forms, is an integer sum of at most 4k
@@ -95,6 +102,7 @@ matter and both dtypes give the same answers.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -155,6 +163,11 @@ MAX_ASSIGNMENT_ENTRIES = 2_000_000
 # alpha 0, n = 10: 768,768 cells in 3.6 s), so a call at the bound spends
 # 40 s on that alone.
 MAX_CELLS = 1 << 23
+# Largest table one cell's plan builds whole, in bytes: 2^26 float32 or 2^25
+# float64 entries. A k = 4 plan keeps two such tables at once (a forget-into
+# op's input and output), and at alpha 1 peaked at 534 MB RSS for n = 400
+# (400^3 float32 entries) and 551 MB for n = 320 in float64.
+MAX_TABLE_BYTES = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -245,12 +258,15 @@ class Plan:
     `nice.nodes[i].children` are the ops whose tables op i takes, in stack
     order. `width` is the largest table's slot count, the largest bag size,
     as every table is over one node's bag: one cell's largest table has
-    s**width entries."""
+    s**width entries. `whole_width` is the slot count of the largest table
+    that is built whole: an introduce op under a forget op is summed in
+    pieces of at most MAX_SLICE_ENTRIES entries or the forget's output."""
 
     k: int
     ops: tuple[tuple, ...]
     width: int
     nice: NiceTreeDecomposition
+    whole_width: int
 
 
 def _pattern_pairs_info(m: ConnectionPattern) -> tuple[tuple[int, bool, int, bool], ...]:
@@ -403,7 +419,11 @@ def _compile(
             inside = tuple(sorted(p for p in ordered_pairs if p[0] in bag and p[2] in bag))
             unpaired = tuple(s for s in bag if s not in self_paired)
             ops.append(_join_op(bag, inside, unpaired))
-    return Plan(m.k, tuple(ops), nice.width + 1, nice)
+    whole_width = max(
+        len(op[3]) if op[0] in _FORGETS else op[1] if op[0] == INTRODUCE and up[0] != FORGET else 0
+        for op, up in zip(ops, ops[1:] + [_LEAF_OP])
+    )
+    return Plan(m.k, tuple(ops), nice.width + 1, nice, whole_width)
 
 
 @lru_cache(maxsize=COMPILE_CACHE_SIZE)
@@ -525,18 +545,18 @@ def _pair_value(block: tuple, cells: _Cells) -> np.ndarray:
     return value
 
 
-def _block_line(block: tuple, cells: _Cells, pos: dict[int, int], v: int | None):
-    """The block's terms for batch row 0 at the positions `pos`: a vector
+def _block_line(block: tuple, cells: _Cells, row: int, pos: dict[int, int], v: int | None):
+    """The block's terms for batch row `row` at the positions `pos`: a vector
     over slot v's positions if the block holds v, else a scalar."""
     slots, unary, pairs, matrix, order, _ = block
     at = [slice(None) if b == v else pos[b] for b in slots]
     value = _order_mask(cells.s, cells.dtype)[(0, *at)] if order else 0
     mat = getattr(cells, matrix)
     for ra, rb in pairs:
-        ends = cells.side[ra][0, slots[0], at[0]], cells.side[rb][0, slots[1], at[1]]
+        ends = cells.side[ra][row, slots[0], at[0]], cells.side[rb][row, slots[1], at[1]]
         value = value + mat[ends]
     for dim, src in unary:
-        value = value + getattr(cells, src)[0, slots[dim], at[dim]]
+        value = value + getattr(cells, src)[row, slots[dim], at[dim]]
     return value
 
 
@@ -662,45 +682,40 @@ def _run_plan(
 def _reconstruct(
     plan: Plan, cells: _Cells, forgets: list[np.ndarray], row: int
 ) -> tuple[int, ...]:
-    """The embedding of batch row `row` of the run that kept the forget
-    tables `forgets`; `cells` holds that row's assignment alone. Top-down,
-    each forget op's child table is rebuilt along the forgotten slot only, at
-    the positions already chosen: the kept forget tables below it plus the
-    lines of the blocks of the introduce and join ops in between, each op
-    visited once. The slot takes the vector's first maximum, argmax's tie
-    rule."""
+    """The embedding of batch row `row` of the run over `cells` that kept
+    the forget tables `forgets`. Top-down, each forget op's child table is
+    rebuilt along the forgotten slot only, at the positions already chosen:
+    the kept forget tables below it plus the lines of the blocks of the
+    introduce and join ops in between, each op visited once. The slot takes
+    the vector's first maximum, argmax's tie rule."""
     ops, nodes = plan.ops, plan.nice.nodes
-    table_of = dict(zip((i for i, op in enumerate(ops) if op[0] in _FORGETS), forgets))
+    tables = dict(zip((i for i, op in enumerate(ops) if op[0] in _FORGETS), forgets))
     pos: dict[int, int] = {}
-    todo: list[int] = []  # forget ops whose child table is still to rebuild
-
-    def along(i: int, v: int | None):
-        """Op i's table at `pos`, as a vector over slot v if its bag holds v."""
-        op = ops[i]
-        if op[0] in _FORGETS:
-            todo.append(i)
-            key = tuple(slice(None) if b == v else pos[b] for b in op[3])
-            return table_of[i][(row, *key)]
-        value = 0
-        for c in nodes[i].children:
-            value = value + along(c, v)
-        for block in () if op[0] == LEAF else op[-1]:  # introduce and join blocks
-            value = value + _block_line(block, cells, pos, v)
-        return value
-
-    along(len(ops) - 1, None)  # queues the topmost forget ops
+    todo: list[int | None] = [None]  # forget ops whose child table is still to rebuild
     while todo:
         i = todo.pop()
-        op = ops[i]
-        v = op[2]
-        line = np.broadcast_to(along(nodes[i].children[0], v), (cells.s,))
-        if op[0] == FORGET_INTO:  # v's positions before w's (after it, when w < v)
-            w = op[4]
+        v = None if i is None else ops[i][2]  # None: the root, which forgets no slot
+        line, below = 0, [len(ops) - 1 if i is None else nodes[i].children[0]]
+        while below:  # the table at `pos`, as a vector over v if its bag holds v
+            j = below.pop()
+            op = ops[j]
+            if op[0] in _FORGETS:
+                todo.append(j)
+                key = tuple(slice(None) if b == v else pos[b] for b in op[3])
+                line = line + tables[j][(row, *key)]
+                continue
+            below += reversed(nodes[j].children)
+            for block in () if op[0] == LEAF else op[-1]:  # introduce and join blocks
+                line = line + _block_line(block, cells, row, pos, v)
+        if i is None:
+            continue
+        line = np.broadcast_to(line, (cells.s,))
+        if ops[i][0] == FORGET_INTO:  # v's positions before w's (after it, when w < v)
+            w = ops[i][4]
             before = np.arange(cells.s) < pos[w] if v < w else np.arange(cells.s) > pos[w]
             line = np.where(before, line, NEG_INF)
         pos[v] = int(np.argmax(line))
-    along = None  # a closure that calls itself: unbound, its tables go now, not at a gc pass
-    return tuple(int(cells.dom[0, v, pos[v]]) + 1 for v in range(plan.k))
+    return tuple(int(cells.dom[row, v, pos[v]]) + 1 for v in range(plan.k))
 
 
 def _fits(assignment: tuple[int, ...], part: BucketPartition) -> bool:
@@ -716,21 +731,24 @@ def solve_fixed(
     part: BucketPartition,
     nice: NiceTreeDecomposition | None = None,
     *,
-    arrays: TourArrays | None = None,
     runs: _GroupRuns | None = None,
 ) -> SolveResult:
     """Maximum gain over bucket-monotone embeddings for one pattern and one
-    bucket assignment: the compiled plan run on a batch of one with its
-    forget tables kept. The embedding is rebuilt from those tables and
-    re-verified against the direct gain computation.
+    nondecreasing bucket assignment (a sequence of ints), checked before any
+    plan is compiled: the compiled plan run on the cell as a group of one.
+    The embedding is rebuilt from that run's forget tables and re-verified
+    against the direct gain computation.
 
     With `runs` (best_move's batched runs over this tour and partition) the
     gain is the cell's root value in the batched run of its plan group, and
     the result carries no embedding or move.
     """
     k = m.k
+    assignment = tuple(map(operator.index, assignment))  # hashable: _GroupRuns.row's key
     if len(assignment) != k:
         raise ValueError("assignment length must equal k")
+    if list(assignment) != sorted(assignment):
+        raise ValueError(f"assignment {assignment} is not nondecreasing")
     if part.n != tour.n:
         raise ValueError("bucket partition does not match the tour size")
     obs = order_edges(assignment)
@@ -746,32 +764,22 @@ def solve_fixed(
     if runs is not None:
         value = runs.root_value(m, obs, plan, assignment)
         return SolveResult(None if value == NEG_INF else int(round(value)), None, None)
-    if not _fits(assignment, part):
-        return SolveResult(None, None, None)
-    return _solve_cell(inst, tour, m, assignment, part, plan, arrays or TourArrays(inst, tour))
+    return _solve_cell(
+        inst, tour, m, plan, _run_alone(TourArrays(inst, tour), part, m, obs, plan, assignment)
+    )
 
 
 def _solve_cell(
-    inst: Instance,
-    tour: Tour,
-    m: ConnectionPattern,
-    assignment: tuple[int, ...],
-    part: BucketPartition,
-    plan: Plan,
-    arrays: TourArrays,
-    kept: tuple[list[np.ndarray], int, float] | None = None,
+    inst: Instance, tour: Tour, m: ConnectionPattern, plan: Plan, kept: tuple | None
 ) -> SolveResult:
-    """One fitting cell's move, its embedding rebuilt from `kept` (the forget
-    tables of a run that held the cell, its row in them and its root value)
-    or else from a run of the cell alone; the embedding is made into a KMove,
-    whose gain must equal the root value."""
-    cells = _Cells(arrays, part, [assignment])
-    if kept is None:
-        root, forgets, _ = _run_plan(plan, cells)
-        kept = forgets, 0, float(root[0])
-    forgets, row, root_val = kept
-    if root_val == NEG_INF:
+    """The move of the cell that `kept` (take's hand-over: the run's cells
+    and forget tables, the cell's row in them and its root value) holds, or
+    no move when `kept` is None (the assignment does not fit) or the root
+    value is -inf. The embedding is made into a KMove, whose gain must equal
+    the root value."""
+    if kept is None or kept[3] == NEG_INF:
         return SolveResult(None, None, None)
+    cells, forgets, row, root_val = kept
     gain = int(round(root_val))
     embedding = _reconstruct(plan, cells, forgets, row)
     move = as_kmove(inst, tour, m, embedding)
@@ -785,8 +793,9 @@ class _GroupRuns:
     plan group at a time: the first request for a cell runs every fitting
     assignment that shares its pattern and order-edge set in one batch, in
     chunks of the batch axis. An assignment that does not fit has root value
-    -inf. The forget tables of the latest chunk run are kept, tagged with its
-    pattern, order-edge set and first row, until the next run starts.
+    -inf. The cells and forget tables of the latest chunk run are kept,
+    tagged with its pattern, order-edge set and first row, until the next
+    run starts.
 
     Over more than one bucket each group's cells memoize their two-slot
     blocks for every pattern's unchunked run, within one budget of
@@ -802,7 +811,7 @@ class _GroupRuns:
         self.row = {a: i for group in groups.values() for i, a in enumerate(group)}
         self.pattern: ConnectionPattern | None = None
         self.values: dict[frozenset[tuple[int, int]], list[float]] = {}  # of self.pattern
-        self.last: tuple | None = None  # (pattern, obs, first row, forget tables)
+        self.last: tuple | None = None  # (pattern, obs, first row, cells, forget tables)
 
     def root_value(self, m: ConnectionPattern, obs, plan: Plan, assignment) -> float:
         row = self.row.get(assignment)
@@ -816,9 +825,17 @@ class _GroupRuns:
         return values[row]
 
     def _run(self, m: ConnectionPattern, obs, plan: Plan) -> list[float]:
-        """Root values of the group's cells; the last chunk's forget tables
-        stay in self.last."""
+        """Root values of the group's cells; the last chunk's cells and
+        forget tables stay in self.last. A plan whose one cell needs a table
+        of more than MAX_TABLE_BYTES raises ValueError before it runs."""
         cells = self.cells[obs]
+        entries = cells.s**plan.whole_width
+        size = entries * np.dtype(cells.dtype).itemsize
+        if size > MAX_TABLE_BYTES:
+            raise ValueError(f"one cell's DP table holds {cells.s}^{plan.whole_width} ="
+                             f" {entries:,} entries, {size:,} bytes; at most"
+                             f" {MAX_TABLE_BYTES:,} fit in memory (a smaller alpha makes"
+                             " smaller buckets)")
         chunk = max(1, MAX_BATCH_ENTRIES // cells.s**plan.width)
         values: list[float] = []
         for lo in range(0, cells.batch, chunk):
@@ -826,20 +843,30 @@ class _GroupRuns:
             rows = cells if chunk >= cells.batch else cells.rows(lo, lo + chunk)
             root, forgets, _ = _run_plan(plan, rows)
             values += root.tolist()
-            self.last = m, obs, lo, forgets
+            self.last = m, obs, lo, rows, forgets
         return values
 
     def take(self, m: ConnectionPattern, obs, assignment) -> tuple | None:
-        """(forget tables, row, root value) of the cell if the latest run
-        held it, else None; the tables are dropped either way."""
+        """(cells, forget tables, row, root value) of the cell if the latest
+        run held it, else None; the tables are dropped either way."""
         last, self.last = self.last, None
         row = self.row.get(assignment)
         if last is None or row is None:
             return None
-        pattern, last_obs, lo, forgets = last
+        pattern, last_obs, lo, cells, forgets = last
         if pattern is not m or last_obs != obs or row < lo:
             return None
-        return forgets, row - lo, self.values[obs][row]
+        return cells, forgets, row - lo, self.values[obs][row]
+
+
+def _run_alone(
+    arrays: TourArrays, part: BucketPartition, m: ConnectionPattern, obs, plan: Plan, assignment
+) -> tuple | None:
+    """take's hand-over for one cell, from a run of its group of one; None
+    if the assignment does not fit."""
+    runs = _GroupRuns(arrays, part, [assignment])
+    runs.root_value(m, obs, plan, assignment)
+    return runs.take(m, obs, assignment)
 
 
 def default_alpha(k: int) -> Fraction:
@@ -897,9 +924,7 @@ def _best_move(
             # each call names its cell's decomposition, from which the
             # benchmark's tracer (perfbench/layers.py) sizes the cell's tables
             nice = compile_plan(pattern, obs_of[a_idx]).nice
-            gain = solve_fixed(
-                inst, tour, pattern, assignment, part, nice, arrays=arrays, runs=runs
-            ).gain
+            gain = solve_fixed(inst, tour, pattern, assignment, part, nice, runs=runs).gain
             if gain is not None and (best is None or gain > best[0]):
                 best = (gain, p_idx, a_idx)
                 if policy == "first" and gain > 0:
@@ -913,9 +938,10 @@ def _best_move(
     if improving_only and gain <= 0:
         return SolveResult(gain, None, None), tour
     m, assignment, obs = patterns[p_idx], assignments[a_idx], obs_of[a_idx]
+    plan = compile_plan(m, obs)
     res = _solve_cell(
-        inst, tour, m, assignment, part, compile_plan(m, obs), arrays,
-        runs.take(m, obs, assignment),
+        inst, tour, m, plan,
+        runs.take(m, obs, assignment) or _run_alone(arrays, part, m, obs, plan, assignment),
     )
     if res.gain != gain:
         raise InvariantError(f"winning cell re-solved to gain {res.gain}, not {gain}")
@@ -941,12 +967,13 @@ def best_move(
     same order, and groups not reached by then never run. The returned
     cell's embedding is rebuilt from the forget tables of the last chunk run
     when the cell lies in it, as an improving cell under policy="first" with
-    one bucket always does, else from one more run of that cell alone. Its
-    KMove is built once, and its gain must equal the cell's; apply_move then
-    builds the new tour once and checks its weight. A request of more than
-    MAX_CELLS cells, or whose assignments hold more than
-    MAX_ASSIGNMENT_ENTRIES slot positions, raises ValueError before any plan
-    runs.
+    one bucket always does, else from one more run of that cell as a group
+    of one. Its KMove is built once, and its gain must equal the cell's;
+    apply_move then builds the new tour once and checks its weight. A
+    request of more than MAX_CELLS cells, or whose assignments hold more
+    than MAX_ASSIGNMENT_ENTRIES slot positions, raises ValueError before any
+    plan runs, and so does a plan whose one cell needs a table of more than
+    MAX_TABLE_BYTES, before that plan runs.
     """
     return _best_move(inst, tour, k, alpha, policy)[0]
 

@@ -77,6 +77,55 @@ def test_find_move_refuses_too_many_cells(tmp_path, capsys, monkeypatch):
         capsys.readouterr().err)
 
 
+def test_a_table_too_large_for_memory_is_refused_before_it_runs(tmp_path, capsys, monkeypatch):
+    """k = 4 at alpha 1: the plans that build at most s^2 entries whole run,
+    and the first whose forget-into op builds s^3 entries whole is refused,
+    exit 2 with one error line naming the numbers (n = 100 under a bound of
+    one byte less than that table). k = 3 on 400 vertices is not refused
+    under the real bound: its 3-slot tables are summed in slices, so it
+    builds at most 400^2 entries whole. With no bytes to spare, find-move,
+    local-search and solve_fixed each refuse their first plan before
+    _run_plan is called."""
+    from kopt import dpengine
+    from kopt.buckets import make_buckets
+    from kopt.moves import valid_patterns
+
+    def lines(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err.splitlines()
+
+    small = write_pair(tmp_path, gen_random(400, 1, 10000), random_tour(400, 2))
+    code, out, err = lines(["find-move", "--k", "3", "--in", small[0], "--tour", small[1]])
+    assert code in (0, 1) and json.loads(out)["gain"] is not None
+    assert not any(line.startswith("error:") for line in err)
+
+    runs = []
+    real = dpengine._run_plan
+    monkeypatch.setattr(dpengine, "_run_plan", lambda *a, **kw: runs.append(a) or real(*a, **kw))
+    monkeypatch.setattr(dpengine, "MAX_TABLE_BYTES", 4 * 100**3 - 1)
+    ipath, tpath = write_pair(tmp_path, gen_random(100, 0, 10000), random_tour(100, 1))
+    code, out, err = lines(["find-move", "--k", "4", "--alpha", "1", "--in", ipath,
+                            "--tour", tpath])
+    assert (code, out, len(err)) == (2, "", 1)
+    assert err[0].startswith("error: one cell's DP table holds 100^3 = 1,000,000 entries,"
+                             " 4,000,000 bytes; at most 3,999,999 fit in memory")
+    assert runs and max(plan.whole_width for plan, _ in runs) == 2
+
+    def fail(*args, **kwargs):
+        raise AssertionError("no plan may run")
+
+    monkeypatch.setattr(dpengine, "_run_plan", fail)
+    monkeypatch.setattr(dpengine, "MAX_TABLE_BYTES", 0)
+    ipath, tpath = write_pair(tmp_path, gen_random(12, 3, 100), random_tour(12, 4))
+    for command in ("find-move", "local-search"):
+        code, out, err = lines([command, "--k", "3", "--in", ipath, "--tour", tpath])
+        assert (code, out, len(err)) == (2, "", 1) and "fit in memory" in err[0]
+    with pytest.raises(ValueError, match="at most 0 fit in memory"):
+        dpengine.solve_fixed(gen_random(12, 3, 100), random_tour(12, 4), valid_patterns(3)[0],
+                             (1, 1, 1), make_buckets(12, 1))
+
+
 def test_oracle_best_move_refuses_its_budget_before_listing_patterns(
     tmp_path, capsys, monkeypatch
 ):

@@ -257,7 +257,7 @@ def _compare_all_tables(inst, tour, m, assignment, part, nice, reference):
             else:
                 assert value == float("-inf"), (t, key, value)
 
-    solved = solve_fixed(inst, tour, m, assignment, part, nice, arrays=arrays)
+    solved = solve_fixed(inst, tour, m, assignment, part, nice)
     root_ref = reference[nice.root]
     if not root_ref:
         assert solved.gain is None
@@ -354,6 +354,70 @@ def test_solve_fixed_rejects_wrong_decomposition():
         solve_fixed(inst, tour, m3, (1, 1, 1), part, has_slot_4)
 
 
+def test_solve_fixed_checks_its_assignment_before_compiling(monkeypatch):
+    """A decreasing assignment is refused before any plan is compiled or run,
+    and a list is read as the tuple it lists, with runs or without."""
+    from kopt import dpengine
+
+    inst, tour = gen_random(12, 0, 100), random_tour(12, 1)
+    m, part = valid_patterns(3)[2], make_buckets(12, Fraction(1, 2))
+    want = solve_fixed(inst, tour, m, (1, 1, 1), part)
+    assert want.gain is not None
+    assert solve_fixed(inst, tour, m, [1, 1, 1], part) == want
+    runs = dpengine._GroupRuns(TourArrays(inst, tour), part, [(1, 1, 1)])
+    assert solve_fixed(inst, tour, m, [1, 1, 1], part, runs=runs).gain == want.gain
+
+    def fail(*args, **kwargs):
+        raise AssertionError("no plan may be compiled or run")
+
+    for name in ("compile_plan", "_run_plan"):
+        monkeypatch.setattr(dpengine, name, fail)
+    with pytest.raises(ValueError, match=r"assignment \(2, 1, 3\) is not nondecreasing"):
+        solve_fixed(inst, tour, m, (2, 1, 3), part)
+
+
+def test_every_plan_runs_through_group_runs(monkeypatch):
+    """_GroupRuns._run is the one caller of _run_plan: best_move under both
+    policies at alpha 1/2 over buckets of 4, 4 and 3, also with each batch
+    row its own chunk so that winners run again as groups of one;
+    local_search; and solve_fixed over its own decomposition and over a
+    caller's."""
+    from kopt import dpengine
+    from kopt.decomp import decomposition_from_order, to_nice
+
+    callers, alone = [], []
+    real_run_plan, real_alone = dpengine._run_plan, dpengine._run_alone
+
+    def run_plan(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code)
+        return real_run_plan(*args, **kwargs)
+
+    def run_alone(*args):
+        alone.append(args)
+        return real_alone(*args)
+
+    monkeypatch.setattr(dpengine, "_run_plan", run_plan)
+    monkeypatch.setattr(dpengine, "_run_alone", run_alone)
+    n, alpha = 11, Fraction(1, 2)
+    part = make_buckets(n, alpha)
+    assert [part.bucket_size(b) for b in (1, 2, 3)] == [4, 4, 3]
+    inst, tour = gen_random(n, 200, 3), random_tour(n, 201)
+    for max_entries in (dpengine.MAX_BATCH_ENTRIES, 1):
+        monkeypatch.setattr(dpengine, "MAX_BATCH_ENTRIES", max_entries)
+        for k in (3, 4):
+            for policy in ("best", "first"):
+                best_move(inst, tour, k, alpha=alpha, policy=policy)
+    assert alone
+    local_search(inst, tour, 3, alpha=alpha)
+    m, a = valid_patterns(3)[-1], (1, 1, 2)
+    dep = dependence_graph(interference_graph(m), order_edges(a))
+    for nice in (None, to_nice(decomposition_from_order(dep, (1, 2, 3)))):
+        before = len(callers)
+        assert solve_fixed(inst, tour, m, a, part, nice).gain is not None
+        assert len(callers) == before + 1
+    assert set(callers) == {dpengine._GroupRuns._run.__code__}
+
+
 def _instance_up_to(n, bound, seed):
     """Random symmetric weights in [-bound, bound], both ends included."""
     upper = np.triu(
@@ -432,7 +496,7 @@ def test_float32_exact_at_its_weight_bound(k):
     assert _table_dtypes(above, tour, k, part) == {np.dtype(np.float64)}
     for m in valid_patterns(k):
         for a in enumerate_assignments(k, part.count):
-            res = solve_fixed(inst, tour, m, a, part, arrays=arrays)
+            res = solve_fixed(inst, tour, m, a, part)
             brute = enumerate_b_monotone_max(inst, tour, m, a, part)
             assert (res.gain, res.embedding) == (brute.value, brute.witness), (m.pairs, a)
 
@@ -583,7 +647,7 @@ def test_batched_root_values_match_exhaustive_enumeration(k):
     assert any(cells.batch > 1 for cells in runs.cells.values())
     for m in valid_patterns(k):
         for assignment in assignments:
-            got = solve_fixed(inst, tour, m, assignment, part, arrays=arrays, runs=runs)
+            got = solve_fixed(inst, tour, m, assignment, part, runs=runs)
             brute = enumerate_b_monotone_max(inst, tour, m, assignment, part).value
             assert (got.gain, got.embedding) == (brute, None), (m.pairs, assignment)
 
@@ -753,7 +817,7 @@ def test_reconstruction_matches_argmax_over_full_tables():
                 for row, a in enumerate(group):
                     pos = _argmax_positions(plan, tables, row)
                     want = tuple(int(cells.dom[row, v, pos[v]]) + 1 for v in range(k))
-                    got = _reconstruct(plan, _Cells(arrays, part, [a]), forgets, row)
+                    got = _reconstruct(plan, cells, forgets, row)
                     assert got == want, (m.pairs, a)
                     rows += 1
                     no_embedding += root[row] == float("-inf")
@@ -765,13 +829,15 @@ def test_reconstruction_matches_argmax_over_full_tables():
 def test_first_max_positions_is_argmax(monkeypatch, max_entries):
     """Ties resolve to the first position, as argmax does: the move that
     _solve_cell rebuilds from the forget tables _GroupRuns.take hands over,
-    or from a run of the cell alone when the latest chunk run did not hold
-    it, is argmax over the full tables of the group's batch. Past
+    or from a run of its group of one when the latest chunk run did not
+    hold it, is argmax over the full tables of the group's batch. Past
     MAX_BATCH_ENTRIES each row is its own chunk, so only the last row's
     tables are handed over."""
     from kopt import dpengine
     from kopt.buckets import BucketPartition
-    from kopt.dpengine import _Cells, _fits, _GroupRuns, _run_plan, _solve_cell, compile_plan
+    from kopt.dpengine import (
+        _Cells, _fits, _GroupRuns, _run_alone, _run_plan, _solve_cell, compile_plan,
+    )
 
     monkeypatch.setattr(dpengine, "MAX_BATCH_ENTRIES", max_entries)
     n, k = 11, 4
@@ -795,7 +861,8 @@ def test_first_max_positions_is_argmax(monkeypatch, max_entries):
                 assert (kept is None) == (max_entries == 1 and row < len(group) - 1)
                 handed += kept is not None
                 rerun += kept is None
-                got = _solve_cell(inst, tour, m, a, part, plan, arrays, kept)
+                kept = kept or _run_alone(arrays, part, m, obs, plan, a)
+                got = _solve_cell(inst, tour, m, plan, kept)
                 pos = _argmax_positions(plan, tables, row)
                 want = tuple(int(cells.dom[row, v, pos[v]]) + 1 for v in range(k))
                 assert got.gain == int(round(root[row]))
@@ -817,7 +884,7 @@ def test_chunked_batches_give_the_unchunked_answers(monkeypatch):
     def answers():
         runs = dpengine._GroupRuns(arrays, part, assignments)
         assert max(cells.batch for cells in runs.cells.values()) > 1
-        gains = [solve_fixed(inst, tour, m, a, part, arrays=arrays, runs=runs).gain
+        gains = [solve_fixed(inst, tour, m, a, part, runs=runs).gain
                  for m in valid_patterns(3) for a in assignments]
         moves = [best_move(inst, tour, 3, alpha=Fraction(1, 2), policy=p)
                  for p in ("best", "first")]
@@ -939,8 +1006,8 @@ def test_block_memo_budget_and_one_bucket_gate(monkeypatch, k):
     n, alpha = 12, Fraction(1, 2)
     assert make_buckets(n, alpha).count > 1
     inst, tour = gen_random(n, 170 + k, 100), random_tour(n, 180 + k)
-    made, budget = [], None
-    init = dpengine._GroupRuns.__init__
+    made, alone, budget = [], [], None
+    init, run_alone = dpengine._GroupRuns.__init__, dpengine._run_alone
 
     def spy(self, *args):
         init(self, *args)
@@ -949,12 +1016,18 @@ def test_block_memo_budget_and_one_bucket_gate(monkeypatch, k):
                 cells.budget.left = budget
         made.append(self)
 
+    def rerun(*args):
+        alone.append(args)
+        return run_alone(*args)
+
     monkeypatch.setattr(dpengine._GroupRuns, "__init__", spy)
+    monkeypatch.setattr(dpengine, "_run_alone", rerun)
 
     def results():
         made.clear()
+        alone.clear()
         got = [best_move(inst, tour, k, alpha=alpha, policy=p) for p in ("best", "first")]
-        assert len(made) == 2
+        assert len(made) == 2 + len(alone)  # a winner run again is a group of one
         return got
 
     def memos():
@@ -1256,7 +1329,9 @@ def _run_optimized(code: str) -> str:
 
 def test_reconstruction_check_raises_under_python_O():
     """policy="first" with one bucket rebuilds the winner from the tables of
-    the run that scored it; "best" here runs the winner again."""
+    the run that scored it; "best" here runs the winner again, as a group of
+    one whose tables a second take hands over, so each call's first take
+    tells the two apart."""
     stdout = _run_optimized(
         "import sys\n"
         "assert False\n"
@@ -1269,10 +1344,11 @@ def test_reconstruction_check_raises_under_python_O():
         "dpengine._GroupRuns.take = lambda *a: reused.append(take(*a)) or reused[-1]\n"
         "inst, tour = kopt.gen_random(10, 1, 100), kopt.random_tour(10, 2)\n"
         "for policy in ('best', 'first'):\n"
+        "    reused.clear()\n"
         "    try:\n"
         "        dpengine.best_move(inst, tour, 3, policy=policy)\n"
         "    except kopt.InvariantError as exc:\n"
-        "        print('raised', sys.flags.optimize, reused[-1] is not None, exc)\n"
+        "        print('raised', sys.flags.optimize, reused[0] is not None, exc)\n"
     )
     best, first = stdout.splitlines()
     assert best.startswith("raised 1 False reconstructed embedding gain")
