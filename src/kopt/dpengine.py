@@ -30,15 +30,15 @@ cells share it.
   into slot w (decomp: their order edge is v's only tie to w), the
   forget-into op takes the table over v and the rest, which holds all of v's
   other terms, and turns v's axis into w's: at w's position j it holds the
-  maximum over v's positions i < j (i > j when w < v), -inf at j = 0, by
-  np.maximum.accumulate and a shift of one position. This is exact: the
-  order term is 0 or -inf, no other term holds both v and w, and both slots
-  lie in one bucket, where positions compare as the tour edges do, so
-  max over i of T(i, rest) + [i < j] is max over i < j of T(i, rest). Then
-  w's terms are added as an introduce op adds them. The step builds no table
-  over v and w together, so a k = 4 or 5 plan at one bucket holds at most 3
-  slots in a table where it held 4, and it adds no terms, so the dtype bound
-  below holds.
+  maximum over v's positions i < j (i > j when w < v), -inf at j = 0, a
+  running maximum shifted by one position. This is exact: the order term is
+  0 or -inf, no other term holds both v and w, and both slots lie in one
+  bucket, where positions compare as the tour edges do, so max over i of
+  T(i, rest) + [i < j] is max over i < j of T(i, rest). Then w's terms are
+  added as an introduce op adds them. The step builds no table over v and w
+  together, so a k = 4 or 5 plan at one bucket holds at most 3 slots in a
+  table where it held 4, and it adds no terms, so the dtype bound below
+  holds.
 - **Padding.** The buckets are balanced (buckets.make_buckets): each holds
   s or s - 1 edges. A bucket of s - 1 is padded to `s` positions, and the
   padded position's entries are -inf, as are loops and order violations.
@@ -61,12 +61,13 @@ cells share it.
   and keeping them made a warm k = 3, n = 100 call slower (11-14 ms, not
   8-9 ms) by where the heap put them: with glibc's mmap threshold pinned,
   both took the same time.
-- **Sliced pairs.** An introduce op whose parent is a forget op never builds
-  its table whole when it holds more than `MAX_SLICE_ENTRIES` entries. It is
-  summed in pieces along the axis the forget removes, each piece into one
-  reused buffer, and each piece's maximum is folded into the forget's output.
-  A table that fits runs the same code as one piece. An introduce op under a
-  forget-into op is not sliced: its table is built whole.
+- **Sliced pairs.** An introduce op whose parent is a forget or forget-into
+  op never builds its table whole when it holds more than
+  `MAX_SLICE_ENTRIES` entries. One routine, `_forget`, sums it in pieces
+  along the forgotten slot's axis into one reused buffer. A forget op folds
+  each piece's maximum into its output; a forget-into op walks the pieces in
+  w's order and carries the running maximum from each into the next. A
+  table that fits runs the same code as one piece.
 - **Chunks.** The batch axis is cut into chunks so that no table holds more
   than `MAX_BATCH_ENTRIES` entries, or one cell's table when that is larger.
   A plan whose one cell needs a table of more than `MAX_TABLE_BYTES`, counted
@@ -164,9 +165,9 @@ MAX_ASSIGNMENT_ENTRIES = 2_000_000
 # 40 s on that alone.
 MAX_CELLS = 1 << 23
 # Largest table one cell's plan builds whole, in bytes: 2^26 float32 or 2^25
-# float64 entries. A k = 4 plan keeps two such tables at once (a forget-into
-# op's input and output), and at alpha 1 peaked at 534 MB RSS for n = 400
-# (400^3 float32 entries) and 551 MB for n = 320 in float64.
+# float64 entries. A k = 4 plan at alpha 1 holds one such table at a time (a
+# forget-into op's output; its input is summed in pieces), and peaked at 290 MB
+# RSS for n = 400 (400^3 float32 entries) and 301 MB for n = 320 in float64.
 MAX_TABLE_BYTES = 1 << 28
 
 
@@ -420,7 +421,8 @@ def _compile(
             unpaired = tuple(s for s in bag if s not in self_paired)
             ops.append(_join_op(bag, inside, unpaired))
     whole_width = max(
-        len(op[3]) if op[0] in _FORGETS else op[1] if op[0] == INTRODUCE and up[0] != FORGET else 0
+        len(op[3]) if op[0] in _FORGETS
+        else op[1] if op[0] == INTRODUCE and up[0] not in _FORGETS else 0
         for op, up in zip(ops, ops[1:] + [_LEAF_OP])
     )
     return Plan(m.k, tuple(ops), nice.width + 1, nice, whole_width)
@@ -582,50 +584,53 @@ def _introduce(
     return out
 
 
-def _introduce_forget(
-    op: tuple, axis: int, child: np.ndarray, cells: _Cells, kept: list | None
+def _forget(
+    op: tuple, below: tuple | None, child: np.ndarray, cells: _Cells, kept: list | None
 ) -> np.ndarray:
-    """The forget op's output: the table of introduce op `op` maximized over
-    table axis `axis`. The table is summed in pieces along that axis, each of
-    at most MAX_SLICE_ENTRIES entries (or one position, if that holds more),
-    into one buffer, and each piece's maximum is folded into the output. With
-    `kept` the table is one piece, appended to `kept`."""
-    s, ndim = cells.s, op[1]
-    slab = cells.batch * s ** (ndim - 1)  # entries at one position of the axis
-    width = s if kept is not None else min(s, max(1, MAX_SLICE_ENTRIES // slab))
-    shape = [cells.batch] + [s] * ndim
+    """The output of forget or forget-into op `op` over the table of introduce
+    op `below` on `child`, or over `child` when `below` is None. The introduce
+    op's table is summed in pieces along the forgotten slot's axis, of at most
+    MAX_SLICE_ENTRIES entries (or one position, if that holds more), into one
+    reused buffer; `child`, or a table appended to `kept`, is one piece. A
+    forget op folds each piece's maximum into its output. A forget-into op
+    turns slot v's axis into w's, at each position of w the maximum over v's
+    positions before it (after it, when w < v) or -inf: it steps through the
+    pieces in w's order, carries the running maximum on, and adds w's terms."""
+    kind, axis = op[0], op[1]
+    s = cells.s
+    shape = list(child.shape) if below is None else [cells.batch] + [s] * below[1]
+    slab = math.prod(shape) // s  # entries at one position of the axis
+    width = s if kept is not None or below is None else min(s, max(1, MAX_SLICE_ENTRIES // slab))
+    out = run = flip = None
+    if kind == FORGET_INTO:
+        out = np.empty(shape, cells.dtype)
+        # a suffix maximum (w < v) is a prefix maximum along the reversed axis
+        flip = (slice(None),) * axis + (slice(None, None, -1),) if op[4] < op[2] else None
+        run = out if flip is None else out[flip]
+        run[_along(axis, 0, 1)] = NEG_INF
     shape[axis] = width
-    buf = np.empty(shape, cells.dtype)
-    out = None
-    for lo in range(0, s, width):
-        piece = buf if lo + width <= s else buf[_along(axis, 0, s - lo)]
-        _introduce(op, child, cells, piece, axis, lo)
-        if kept is not None:
-            kept.append(piece)
-        best = piece.max(axis=axis)
-        if out is None:
-            out = best
+    buf = None if below is None else np.empty(shape, cells.dtype)
+    for lo in range(0, s, width):  # lo, hi: the piece's positions in w's order
+        hi = min(s, lo + width)
+        at = lo if flip is None else s - hi  # its first position along the axis
+        if below is None:  # a table already whole is one piece
+            piece = child
         else:
-            np.maximum(out, best, out=out)
-    return out
-
-
-def _forget_into(op: tuple, child: np.ndarray, cells: _Cells) -> np.ndarray:
-    """Slot v's axis of the child table becomes slot w's: at each position
-    of w, the maximum over v's positions before it (after it, when w < v),
-    -inf if there are none. Then w's terms are added, as an introduce op
-    adds them."""
-    _, axis, v, _, w, blocks = op
-    out = np.empty_like(child)
-    if w < v:  # a suffix maximum is a prefix maximum along the reversed axis
-        flip = (slice(None),) * axis + (slice(None, None, -1),)
-        child, rev = child[flip], out[flip]
-    else:
-        rev = out
-    rev[_along(axis, 0, 1)] = NEG_INF
-    np.maximum.accumulate(child[_along(axis, 0, cells.s - 1)], axis=axis,
-                          out=rev[_along(axis, 1, cells.s)])
-    for block in blocks:
+            piece = buf if hi - lo == width else buf[_along(axis, 0, hi - lo)]
+            _introduce(below, child, cells, piece, axis, at)
+            if kept is not None:
+                kept.append(piece)
+        if run is None:
+            best = piece.max(axis=axis)
+            out = best if out is None else np.maximum(out, best, out=out)
+            continue
+        m = min(s - 1, hi) - lo  # v's positions lo.. give w's lo + 1..; w has no position s
+        to = _along(axis, lo + 1, lo + 1 + m)
+        step = piece if flip is None else piece[flip]
+        np.maximum.accumulate(step[_along(axis, 0, m)], axis=axis, out=run[to])
+        if lo:
+            np.maximum(run[to], run[_along(axis, lo, lo + 1)], out=run[to])
+    for block in op[5] if run is not None else ():
         out += _block_value(block, cells)
     return out
 
@@ -637,8 +642,8 @@ def _run_plan(
     which _reconstruct rebuilds an embedding, and every op's table (if
     keep_tables, which tests use to compare every node's table), both in op
     order. A join adds into its first child's table unless that table is
-    kept. An introduce op below a forget op runs with it, through
-    _introduce_forget."""
+    kept. An introduce op below a forget or forget-into op runs with it,
+    through _forget."""
     B, s, ops, dtype, nodes = cells.batch, cells.s, plan.ops, cells.dtype, plan.nice.nodes
     stack: list[np.ndarray] = []
     forgets: list[np.ndarray] = []
@@ -646,20 +651,15 @@ def _run_plan(
     for i, op in enumerate(ops):
         kind = op[0]
         if kind == INTRODUCE:
-            if i + 1 < len(ops) and ops[i + 1][0] == FORGET:
+            if i + 1 < len(ops) and ops[i + 1][0] in _FORGETS:
                 continue  # the forget op runs it
             table = _introduce(op, stack.pop(), cells, np.empty((B,) + (s,) * op[1], dtype))
-        elif kind == FORGET:
-            axis = op[1]
-            if ops[i - 1][0] == INTRODUCE:
-                table = _introduce_forget(
-                    ops[i - 1], axis, stack.pop(), cells, kept if keep_tables else None
-                )
+        elif kind in _FORGETS:
+            below = ops[i - 1] if ops[i - 1][0] == INTRODUCE else None
+            if below is None and kind == FORGET:
+                table = stack.pop().max(axis=op[1])
             else:
-                table = stack.pop().max(axis=axis)
-            forgets.append(table)
-        elif kind == FORGET_INTO:
-            table = _forget_into(op, stack.pop(), cells)
+                table = _forget(op, below, stack.pop(), cells, kept if keep_tables else None)
             forgets.append(table)
         elif kind == JOIN:
             other, table = stack.pop(), stack.pop()
@@ -893,8 +893,8 @@ def _best_move(
     back at once, with no move and the tour unchanged."""
     if policy not in ("best", "first"):
         raise ValueError("policy must be 'best' or 'first'")
-    if k > MAX_SOLVER_K:
-        raise ValueError(f"k must be <= {MAX_SOLVER_K}")
+    if not 2 <= k <= MAX_SOLVER_K:
+        raise ValueError("k must be >= 2" if k < 2 else f"k must be <= {MAX_SOLVER_K}")
     if inst.n < 2 * k:
         raise ValueError(f"instance too small: need n >= {2 * k}")
     alpha = default_alpha(k) if alpha is None else Fraction(alpha)
