@@ -37,36 +37,37 @@ dependence graphs of the solver have at most 8.
 `decomposition_from_order(g, order, order_only)` gives each v the bag of v
 and its neighbours in G_S, S the vertices before v in the order, less the
 smallest w that a pure order edge joins to v, and hangs it below the bag of
-the first of those neighbours to go. `to_nice` puts a forget-into node where
-w is left out, which forgets v and introduces w at once. No bag below it
-holds w, since such a bag would come from a path from v to w through
-eliminated vertices. So no bag holds both v and w, and the nice form
-decomposes g less its forget-into edges.
+the first of those neighbours to go (of the next vertex when there is none).
+It lays that tree out as nice nodes in run order: a bag's children come
+first, the last one first, each changed into the bag by forget nodes, a
+forget-into node where the child left w out, and introduce nodes; join nodes
+merge them, and a bag with no children grows from an empty leaf. At the top
+the root bag's slots are forgotten. A forget-into node forgets v and
+introduces w at once. No bag below it holds w, since such a bag would come
+from a path from v to w through eliminated vertices. So no bag holds both v
+and w, and the nice form decomposes g less its forget-into edges.
 
 `validate_decomposition` checks the nice form, where the definition (every
 slot and every edge in a bag, the bags holding a slot connected) comes down
-to counting. `to_nice` keeps each bag of a TreeDecomposition and puts
-between two adjacent bags only bags inside one of them that hold their
-intersection, so it decomposes g exactly when the original does. The
-constructor makes the nodes a tree. Given the kind rules and an empty root
-bag, the top of a connected run of nodes holding slot v is not the root, and
-its parent forgets v (a forget or forget-into node), since join and
-introduce nodes hold their children's bags and a forget-into node all of its
-child's bag but the slot it forgets; the child of each node that forgets v
-tops such a run. So v is forgotten exactly once when the bags holding it are
-present and connected. An edge in some bag lies in an introduce node's bag,
-or in a forget-into node's bag with the slot it brings in as one end: on the
-way down to an empty leaf, the first node whose child lacks an end of it
-introduces that end. The separator property follows: a slot on both sides of
-a tree edge lies in both its bags, by connectivity, and an edge of g with
-one end only below and the other only above it would lie in no bag. A
-forget-into edge v-w is the exception the DP needs: it must be an edge of g,
-v lies only below the node, and w nowhere below it. The kind rule keeps w out
-of the child's bag; a bag further below holding w would top a run whose
-parent forgets w, and w, in the node's bag and not the root's, is forgotten
-again above, so the count refuses it. That no interference
-edge joins v and w is not the graph's to tell; dpengine's compiler checks it
-against the pattern.
+to counting. The constructor makes the nodes a tree. Given the kind rules
+and an empty root bag, the top of a connected run of nodes holding slot v is
+not the root, and its parent forgets v (a forget or forget-into node), since
+join and introduce nodes hold their children's bags and a forget-into node
+all of its child's bag but the slot it forgets; the child of each node that
+forgets v tops such a run. So v is forgotten exactly once when the bags
+holding it are present and connected. An edge in some bag lies in an
+introduce node's bag, or in a forget-into node's bag with the slot it brings
+in as one end: on the way down to an empty leaf, the first node whose child
+lacks an end of it introduces that end. The separator property follows: a
+slot on both sides of a tree edge lies in both its bags, by connectivity,
+and an edge of g with one end only below and the other only above it would
+lie in no bag. A forget-into edge v-w is the exception the DP needs: it must
+be an edge of g, v lies only below the node, and w nowhere below it. The
+kind rule keeps w out of the child's bag; a bag further below holding w
+would top a run whose parent forgets w, and w, in the node's bag and not the
+root's, is forgotten again above, so the count refuses it. That no
+interference edge joins v and w is not the graph's to tell; dpengine's
+compiler checks it against the pattern.
 """
 
 from __future__ import annotations
@@ -253,76 +254,8 @@ def treewidth_exact(g: DepGraph, order_only=frozenset()) -> tuple[int, tuple[int
 
 
 # ---------------------------------------------------------------------------
-# Tree decompositions
+# Nice tree decompositions
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TreeDecomposition:
-    """Rooted tree of bags; parent[root] == -1. `into` is empty, or holds per
-    bag None or (v, w): the bag's slot v leaves on the way to its parent
-    through a forget-into node that brings in w, which the bag lacks."""
-
-    k: int
-    bags: tuple[frozenset[int], ...]
-    parent: tuple[int, ...]
-    root: int
-    into: tuple[tuple[int, int] | None, ...] = ()
-
-    def __post_init__(self):
-        n = len(self.bags)
-        if len(self.parent) != n or not 0 <= self.root < n or self.parent[self.root] != -1:
-            raise ValueError("need one parent per bag, and parent[root] == -1")
-        if self.into and len(self.into) != n:
-            raise ValueError("need no `into` entries, or one per bag")
-        for i in range(n):
-            v, steps = i, 0
-            while v != self.root:
-                v, steps = self.parent[v], steps + 1
-                if not 0 <= v < n or steps >= n:  # a second root, or a cycle
-                    raise ValueError(f"bag {i} does not reach the root in under {n} steps")
-
-    @property
-    def width(self) -> int:
-        return max(len(b) for b in self.bags) - 1
-
-    def children(self) -> list[list[int]]:
-        ch: list[list[int]] = [[] for _ in self.bags]
-        for i, p in enumerate(self.parent):
-            if p >= 0:
-                ch[p].append(i)
-        return ch
-
-
-def decomposition_from_order(
-    g: DepGraph, order: tuple[int, ...], order_only=frozenset()
-) -> TreeDecomposition:
-    """Standard fill-in construction; the width equals the order's elimination
-    width. With `order_only` (edges of g that are order edges alone), a slot
-    joined to a later neighbour w by such an edge that no fill has joined
-    again leaves its bag through a forget-into node into w (the smallest such
-    w), and its bag lacks w: the width is then the order's effective width."""
-    if sorted(order) != list(range(1, g.k + 1)):
-        raise ValueError("order must be a permutation of 1..k")
-    adj, only = _graph_masks(g, order_only)
-    position = {v - 1: i for i, v in enumerate(order)}
-    bags: list[frozenset[int]] = []
-    parent: list[int] = []
-    into: list[tuple[int, int] | None] = []
-    eliminated = 0
-    for i, v in enumerate(order):
-        later, pure = _reach(adj, only, eliminated, v - 1)
-        w = pure & -pure  # the smallest
-        bag = (later | 1 << (v - 1)) & ~w
-        bags.append(frozenset(u + 1 for u in range(g.k) if bag >> u & 1))
-        into.append((v, w.bit_length()) if w else None)
-        parent.append(min((position[u] for u in range(g.k) if later >> u & 1),
-                          default=i + 1 if i + 1 < g.k else -1))
-        eliminated |= 1 << (v - 1)
-    return TreeDecomposition(
-        k=g.k, bags=tuple(bags), parent=tuple(parent), root=g.k - 1,
-        into=tuple(into) if any(into) else (),
-    )
-
 
 LEAF, INTRODUCE, FORGET, JOIN = "leaf", "introduce", "forget", "join"
 FORGET_INTO = "forget-into"
@@ -353,7 +286,6 @@ class NiceTreeDecomposition:
 
     k: int
     nodes: tuple[NiceNode, ...]
-    root: int
 
     def __post_init__(self):
         stack: list[int] = []
@@ -369,6 +301,10 @@ class NiceTreeDecomposition:
             raise ValueError("the root must be the last node, above all the others")
 
     @property
+    def root(self) -> int:
+        return len(self.nodes) - 1
+
+    @property
     def width(self) -> int:
         return max(len(nd.bag) for nd in self.nodes) - 1
 
@@ -378,25 +314,17 @@ class NiceTreeDecomposition:
 
 
 class _NiceBuilder:
-    """Lays out the nice decomposition of `d` in run order."""
+    """Lays out in run order the nice decomposition of a tree of bags: bag i
+    has the children kids[i] and leaves for its parent through into[i], None
+    or (v, w) for a forget-into node of v into w. The last bag is the root."""
 
-    def __init__(self, d: TreeDecomposition):
-        self.d = d
-        self.kids = d.children()
-        self.into = d.into or (None,) * len(d.bags)
+    def __init__(self, bags, kids, into):
+        self.bags, self.kids, self.into = bags, kids, into
         self.nodes: list[NiceNode] = []
 
     def add(self, kind, bag, vertex, children, into=None) -> int:
         self.nodes.append(NiceNode(kind, frozenset(bag), vertex, tuple(children), into))
         return len(self.nodes) - 1
-
-    def chain_from_empty(self, bag: frozenset[int]) -> int:
-        top = self.add(LEAF, frozenset(), None, ())
-        cur: set[int] = set()
-        for v in sorted(bag):
-            cur.add(v)
-            top = self.add(INTRODUCE, frozenset(cur), v, (top,))
-        return top
 
     def adapt(self, top: int, from_bag: frozenset[int], to_bag: frozenset[int],
               into: tuple[int, int] | None = None) -> int:
@@ -419,42 +347,70 @@ class _NiceBuilder:
     def build(self, orig: int) -> int:
         """Lay out the subtree of bag `orig`, its children last first, each
         adapted to `orig`'s bag, then the joins; return its top node."""
-        bag = self.d.bags[orig]
+        bag = self.bags[orig]
         tops = [
-            self.adapt(self.build(kid), self.d.bags[kid], bag, self.into[kid])
+            self.adapt(self.build(kid), self.bags[kid], bag, self.into[kid])
             for kid in reversed(self.kids[orig])
         ]
         if not tops:
-            return self.chain_from_empty(bag)
+            return self.adapt(self.add(LEAF, frozenset(), None, ()), frozenset(), bag)
         top = tops.pop()  # the first child's
         for other in reversed(tops):
             top = self.add(JOIN, bag, None, (other, top))
         return top
 
+    def tree(self, k: int) -> NiceTreeDecomposition:
+        """The whole layout, the root bag's slots forgotten at the top."""
+        root = len(self.bags) - 1
+        self.adapt(self.build(root), self.bags[root], frozenset())
+        return NiceTreeDecomposition(k, tuple(self.nodes))
 
-def to_nice(d: TreeDecomposition) -> NiceTreeDecomposition:
-    """Convert to a nice decomposition of equal width with O(k * width) nodes."""
-    builder = _NiceBuilder(d)
-    top = builder.adapt(builder.build(d.root), d.bags[d.root], frozenset())
-    return NiceTreeDecomposition(k=d.k, nodes=tuple(builder.nodes), root=top)
+
+def decomposition_from_order(
+    g: DepGraph, order: tuple[int, ...], order_only=frozenset()
+) -> NiceTreeDecomposition:
+    """The nice decomposition of the standard fill-in construction; its width
+    equals the order's elimination width. With `order_only` (edges of g that
+    are order edges alone), a slot joined to a later neighbour w by such an
+    edge that no fill has joined again leaves its bag through a forget-into
+    node into w (the smallest such w), and its bag lacks w: the width is then
+    the order's effective width."""
+    if sorted(order) != list(range(1, g.k + 1)):
+        raise ValueError("order must be a permutation of 1..k")
+    adj, only = _graph_masks(g, order_only)
+    position = {v - 1: i for i, v in enumerate(order)}
+    bags: list[frozenset[int]] = []
+    kids: list[list[int]] = [[] for _ in order]
+    into: list[tuple[int, int] | None] = []
+    eliminated = 0
+    for i, v in enumerate(order):
+        later, pure = _reach(adj, only, eliminated, v - 1)
+        w = pure & -pure  # the smallest
+        bag = (later | 1 << (v - 1)) & ~w
+        bags.append(frozenset(u + 1 for u in range(g.k) if bag >> u & 1))
+        into.append((v, w.bit_length()) if w else None)
+        parent = min((position[u] for u in range(g.k) if later >> u & 1), default=i + 1)
+        if parent < g.k:
+            kids[parent].append(i)
+        eliminated |= 1 << (v - 1)
+    return _NiceBuilder(bags, kids, into).tree(g.k)
 
 
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
 
-def validate_decomposition(g: DepGraph, d) -> tuple[bool, list[str]]:
-    """Check that the nice decomposition `d`, or `to_nice(d)` for a
-    TreeDecomposition, decomposes g: the node-kind rules (for a forget-into
-    node of v into w also that v-w is an edge of g and that its child's bag
-    lacks w), then (as they rest on those rules) an empty root bag, bags
-    inside 1..k, one forget or forget-into node per slot, and every edge of g
-    in an introduce node's bag or joining a forget-into node's two slots. The
-    module docstring shows why these suffice.
+def validate_decomposition(g: DepGraph, nice: NiceTreeDecomposition) -> tuple[bool, list[str]]:
+    """Check that the nice decomposition `nice` decomposes g: the node-kind
+    rules (for a forget-into node of v into w also that v-w is an edge of g
+    and that its child's bag lacks w), then (as they rest on those rules) an
+    empty root bag, bags inside 1..k, one forget or forget-into node per
+    slot, and every edge of g in an introduce node's bag or joining a
+    forget-into node's two slots. The module docstring shows why these
+    suffice.
 
     Returns (ok, diagnostics); diagnostics name each offending node, slot or
     edge."""
-    nice = to_nice(d) if isinstance(d, TreeDecomposition) else d
     nodes = nice.nodes
     diags: list[str] = []
     for i, nd in enumerate(nodes):

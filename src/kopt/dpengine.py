@@ -121,7 +121,6 @@ from .decomp import (
     NiceTreeDecomposition,
     decomposition_from_order,
     dependence_graph,
-    to_nice,
     treewidth_exact,
     validate_decomposition,
 )
@@ -297,7 +296,7 @@ def nice_decomposition_for(dep: DepGraph, order_only=frozenset()) -> NiceTreeDec
     if cached is not None:
         return cached
     _, order = treewidth_exact(dep, order_only)
-    nice = to_nice(decomposition_from_order(dep, order, order_only))
+    nice = decomposition_from_order(dep, order, order_only)
     ok, diags = validate_decomposition(dep, nice)
     if not ok:
         raise InvariantError(f"invalid decomposition produced: {diags}")

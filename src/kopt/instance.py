@@ -150,6 +150,10 @@ def euclidean_instance(coords) -> Instance:
     for i in range(n):
         for j in range(i + 1, n):
             d = math.hypot(pts[i][0] - pts[j][0], pts[i][1] - pts[j][1])
+            if not d < MAX_ABS_WEIGHT + 0.5:  # also inf and nan
+                raise ValueError(
+                    f"distance of points {i + 1} and {j + 1} exceeds the 2^40 overflow guard"
+                )
             mat[i, j] = mat[j, i] = _nint(d)
     return Instance(n=n, weights=mat, kind=KIND_EUCLIDEAN, coords=tuple(pts))
 
@@ -222,11 +226,16 @@ def parse_tsplib(text: str) -> Instance:
                 pos += 1
                 for tok in candidate.split():
                     try:
-                        matrix_values.append(int(tok))
+                        value = int(tok)
                     except ValueError:
                         raise FormatError(
                             f"malformed numeric field: {tok!r}", lineno
                         ) from None
+                    if abs(value) > MAX_ABS_WEIGHT:
+                        raise FormatError(
+                            f"weight {tok} exceeds the 2^40 overflow guard", lineno
+                        )
+                    matrix_values.append(value)
             if len(matrix_values) != needed:
                 raise FormatError(
                     f"DIMENSION mismatch: expected {needed} matrix entries, "

@@ -17,7 +17,7 @@ from math import comb
 
 import numpy as np
 
-from .buckets import BucketPartition, order_edges
+from .buckets import BucketPartition
 from .decomp import DepGraph
 from .instance import Instance, Tour
 from .moves import (

@@ -314,6 +314,15 @@ def test_move_commands_reject_mode(tmp_path, command):
 
 SQUARE_TOUR = '{"order": [1, 2, 3, 4]}'
 SQUARE = instance_to_json(euclidean_instance([(0, 0), (10, 0), (10, 10), (0, 10)]))
+TSPLIB_MATRIX = (
+    "TYPE : TSP\nDIMENSION : 4\nEDGE_WEIGHT_TYPE : EXPLICIT\n"
+    "EDGE_WEIGHT_FORMAT : FULL_MATRIX\nEDGE_WEIGHT_SECTION\n"
+    "0 {w} 1 1\n{w} 0 1 1\n1 1 0 1\n1 1 1 0\nEOF\n"
+)
+TSPLIB_SQUARE = (
+    "TYPE : TSP\nDIMENSION : 4\nEDGE_WEIGHT_TYPE : EUC_2D\nNODE_COORD_SECTION\n"
+    "1 0 0\n2 {x} 0\n3 10 10\n4 0 10\nEOF\n"
+)
 
 
 @pytest.mark.parametrize(
@@ -394,6 +403,21 @@ SQUARE = instance_to_json(euclidean_instance([(0, 0), (10, 0), (10, 10), (0, 10)
             ["find-move", "--k", "2"],
             {"--in": SQUARE.replace("10,", "10.5,"), "--tour": SQUARE_TOUR},
             id="instance-weight-not-an-integer",
+        ),
+        pytest.param(
+            ["find-move", "--k", "2"],
+            {"--in": TSPLIB_MATRIX.format(w=2**64), "--tour": SQUARE_TOUR},
+            id="tsplib-matrix-entry-beyond-int64",
+        ),
+        pytest.param(
+            ["find-move", "--k", "2"],
+            {"--in": TSPLIB_SQUARE.format(x="inf"), "--tour": SQUARE_TOUR},
+            id="tsplib-coordinate-inf",
+        ),
+        pytest.param(
+            ["find-move", "--k", "2"],
+            {"--in": TSPLIB_SQUARE.format(x="1e300"), "--tour": SQUARE_TOUR},
+            id="tsplib-distance-beyond-int64",
         ),
         pytest.param(
             ["local-search", "--k", "2", "--max-steps", "-3"],

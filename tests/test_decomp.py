@@ -1,5 +1,6 @@
 """Dependence graphs, exact treewidth, and (nice) tree decompositions."""
 
+import hashlib
 import random
 from collections import Counter
 from itertools import combinations, permutations
@@ -17,11 +18,9 @@ from kopt.decomp import (
     DepGraph,
     NiceNode,
     NiceTreeDecomposition,
-    TreeDecomposition,
     adjacency,
     decomposition_from_order,
     dependence_graph,
-    to_nice,
     treewidth,
     treewidth_exact,
     validate_decomposition,
@@ -89,19 +88,30 @@ def test_treewidth_subdivided_k4_needs_fill_awareness():
     assert treewidth(adjacency(g.k, g.edges)) == 3
 
 
-def elimination_width(g: DepGraph, order) -> int:
+def fill_in(g: DepGraph, order) -> tuple[list[frozenset[int]], list[list[int]]]:
+    """Bags and child lists of the fill-in construction, by explicit fill:
+    v's bag holds v and its neighbours when it goes, and hangs below the bag
+    of the first of those to go (of the next vertex when there is none)."""
     nbrs = {v: set() for v in range(1, g.k + 1)}
     for a, b in g.edges:
         nbrs[a].add(b)
         nbrs[b].add(a)
-    width = 0
-    for v in order:
-        width = max(width, len(nbrs[v]))
+    position = {v: i for i, v in enumerate(order)}
+    bags, kids = [], [[] for _ in order]
+    for i, v in enumerate(order):
+        bags.append(frozenset(nbrs[v] | {v}))
+        parent = min((position[u] for u in nbrs[v]), default=i + 1)
+        if parent < len(order):
+            kids[parent].append(i)
         for u in nbrs[v]:
             nbrs[u].discard(v)
             nbrs[u].update(nbrs[v] - {u})
         del nbrs[v]
-    return width
+    return bags, kids
+
+
+def elimination_width(g: DepGraph, order) -> int:
+    return max(len(bag) for bag in fill_in(g, order)[0]) - 1
 
 
 def test_returned_order_realizes_the_width():
@@ -218,10 +228,31 @@ def test_random_orders_validate_and_match_elimination_width(seed):
     assert d.width == elimination_width(g, order)
 
 
+def test_decompositions_are_pinned():
+    """The nodes of decomposition_from_order over every order of seeded
+    random graphs, with and without order-only edges, hashed. The plan
+    digests in test_dpengine hash ops, not the decompositions they run."""
+    rng = random.Random(17)
+    digest, count, forget_intos = hashlib.sha256(), 0, 0
+    for k in range(1, 7):
+        for seed in range(3):
+            g = random_graph(k, seed + 8000, p=rng.uniform(0.2, 0.9))
+            only = frozenset(e for e in sorted(g.edges) if rng.random() < 0.5)
+            for order in permutations(range(1, k + 1)):
+                for order_only in (frozenset(), only):
+                    nodes = decomposition_from_order(g, order, order_only).nodes
+                    digest.update(repr(nodes).encode())
+                    count += 1
+                    forget_intos += any(nd.kind == FORGET_INTO for nd in nodes)
+    assert count == 5238 and forget_intos > 1000
+    assert digest.hexdigest() == (
+        "6533694dea048308c17577085516343e4357cba2006f833f0827d8b85881fd2b"
+    )
+
+
 def test_to_nice_single_bag_chain_shape():
     g = DepGraph(2, frozenset([(1, 2)]))
-    d = decomposition_from_order(g, (1, 2))
-    nice = to_nice(d)
+    nice = decomposition_from_order(g, (1, 2))
     kinds = [nice.nodes[t].kind for t in nice.postorder()]
     # ascending introduces from the empty leaf, then ascending forgets
     assert kinds == ["leaf", "introduce", "introduce", "forget", "forget"]
@@ -237,13 +268,12 @@ def test_to_nice_preserves_width_and_validates(seed):
     g = random_graph(k, seed + 2000, p=rng.uniform(0.2, 0.9))
     order = list(range(1, k + 1))
     rng.shuffle(order)
-    d = decomposition_from_order(g, tuple(order))
-    nice = to_nice(d)
-    assert nice.width == d.width
+    nice = decomposition_from_order(g, tuple(order))
+    assert nice.width == elimination_width(g, order)
     ok, diags = validate_decomposition(g, nice)
     assert ok, diags
     # node count stays linear in k * width
-    assert len(nice.nodes) <= 4 * g.k * (d.width + 2) + 4
+    assert len(nice.nodes) <= 4 * g.k * (nice.width + 2) + 4
 
 
 def test_validator_names_uncovered_edge():
@@ -259,7 +289,6 @@ def test_validator_names_uncovered_edge():
             NiceNode("forget", frozenset({3}), 2, (4,)),
             NiceNode("forget", frozenset(), 3, (5,)),
         ),
-        root=6,
     )
     ok, _ = validate_decomposition(g, bad)
     assert ok
@@ -269,19 +298,25 @@ def test_validator_names_uncovered_edge():
     assert any("edge (1,3)" in d for d in diags)
 
 
-def test_validator_names_disconnected_vertex():
-    g = DepGraph(3, frozenset([(1, 2)]))
-    from kopt.decomp import TreeDecomposition
+def path_nodes(k, *steps):
+    """A path of nice nodes up from an empty leaf: step v introduces slot v,
+    step -v forgets it."""
+    nodes, cur = [LEAF_0], set()
+    for step in steps:
+        cur ^= {abs(step)}
+        kind = INTRODUCE if step > 0 else FORGET
+        nodes.append(NiceNode(kind, frozenset(cur), abs(step), (len(nodes) - 1,)))
+    return NiceTreeDecomposition(k, tuple(nodes))
 
-    bad = TreeDecomposition(
-        k=3,
-        bags=(frozenset({1, 2}), frozenset({3}), frozenset({1, 2})),
-        parent=(1, 2, -1),
-        root=2,
-    )
-    ok, diags = validate_decomposition(g, bad)
-    assert not ok
-    assert any("vertex 1" in d or "vertex 2" in d for d in diags)
+
+def test_validator_names_disconnected_vertex():
+    # bags {1, 2}, {3}, {1, 2} on a path: 1 and 2 leave and come back
+    g = DepGraph(3, frozenset([(1, 2)]))
+    bad = path_nodes(3, 1, 2, -1, -2, 3, -3, 1, 2, -1, -2)
+    assert validate_decomposition(g, bad) == (False, [
+        "bags containing vertex 1 are not connected in the tree",
+        "bags containing vertex 2 are not connected in the tree",
+    ])
 
 
 def test_separation_property_on_produced_decompositions():
@@ -291,7 +326,7 @@ def test_separation_property_on_produced_decompositions():
     for m in valid_patterns(4):
         dep = dependence_graph(interference_graph(m), order_edges((1, 1, 2, 2)))
         width, order = treewidth_exact(dep)
-        nice = to_nice(decomposition_from_order(dep, order))
+        nice = decomposition_from_order(dep, order)
         ok, diags = validate_decomposition(dep, nice)
         assert ok, diags
         assert nice.width == width
@@ -307,40 +342,22 @@ def test_unconditional_width_bound():
 def test_join_nodes_occur_for_branching_graphs():
     g = DepGraph(4, frozenset([(1, 4), (2, 4), (3, 4)]))
     width, order = treewidth_exact(g)
-    nice = to_nice(decomposition_from_order(g, order))
+    nice = decomposition_from_order(g, order)
     assert any(nd.kind == JOIN for nd in nice.nodes)
     assert validate_decomposition(g, nice)[0]
-
-
-def test_tree_decomposition_with_a_cycle_is_refused():
-    # 0 -> 1 -> 0 never reaches the root: to_nice, which the validator runs,
-    # would recurse along it forever
-    from kopt.decomp import TreeDecomposition
-
-    bags = (frozenset({1, 2}), frozenset({1, 2}), frozenset({2}))
-    with pytest.raises(ValueError, match="bag 0 does not reach the root"):
-        TreeDecomposition(k=2, bags=bags, parent=(1, 0, -1), root=2)
-    with pytest.raises(ValueError, match="one parent per bag"):
-        TreeDecomposition(k=2, bags=bags, parent=(2, -1), root=1)
-    with pytest.raises(ValueError, match="parent\\[root\\] == -1"):
-        TreeDecomposition(k=2, bags=bags, parent=(2, 2, 0), root=2)
-    with pytest.raises(ValueError, match="bag 0 does not reach the root"):
-        TreeDecomposition(k=2, bags=bags, parent=(-1, 2, -1), root=2)
-    TreeDecomposition(k=2, bags=bags, parent=(1, 2, -1), root=2)
 
 
 LEAF_0 = NiceNode("leaf", frozenset(), None, ())
 
 
 @pytest.mark.parametrize(
-    "nodes,root",
+    "nodes",
     [
         pytest.param(
             (
                 NiceNode("introduce", frozenset({1}), 1, (1,)),
                 NiceNode("forget", frozenset(), 1, (0,)),
             ),
-            1,
             id="cycle",
         ),
         pytest.param(
@@ -350,7 +367,6 @@ LEAF_0 = NiceNode("leaf", frozenset(), None, ())
                 NiceNode("join", frozenset({1}), None, (1, 1)),
                 NiceNode("forget", frozenset(), 1, (2,)),
             ),
-            3,
             id="child-used-twice",
         ),
         pytest.param(
@@ -360,35 +376,33 @@ LEAF_0 = NiceNode("leaf", frozenset(), None, ())
                 NiceNode("forget", frozenset(), 1, (1,)),
                 LEAF_0,
             ),
-            2,
             id="root-not-last",
         ),
     ],
 )
-def test_nice_decomposition_refuses_nodes_out_of_run_order(nodes, root):
+def test_nice_decomposition_refuses_nodes_out_of_run_order(nodes):
     with pytest.raises(ValueError):
-        NiceTreeDecomposition(k=1, nodes=nodes, root=root)
+        NiceTreeDecomposition(k=1, nodes=nodes)
 
 
 def test_to_nice_leaves_no_reference_cycles():
     import gc
 
     g = DepGraph(4, frozenset([(1, 4), (2, 4), (3, 4)]))
-    d = decomposition_from_order(g, treewidth_exact(g)[1])
+    order = treewidth_exact(g)[1]
     gc.collect()
     gc.disable()
     try:
-        to_nice(d)
+        decomposition_from_order(g, order)
         assert gc.collect() == 0
     finally:
         gc.enable()
 
 
 def test_validator_refuses_bag_vertices_outside_1_to_k():
+    # bags {1, 2} below {2, 3, 4}
     g = DepGraph(3, frozenset([(1, 2), (2, 3)]))
-    d = TreeDecomposition(
-        k=3, bags=(frozenset({1, 2}), frozenset({2, 3, 4})), parent=(1, -1), root=1
-    )
+    d = path_nodes(3, 1, 2, -1, 3, 4, -2, -3, -4)
     assert validate_decomposition(g, d) == (False, ["slot 4 is outside 1..3"])
 
 
@@ -450,10 +464,16 @@ def drop_vertex(rng, bags):
     return bags, i
 
 
+def lay_out(k, bags, kids):
+    """The nice form of a tree of bags, laid out as decomposition_from_order
+    lays out its own."""
+    return decomp._NiceBuilder(bags, kids, [None] * len(bags)).tree(k)
+
+
 def test_validator_agrees_with_the_definition():
-    """Random decompositions from elimination orders, each against its own
-    graph and another, with and without a vertex dropped from a bag, and
-    their nice forms, which get a dropped vertex too."""
+    """Random fill-in trees of elimination orders, each against its own graph
+    and another, with and without a vertex dropped from a bag, laid out as
+    nice forms, which get a dropped vertex too."""
     rng = random.Random(5)
     verdicts = Counter()
     for seed in range(300):
@@ -461,24 +481,23 @@ def test_validator_agrees_with_the_definition():
         g = random_graph(k, seed + 3000, p=rng.uniform(0.1, 0.9))
         order = list(range(1, k + 1))
         rng.shuffle(order)
-        valid = decomposition_from_order(g, tuple(order))
-        bags, _ = drop_vertex(rng, valid.bags)
-        dropped = TreeDecomposition(k, tuple(bags), valid.parent, valid.root)
-        for d in (valid, dropped):
-            nice = to_nice(d)
+        valid, kids = fill_in(g, order)
+        assert lay_out(k, valid, kids) == decomposition_from_order(g, tuple(order))
+        dropped, _ = drop_vertex(rng, valid)
+        tree_edges = [(p, c) for p, cs in enumerate(kids) for c in cs]
+        for bags in (valid, dropped):
+            nice = lay_out(k, bags, kids)
             nodes = list(nice.nodes)
-            bags, i = drop_vertex(rng, [nd.bag for nd in nodes])
-            nodes[i] = NiceNode(nodes[i].kind, bags[i], nodes[i].vertex, nodes[i].children)
-            nice_dropped = NiceTreeDecomposition(k, tuple(nodes), nice.root)
+            nice_bags, i = drop_vertex(rng, [nd.bag for nd in nodes])
+            nodes[i] = NiceNode(nodes[i].kind, nice_bags[i], nodes[i].vertex, nodes[i].children)
+            nice_dropped = NiceTreeDecomposition(k, tuple(nodes))
             for graph in (g, random_graph(k, seed + 4000, p=0.3)):
-                ok, diags = validate_decomposition(graph, d)
-                tree_edges = [(p, c) for c, p in enumerate(d.parent) if p >= 0]
-                assert ok == decomposes_by_definition(graph, d.bags, tree_edges), diags
-                assert ok == (not diags)
-                verdicts[ok] += 1
+                ok, diags = validate_decomposition(graph, nice)
+                assert ok == decomposes_by_definition(graph, bags, tree_edges), diags
                 for n in (nice, nice_dropped):
                     ok, diags = validate_decomposition(graph, n)
                     assert ok == nice_by_definition(graph, n), diags
+                    assert ok == (not diags)
                     verdicts[ok] += 1
     assert min(verdicts.values()) > 500
 
@@ -492,11 +511,10 @@ def effective_decomposition(g, only):
     """treewidth_exact's effective width and order, and the nice form built
     on that order, which must validate and have that width."""
     width, order = treewidth_exact(g, only)
-    d = decomposition_from_order(g, order, only)
-    nice = to_nice(d)
+    nice = decomposition_from_order(g, order, only)
     ok, diags = validate_decomposition(g, nice)
     assert ok, diags
-    assert d.width == nice.width == width
+    assert nice.width == width
     return width, order, nice
 
 
@@ -541,7 +559,7 @@ def test_effective_width_is_the_treewidth_without_order_only_edges():
         assert treewidth_bruteforce(g, order_only=frozenset()).value == tw
         assert treewidth_exact(g)[0] == tw
         d = decomposition_from_order(g, treewidth_exact(g)[1], frozenset())
-        assert d.into == ()
+        assert all(nd.kind != FORGET_INTO for nd in d.nodes)
 
 
 def test_one_bucket_plans_hold_at_most_three_slots_for_k_up_to_5():
@@ -582,7 +600,7 @@ def bad_forget_into(w_in_child=False, w_below=False, v_outside=False, not_an_edg
     for v in sorted(cur):
         cur.remove(v)
         nodes.append(NiceNode(FORGET, frozenset(cur), v, (len(nodes) - 1,)))
-    return g, NiceTreeDecomposition(3, tuple(nodes), len(nodes) - 1)
+    return g, NiceTreeDecomposition(3, tuple(nodes))
 
 
 @pytest.mark.parametrize("fault, message", [

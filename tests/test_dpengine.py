@@ -138,7 +138,7 @@ def _forget_into_chain(k, first, v, w):
     for u in sorted(cur):
         cur.remove(u)
         add(FORGET, u)
-    return NiceTreeDecomposition(k, tuple(nodes), len(nodes) - 1)
+    return NiceTreeDecomposition(k, tuple(nodes))
 
 
 def test_forget_into_tables_match_definitional_maxima():
@@ -289,7 +289,7 @@ def test_join_rule_against_synthetic_decomposition():
         NiceNode("join", frozenset({2}), None, (3, 7)),
         NiceNode("forget", frozenset(), 2, (8,)),
     )
-    nice = NiceTreeDecomposition(k=3, nodes=nodes, root=9)
+    nice = NiceTreeDecomposition(k=3, nodes=nodes)
 
     from kopt.buckets import BucketPartition
 
@@ -329,7 +329,6 @@ def test_solve_fixed_rejects_wrong_decomposition():
             NiceNode("forget", frozenset({3}), 2, (3,)),
             NiceNode("forget", frozenset(), 3, (4,)),
         ),
-        root=5,
     )
     with pytest.raises(ValueError, match="introduce node 2 bag rule violated"):
         solve_fixed(inst, tour, m3, (1, 1, 1), part, skips_slot_2)
@@ -348,7 +347,6 @@ def test_solve_fixed_rejects_wrong_decomposition():
             NiceNode("forget", frozenset({3}), 2, (6,)),
             NiceNode("forget", frozenset(), 3, (7,)),
         ),
-        root=8,
     )
     with pytest.raises(ValueError, match="slot 4 is outside 1..3"):
         solve_fixed(inst, tour, m3, (1, 1, 1), part, has_slot_4)
@@ -383,7 +381,7 @@ def test_every_plan_runs_through_group_runs(monkeypatch):
     local_search; and solve_fixed over its own decomposition and over a
     caller's."""
     from kopt import dpengine
-    from kopt.decomp import decomposition_from_order, to_nice
+    from kopt.decomp import decomposition_from_order
 
     callers, alone = [], []
     real_run_plan, real_alone = dpengine._run_plan, dpengine._run_alone
@@ -411,7 +409,7 @@ def test_every_plan_runs_through_group_runs(monkeypatch):
     local_search(inst, tour, 3, alpha=alpha)
     m, a = valid_patterns(3)[-1], (1, 1, 2)
     dep = dependence_graph(interference_graph(m), order_edges(a))
-    for nice in (None, to_nice(decomposition_from_order(dep, (1, 2, 3)))):
+    for nice in (None, decomposition_from_order(dep, (1, 2, 3))):
         before = len(callers)
         assert solve_fixed(inst, tour, m, a, part, nice).gain is not None
         assert len(callers) == before + 1

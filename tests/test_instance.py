@@ -290,3 +290,10 @@ def test_weight_magnitude_guard_does_not_wrap(weights):
     # int64; both must fail rather than load as a different instance
     with pytest.raises(ValueError, match=r"2\^40"):
         Instance(n=3, weights=weights)
+
+
+@pytest.mark.parametrize("x", [float("inf"), float("nan"), 1e300, 2.0**40 + 1])
+def test_euclidean_distance_guard(x):
+    # an infinite or oversized distance would not fit the int64 matrix
+    with pytest.raises(ValueError, match=r"points 1 and 2 exceeds the 2\^40"):
+        euclidean_instance([(0, 0), (x, 0), (1, 1)])
