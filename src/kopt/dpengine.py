@@ -15,17 +15,35 @@ cells share it.
   and order edge between the two slots; each join op carries its correction
   terms. Plans are cached and do not depend on the tour; equal ops are one
   shared object, so a cached plan costs little more than its op list.
+- **Shapes.** Over one order-edge set, the plans of patterns that pair the
+  same slots the same number of times (`Plan.shape`) have one decomposition
+  and the same ops but for which sides their pairs read. `_shape_table`
+  lists each valid pattern's shape per order-edge set, with the shape's
+  patterns, the first one's plan, whose ops they all run, and a small array
+  of each pattern's pair sides per slot pair. At k = 5 over four buckets of
+  10, the 5,760 plans of one call fall into 1,095 shapes; at k = 6 over
+  three buckets of 8, 61,440 plans into 6,208.
 - **Batch axis.** Every plan runs through `_GroupRuns`, over a group of
   fitting assignments that share an order-edge set. `best_move` still visits
-  every cell through `solve_fixed`: the first cell of a (pattern, group)
-  asked for runs the pattern's plan once over the whole group, and the
-  group's other cells read their root values from that run. A standalone
-  `solve_fixed` call, and a winner that the latest run did not hold, run as
-  a group of one, so chunks, shared blocks and the memory bound below hold
-  for every run. Every table has shape `(B, s, ..., s)`: axis 0 runs over
-  the group's assignments, and each bag slot has one axis over
-  `s = part.size` positions, the largest bucket's size: position j of a
-  slot in bucket b is the tour edge j after b's first.
+  every cell through `solve_fixed`, which finds the cell's group and row
+  with one dict lookup. Over more than one bucket, tables are small and
+  Python dispatch sets the time, so the first cell of a (group, shape)
+  asked for runs all of the shape's patterns at once, and every later cell
+  of those patterns reads its gain from that run. Its rows are then
+  (pattern, assignment) pairs, pattern-major. A term over the assignments
+  alone, such as a one-slot term, is added through a (P, B, s, ...) view of
+  the table, so it broadcasts along the patterns, and so is a pair block
+  whose sides all of the run's patterns share; a pair block whose sides
+  differ stacks each pattern's value from the group's memo. At one bucket a
+  group is one assignment with s^w-entry tables, and a run holds the
+  requested pattern alone: batching there made a policy="first" search pay
+  for patterns it never reached. A standalone `solve_fixed` call, and a
+  winner that the latest chunk did not run alone, run as a group of one, so
+  chunks, shared blocks and the memory bound below hold for every run.
+  Every table has shape `(R, s, ..., s)`: axis 0 runs over the run's rows,
+  and each bag slot has one axis over `s = part.size` positions, the
+  largest bucket's size: position j of a slot in bucket b is the tour edge j
+  after b's first.
 - **Order edges by running maxima.** Where the decomposition forgets slot v
   into slot w (decomp: their order edge is v's only tie to w), the
   forget-into op takes the table over v and the rest, which holds all of v's
@@ -51,16 +69,16 @@ cells share it.
   block's terms and on the group's cells, not on the pattern. Over more
   than one bucket each group's cells memoize these values, keyed by the
   block's terms (slots, unary, pairs, matrix, order; the op's index is
-  applied to the stored array as a view), so all of the group's pattern runs
-  gather each block once. Stored arrays are read-only, which checks that no
-  op writes into a block: introduce ops sum into fresh buffers and joins add
-  blocks into their tables. One budget of `MAX_BATCH_ENTRIES` entries serves
-  every group of one best_move call; past it, and in chunked runs, a block
-  is computed as before. At one bucket there is no memo: the one cell's
-  blocks hold s^2 entries beside tables of s^3, so sharing saves no work,
-  and keeping them made a warm k = 3, n = 100 call slower (11-14 ms, not
-  8-9 ms) by where the heap put them: with glibc's mmap threshold pinned,
-  both took the same time.
+  applied to the stored array as a view), so all of the group's shape runs
+  gather each block once, with each pattern's own pair sides. Stored arrays
+  are read-only, which checks that no op writes into a block: introduce ops
+  sum into fresh buffers and joins add blocks into their tables. One budget
+  of `MAX_BATCH_ENTRIES` entries serves every group of one best_move call;
+  past it, and in chunked runs, a block is computed as before. At one
+  bucket there is no memo: the one cell's blocks hold s^2 entries beside
+  tables of s^3, so sharing saves no work, and keeping them made a warm
+  k = 3, n = 100 call slower (11-14 ms, not 8-9 ms) by where the heap put
+  them: with glibc's mmap threshold pinned, both took the same time.
 - **Sliced pairs.** An introduce op whose parent is a forget or forget-into
   op never builds its table whole when it holds more than
   `MAX_SLICE_ENTRIES` entries. One routine, `_forget`, sums it in pieces
@@ -68,13 +86,18 @@ cells share it.
   each piece's maximum into its output; a forget-into op walks the pieces in
   w's order and carries the running maximum from each into the next. A
   table that fits runs the same code as one piece.
-- **Chunks.** The batch axis is cut into chunks so that no table holds more
-  than `MAX_BATCH_ENTRIES` entries, or one cell's table when that is larger.
-  A plan whose one cell needs a table of more than `MAX_TABLE_BYTES`, counted
-  from the widest table it builds whole, is refused before it runs.
-- **Check once.** Root values give every cell's gain. Each run keeps the
-  tables its forget ops output, and a group run holds on to its last chunk's
-  cells and forget tables until the next run starts. A forget-into op's kept
+- **Chunks.** The batch axis is cut into chunks of whole patterns so that no
+  table holds more than `MAX_BATCH_ENTRIES` entries; a pattern that does not
+  fit alone is cut into chunks of assignments, down to one cell's table when
+  that is larger. A plan whose one cell needs a table of more than
+  `MAX_TABLE_BYTES`, counted from the widest table it builds whole, is
+  refused before it runs, and `best_move` refuses the whole request before
+  any plan runs: the shape tables know the widest of all its plans, which
+  does not depend on the tour.
+- **Check once.** Root values give every cell's gain. A run of one pattern
+  keeps the tables its forget ops output, and a run of several keeps none.
+  A group run holds on to its last chunk's cells and forget tables, when
+  that chunk ran one pattern, until the next run starts. A forget-into op's kept
   table has its full bag width, one slot more than a forget op's output over
   the same input. The winning cell's embedding is rebuilt top-down from
   those tables, at the cell's row: at each forget op, the child's table is
@@ -83,7 +106,8 @@ cells share it.
   first maximum: at a forget-into op, its first maximum among the positions
   before w's chosen one (after it, when w < v), the one that gave w's entry
   its value. When the winner lies in that last chunk nothing runs again;
-  otherwise its group of one runs once. Its embedding is turned into a
+  otherwise, as always when its shape ran several patterns at once, its
+  plan runs once more over its group of one. Its embedding is turned into a
   `KMove` once, whose gain must equal the root value, and applied once
   through `apply_move`, which builds the new tour from the move's k segments
   and checks its weight.
@@ -102,8 +126,10 @@ matter and both dtypes give the same answers.
 
 from __future__ import annotations
 
+import copy
 import math
 import operator
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -159,9 +185,10 @@ FLOAT32_EXACT = 1 << 24
 # peaked at 0.66 GB RSS (k = 2..7 at s = 1, k = 2..8 at s = 10).
 MAX_ASSIGNMENT_ENTRIES = 2_000_000
 # Most cells, valid patterns times bucket assignments, that best_move visits.
-# Each passes through solve_fixed, about 5 us when it needs no run (k = 5,
-# alpha 0, n = 10: 768,768 cells in 3.6 s), so a call at the bound spends
-# 40 s on that alone.
+# Each passes through solve_fixed, about 1 us when it needs no run (k = 5,
+# alpha 0, n = 10: 768,768 cells in 0.85 s, runs included), and keeps an
+# 8-byte gain until the call returns, so a call at the bound spends about 9 s
+# and 67 MB on that alone.
 MAX_CELLS = 1 << 23
 # Largest table one cell's plan builds whole, in bytes: 2^26 float32 or 2^25
 # float64 entries. A k = 4 plan at alpha 1 holds one such table at a time (a
@@ -260,13 +287,17 @@ class Plan:
     as every table is over one node's bag: one cell's largest table has
     s**width entries. `whole_width` is the slot count of the largest table
     that is built whole: an introduce op under a forget op is summed in
-    pieces of at most MAX_SLICE_ENTRIES entries or the forget's output."""
+    pieces of at most MAX_SLICE_ENTRIES entries or the forget's output.
+    `shape` is the pattern's pairs as sorted (slot, slot) pairs, their sides
+    dropped (_slot_pairs): over one order-edge set, the plans of one shape
+    have one decomposition and ops that differ only in their pairs' sides."""
 
     k: int
     ops: tuple[tuple, ...]
     width: int
     nice: NiceTreeDecomposition
     whole_width: int
+    shape: tuple[tuple[int, int], ...]
 
 
 def _pattern_pairs_info(m: ConnectionPattern) -> tuple[tuple[int, bool, int, bool], ...]:
@@ -280,6 +311,17 @@ def _pattern_pairs_info(m: ConnectionPattern) -> tuple[tuple[int, bool, int, boo
         )
         for a, b in m.pairs
     )
+
+
+@lru_cache(maxsize=COMPILE_CACHE_SIZE)
+def _interned(key: tuple) -> tuple:
+    return key
+
+
+def _slot_pairs(pairs_info) -> tuple[tuple[int, int], ...]:
+    """A plan's shape key: the pattern's pairs as sorted (slot, slot) pairs,
+    their sides dropped; one shared object per distinct key."""
+    return _interned(tuple(sorted((min(sa, sb), max(sa, sb)) for sa, _, sb, _ in pairs_info)))
 
 
 _DECOMP_CACHE: dict[
@@ -424,7 +466,7 @@ def _compile(
         else op[1] if op[0] == INTRODUCE and up[0] not in _FORGETS else 0
         for op, up in zip(ops, ops[1:] + [_LEAF_OP])
     )
-    return Plan(m.k, tuple(ops), nice.width + 1, nice, whole_width)
+    return Plan(m.k, tuple(ops), nice.width + 1, nice, whole_width, _slot_pairs(pairs_info))
 
 
 @lru_cache(maxsize=COMPILE_CACHE_SIZE)
@@ -434,6 +476,84 @@ def compile_plan(m: ConnectionPattern, obs: frozenset[tuple[int, int]]) -> Plan:
     ig = interference_graph(m)
     dep = dependence_graph(ig, obs)
     return _compile(m, obs, nice_decomposition_for(dep, obs - ig.edges))
+
+
+@lru_cache(maxsize=MAX_SOLVER_K)
+def _pattern_index(k: int) -> dict[ConnectionPattern, int]:
+    return {m: i for i, m in enumerate(valid_patterns(k))}
+
+
+@lru_cache(maxsize=MAX_SOLVER_K)
+def _sides_by_shape(k: int) -> dict[tuple, tuple]:
+    """Per shape key of the valid k-patterns, _Shape's fields but its plan:
+    the patterns' indices, in pattern order; the columns, each slot pair
+    (0-based, lo < hi) that pattern pairs join, mapped to its index; per
+    column the distinct sides its pairs take, each a sorted tuple of (side
+    at lo, side at hi) as a block's pairs are; and a read-only (patterns,
+    columns) int8 array, each pattern's variant index in each column. The
+    key does not depend on the order edges, so every order-edge set shares
+    these."""
+    found: dict[tuple, list] = {}
+    for p, m in enumerate(valid_patterns(k)):
+        info = _pattern_pairs_info(m)
+        sides: dict[tuple[int, int], list[tuple[bool, bool]]] = {}
+        for sa, ra, sb, rb in info:
+            if sa != sb:
+                (a, side_a), (b, side_b) = sorted(((sa - 1, ra), (sb - 1, rb)))
+                sides.setdefault((a, b), []).append((side_a, side_b))
+        found.setdefault(_slot_pairs(info), []).append((p, sides))
+    out = {}
+    for key, members in found.items():
+        columns = sorted(members[0][1])  # the key fixes the slot pairs
+        rows = [[_interned(tuple(sorted(sides[c]))) for c in columns] for _, sides in members]
+        variants = [tuple(dict.fromkeys(got)) for got in zip(*rows)]
+        ids = np.array([[v.index(x) for v, x in zip(variants, row)] for row in rows], np.int8)
+        ids.flags.writeable = False
+        out[key] = (tuple(p for p, _ in members), {c: i for i, c in enumerate(columns)},
+                    tuple(variants), ids)
+    return out
+
+
+@dataclass(frozen=True, slots=True)
+class _Shape:
+    """Patterns whose plans over one order-edge set differ only in the sides
+    of their pairs: `plan` is the first one's, whose ops they all run;
+    `patterns` their indices in valid_patterns(k), in pattern order; the rest
+    as _sides_by_shape gives it, or None for a plan run alone."""
+
+    plan: Plan
+    patterns: tuple
+    columns: dict[tuple[int, int], int] | None = None
+    variants: tuple | None = None
+    ids: np.ndarray | None = None
+
+
+@dataclass(frozen=True, slots=True)
+class _ShapeTable:
+    """Every valid k-pattern's shape over one order-edge set, by pattern
+    index, and the largest whole_width of their plans, which does not depend
+    on the tour."""
+
+    shape_of: tuple[_Shape, ...]
+    whole_width: int
+
+
+# A best_move call reads one table per order-edge set: at most 2^(k - 1).
+@lru_cache(maxsize=1 << (MAX_SOLVER_K - 1))
+def _shape_table(k: int, obs: frozenset[tuple[int, int]]) -> _ShapeTable:
+    sides = _sides_by_shape(k)
+    shapes: dict[tuple, _Shape] = {}
+    shape_of = []
+    for p, m in enumerate(valid_patterns(k)):
+        plan = compile_plan(m, obs)
+        shape = shapes.get(plan.shape)
+        if shape is None:
+            shape = shapes[plan.shape] = _Shape(plan, *sides[plan.shape])
+        if (p not in shape.patterns or plan.nice is not shape.plan.nice
+                or plan.whole_width != shape.plan.whole_width):
+            raise InvariantError(f"the plans of shape {plan.shape} do not share a decomposition")
+        shape_of.append(shape)
+    return _ShapeTable(tuple(shape_of), max(s.plan.whole_width for s in shapes.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +594,11 @@ class _Cells:
     array is in the dtype of the assignments' k (TourArrays.dtype).
 
     With a `budget` the cells keep a memo of their two-slot block values,
-    keyed by the block's terms, while the budget lasts; else `memo` is None."""
+    keyed by the block's terms, while the budget lasts; else `memo` is None.
+
+    A run over several patterns of one shape reads its cells through
+    `over`: the batch is then `patterns` times the assignments, pattern-major,
+    and `sides` says which sides each pattern's pairs take."""
 
     def __init__(
         self, arrays: TourArrays, part: BucketPartition, assignments, budget: _Budget | None = None
@@ -499,40 +623,67 @@ class _Cells:
         self.neg_rem = -rem
         self.budget = budget
         self.memo: dict[tuple, np.ndarray] | None = None if budget is None else {}
-
-    @property
-    def batch(self) -> int:
-        return len(self.assignments)
+        self.patterns, self.batch = 1, len(self.assignments)
+        self.sides: tuple | None = None
 
     def rows(self, lo: int, hi: int) -> _Cells:
         return _Cells(self.arrays, self.part, self.assignments[lo:hi])
 
+    def over(self, shape: _Shape, lo: int, hi: int) -> _Cells:
+        """These cells under patterns lo..hi-1 of `shape`: row p * B + b is
+        the shape's pattern lo + p at assignment b. The memo is shared.
+        `sides` holds the shape's columns and variants, the patterns' rows of
+        its ids, and per column whether those rows all agree."""
+        run = copy.copy(self)
+        ids = shape.ids[lo:hi]
+        same = (ids == ids[:1]).all(axis=0).tolist()
+        run.patterns, run.sides = hi - lo, (shape.columns, shape.variants, ids, same)
+        run.batch = run.patterns * self.batch
+        return run
+
 
 def _block_value(block: tuple, cells: _Cells) -> np.ndarray:
     """The block's terms summed over the batch, placed on the op's table axes.
-    A two-slot block's value is looked up in, or stored read-only into, the
-    cells' memo when they have one."""
+    A term over the cells' assignments alone has their rows, (B, ...), and
+    holds for every pattern of the run. A pair block whose sides differ
+    between the run's patterns stacks each pattern's value, one row per
+    batch row."""
     slots, unary, pairs, matrix, order, index = block
     if len(slots) == 1:
         return getattr(cells, unary[0][1])[:, slots[0]][index]
+    if cells.sides is None or not pairs:
+        return _stored(block, cells)[index]
+    columns, variants, ids, same = cells.sides
+    col = columns[slots]
+    ids, variants = ids[:, col], variants[col]
+    if same[col]:
+        return _stored((slots, unary, variants[ids[0]], matrix, order), cells)[index]
+    values = np.stack([_stored((slots, unary, v, matrix, order), cells) for v in variants])
+    return values[ids].reshape(-1, *values.shape[2:])[index]
+
+
+def _stored(key: tuple, cells: _Cells) -> np.ndarray:
+    """A two-slot block's value (key: the block, or its first five fields),
+    looked up in, or stored read-only into, the cells' memo when they have
+    one."""
     memo = cells.memo
     if memo is None:
-        return _pair_value(block, cells)[index]
-    key = block[:5]
+        return _pair_value(key, cells)
+    key = key[:5]
     value = memo.get(key)
     if value is None:
-        value = _pair_value(block, cells)
+        value = _pair_value(key, cells)
         if value.size <= cells.budget.left:
             cells.budget.left -= value.size
             value.flags.writeable = False
             memo[key] = value
-    return value[index]
+    return value
 
 
-def _pair_value(block: tuple, cells: _Cells) -> np.ndarray:
-    """A two-slot block's terms summed over the batch: (B, s, s), or
-    (1, s, s) for an order edge alone."""
-    slots, unary, pairs, matrix, order, _ = block
+def _pair_value(key: tuple, cells: _Cells) -> np.ndarray:
+    """A two-slot block's terms (its first five fields) summed over the
+    cells' assignments: (B, s, s), or (1, s, s) for an order edge alone."""
+    slots, unary, pairs, matrix, order = key[:5]
     a, b = slots
     mat = getattr(cells, matrix)
     value = _order_mask(cells.s, cells.dtype) if order else None
@@ -565,6 +716,20 @@ def _along(axis: int, lo: int, hi: int) -> tuple:
     return (slice(None),) * axis + (slice(lo, hi),)
 
 
+def _by_pattern(patterns: int, *arrays: np.ndarray) -> list[np.ndarray]:
+    """Arrays with the first one's rows as (pattern, assignment, ...) views,
+    so that a term over the assignments alone broadcasts along the
+    patterns."""
+    rows = arrays[0].shape[0]
+    return [a.reshape(patterns, -1, *a.shape[1:]) if a.shape[0] == rows else a for a in arrays]
+
+
+def _add(table: np.ndarray, term: np.ndarray, patterns: int) -> None:
+    if patterns > 1:
+        table, term = _by_pattern(patterns, table, term)
+    table += term
+
+
 def _introduce(
     op: tuple, child: np.ndarray, cells: _Cells, out: np.ndarray, axis: int = 1, lo: int = 0
 ) -> np.ndarray:
@@ -577,9 +742,12 @@ def _introduce(
         # a term of size 1 along the axis (broadcast) is the same in every piece
         cut = _along(axis, lo, lo + size)
         terms = [t if t.shape[axis] == 1 else t[cut] for t in terms]
-    np.add(terms[0], terms[1], out=out)
+    into = out
+    if cells.patterns > 1:
+        into, *terms = _by_pattern(cells.patterns, out, *terms)
+    np.add(terms[0], terms[1], out=into)
     for t in terms[2:]:
-        out += t
+        into += t
     return out
 
 
@@ -630,7 +798,7 @@ def _forget(
         if lo:
             np.maximum(run[to], run[_along(axis, lo, lo + 1)], out=run[to])
     for block in op[5] if run is not None else ():
-        out += _block_value(block, cells)
+        _add(out, _block_value(block, cells), cells.patterns)
     return out
 
 
@@ -640,10 +808,12 @@ def _run_plan(
     """The root values over the batch, the forget ops' output tables, from
     which _reconstruct rebuilds an embedding, and every op's table (if
     keep_tables, which tests use to compare every node's table), both in op
-    order. A join adds into its first child's table unless that table is
-    kept. An introduce op below a forget or forget-into op runs with it,
-    through _forget."""
+    order. A run of several patterns keeps no forget tables, since no
+    embedding is rebuilt from it. A join adds into its first child's table
+    unless that table is kept. An introduce op below a forget or forget-into
+    op runs with it, through _forget."""
     B, s, ops, dtype, nodes = cells.batch, cells.s, plan.ops, cells.dtype, plan.nice.nodes
+    keep_forgets = cells.patterns == 1
     stack: list[np.ndarray] = []
     forgets: list[np.ndarray] = []
     kept: list[np.ndarray] = []
@@ -659,16 +829,17 @@ def _run_plan(
                 table = stack.pop().max(axis=op[1])
             else:
                 table = _forget(op, below, stack.pop(), cells, kept if keep_tables else None)
-            forgets.append(table)
+            if keep_forgets:
+                forgets.append(table)
         elif kind == JOIN:
             other, table = stack.pop(), stack.pop()
-            if keep_tables or ops[nodes[i].children[0]][0] in _FORGETS:
+            if keep_tables or keep_forgets and ops[nodes[i].children[0]][0] in _FORGETS:
                 table = table + other
             else:
                 table += other
             del other
             for block in op[1]:
-                table += _block_value(block, cells)
+                _add(table, _block_value(block, cells), cells.patterns)
         else:
             table = np.zeros(B, dtype)
         stack.append(table)
@@ -722,6 +893,28 @@ def _fits(assignment: tuple[int, ...], part: BucketPartition) -> bool:
     return all(assignment.count(b) <= part.bucket_size(b) for b in set(assignment))
 
 
+def _check_table_bytes(s: int, width: int, dtype: type) -> None:
+    """ValueError if one cell's table over `width` slots of s positions
+    holds more than MAX_TABLE_BYTES."""
+    entries = s**width
+    size = entries * np.dtype(dtype).itemsize
+    if size > MAX_TABLE_BYTES:
+        raise ValueError(f"one cell's DP table holds {s}^{width} = {entries:,} entries,"
+                         f" {size:,} bytes; at most {MAX_TABLE_BYTES:,} fit in memory (a"
+                         " smaller alpha makes smaller buckets)")
+
+
+# A group's gains are int64: _NONE where a cell has no embedding, _UNRUN where
+# its pattern has not run yet. Gains are below 2^53 (module docstring).
+_NONE, _UNRUN = -(1 << 63), (1 << 63) - 1
+
+
+def _gains(root: np.ndarray) -> array:
+    """Root values as gains, _NONE where a value is -inf. The values are
+    exact integers (module docstring), so the cast is exact."""
+    return array("q", [_NONE if v == NEG_INF else int(v) for v in root.tolist()])
+
+
 def solve_fixed(
     inst: Instance,
     tour: Tour,
@@ -739,12 +932,16 @@ def solve_fixed(
     against the direct gain computation.
 
     With `runs` (best_move's batched runs over this tour and partition) the
-    gain is the cell's root value in the batched run of its plan group, and
-    the result carries no embedding or move.
+    result carries no embedding or move, and the gain of a cell the runs hold
+    is read from the run of its group and shape; any other cell is checked
+    and runs as without `runs`.
     """
-    k = m.k
-    assignment = tuple(map(operator.index, assignment))  # hashable: _GroupRuns.row's key
-    if len(assignment) != k:
+    if runs is not None:
+        gain = runs.gain(m, assignment, nice)
+        if gain is not _UNHELD:
+            return SolveResult(gain, None, None)
+    assignment = tuple(map(operator.index, assignment))
+    if len(assignment) != m.k:
         raise ValueError("assignment length must equal k")
     if list(assignment) != sorted(assignment):
         raise ValueError(f"assignment {assignment} is not nondecreasing")
@@ -753,33 +950,28 @@ def solve_fixed(
     obs = order_edges(assignment)
     plan = compile_plan(m, obs)
     if nice is not None and nice is not plan.nice:
-        if nice.k != k:
+        if nice.k != m.k:
             raise ValueError("decomposition is for a different k")
         ok, diags = validate_decomposition(dependence_graph(interference_graph(m), obs), nice)
         if not ok:
             raise ValueError(f"invalid decomposition: {'; '.join(diags)}")
         plan = _compile(m, obs, nice)
-
+    kept = _run_alone(TourArrays(inst, tour), part, m, obs, plan, assignment)
     if runs is not None:
-        value = runs.root_value(m, obs, plan, assignment)
-        return SolveResult(None if value == NEG_INF else int(round(value)), None, None)
-    return _solve_cell(
-        inst, tour, m, plan, _run_alone(TourArrays(inst, tour), part, m, obs, plan, assignment)
-    )
+        return SolveResult(None if kept is None else kept[3], None, None)
+    return _solve_cell(inst, tour, m, plan, kept)
 
 
 def _solve_cell(
     inst: Instance, tour: Tour, m: ConnectionPattern, plan: Plan, kept: tuple | None
 ) -> SolveResult:
     """The move of the cell that `kept` (take's hand-over: the run's cells
-    and forget tables, the cell's row in them and its root value) holds, or
-    no move when `kept` is None (the assignment does not fit) or the root
-    value is -inf. The embedding is made into a KMove, whose gain must equal
-    the root value."""
-    if kept is None or kept[3] == NEG_INF:
+    and forget tables, the cell's row in them and its gain) holds, or no move
+    when `kept` is None (the assignment does not fit) or the gain is None.
+    The embedding is made into a KMove, whose gain must equal the table's."""
+    if kept is None or kept[3] is None:
         return SolveResult(None, None, None)
-    cells, forgets, row, root_val = kept
-    gain = int(round(root_val))
+    cells, forgets, row, gain = kept
     embedding = _reconstruct(plan, cells, forgets, row)
     move = as_kmove(inst, tour, m, embedding)
     if move.gain != gain:
@@ -787,85 +979,152 @@ def _solve_cell(
     return SolveResult(gain, embedding, move)
 
 
+# _GroupRuns.gain's answer for a cell the runs do not hold
+_UNHELD = object()
+
+
+class _Group:
+    """The fitting assignments of one order-edge set: their cells, the shape
+    table of their plans and the gains of every cell over them, pattern-major,
+    both made at first use."""
+
+    __slots__ = ("obs", "cells", "table", "gains")
+
+    def __init__(self, obs: frozenset[tuple[int, int]], cells: _Cells):
+        self.obs, self.cells = obs, cells
+        self.table: _ShapeTable | None = None
+        self.gains: array | None = None
+
+
 class _GroupRuns:
-    """Root values of the cells over one tour and partition, computed one
-    plan group at a time: the first request for a cell runs every fitting
-    assignment that shares its pattern and order-edge set in one batch, in
-    chunks of the batch axis. An assignment that does not fit has root value
-    -inf. The cells and forget tables of the latest chunk run are kept,
-    tagged with its pattern, order-edge set and first row, until the next
-    run starts.
+    """Gains of the cells over one tour and partition, computed one plan
+    group at a time. The assignments, nondecreasing tuples over `part`, are
+    grouped by order-edge set; one that does not fit has no embedding.
+    The first request for a cell runs its group: over more than one bucket,
+    under every pattern of the cell's shape at once, rows pattern-major;
+    at one bucket, where a group is one assignment with s^w-entry tables,
+    under the cell's pattern alone. Every later cell of those patterns reads
+    its gain from that run. The cells and forget tables of the latest chunk
+    are kept, when it ran one pattern, until the next chunk starts.
 
     Over more than one bucket each group's cells memoize their two-slot
-    blocks for every pattern's unchunked run, within one budget of
-    MAX_BATCH_ENTRIES entries for all groups."""
+    blocks for every unchunked run, within one budget of MAX_BATCH_ENTRIES
+    entries for all groups."""
 
     def __init__(self, arrays: TourArrays, part: BucketPartition, assignments):
-        groups: dict[frozenset[tuple[int, int]], list[tuple[int, ...]]] = {}
-        for assignment in assignments:
+        assignments = list(assignments)
+        self.k = len(assignments[0]) if assignments else 0
+        found: dict[frozenset[tuple[int, int]], list[tuple[int, ...]]] = {}
+        self.where: dict[tuple[int, ...], tuple[_Group | None, int]] = {}
+        for assignment in map(tuple, assignments):
             if _fits(assignment, part):
-                groups.setdefault(order_edges(assignment), []).append(assignment)
+                found.setdefault(order_edges(assignment), []).append(assignment)
+            else:
+                self.where[assignment] = None, -1
         budget = _Budget(MAX_BATCH_ENTRIES) if part.count > 1 else None
-        self.cells = {obs: _Cells(arrays, part, group, budget) for obs, group in groups.items()}
-        self.row = {a: i for group in groups.values() for i, a in enumerate(group)}
+        self.groups = {obs: _Group(obs, _Cells(arrays, part, group, budget))
+                       for obs, group in found.items()}
+        self.cells = {obs: group.cells for obs, group in self.groups.items()}
+        for obs, group in found.items():
+            self.where.update((a, (self.groups[obs], row)) for row, a in enumerate(group))
         self.pattern: ConnectionPattern | None = None
-        self.values: dict[frozenset[tuple[int, int]], list[float]] = {}  # of self.pattern
-        self.last: tuple | None = None  # (pattern, obs, first row, cells, forget tables)
+        self.index: int | None = None  # of self.pattern in valid_patterns(k)
+        self.last: tuple | None = None  # (group, pattern index, first row, cells, forget tables)
 
-    def root_value(self, m: ConnectionPattern, obs, plan: Plan, assignment) -> float:
-        row = self.row.get(assignment)
-        if row is None:
-            return NEG_INF
+    def gain(self, m: ConnectionPattern, assignment, nice) -> int | None | object:
+        """The cell's gain, None if it has no embedding, or _UNHELD if the
+        runs do not hold it: its assignment is not one of theirs, m is not a
+        valid pattern of theirs, or `nice` is not its plan's decomposition."""
+        try:
+            group, row = self.where[assignment]
+        except (KeyError, TypeError):  # TypeError: a list, which is not hashable
+            return _UNHELD
         if m is not self.pattern:
-            self.pattern, self.values = m, {}
-        values = self.values.get(obs)
-        if values is None:
-            values = self.values[obs] = self._run(m, obs, plan)
-        return values[row]
+            self.pattern, self.index = m, _pattern_index(self.k).get(m)
+        p = self.index
+        if p is None:
+            return _UNHELD
+        if group is None:
+            return None
+        if group.table is None:
+            group.table = _shape_table(self.k, group.obs)
+        shape = group.table.shape_of[p]
+        if nice is not None and nice is not shape.plan.nice:
+            return _UNHELD
+        at = p * group.cells.batch + row
+        if group.gains is None or group.gains[at] == _UNRUN:
+            self._fill(group, shape, m, p)
+        gain = group.gains[at]
+        return None if gain == _NONE else gain
 
-    def _run(self, m: ConnectionPattern, obs, plan: Plan) -> list[float]:
-        """Root values of the group's cells; the last chunk's cells and
-        forget tables stay in self.last. A plan whose one cell needs a table
-        of more than MAX_TABLE_BYTES raises ValueError before it runs."""
-        cells = self.cells[obs]
-        entries = cells.s**plan.whole_width
-        size = entries * np.dtype(cells.dtype).itemsize
-        if size > MAX_TABLE_BYTES:
-            raise ValueError(f"one cell's DP table holds {cells.s}^{plan.whole_width} ="
-                             f" {entries:,} entries, {size:,} bytes; at most"
-                             f" {MAX_TABLE_BYTES:,} fit in memory (a smaller alpha makes"
-                             " smaller buckets)")
-        chunk = max(1, MAX_BATCH_ENTRIES // cells.s**plan.width)
-        values: list[float] = []
-        for lo in range(0, cells.batch, chunk):
-            self.last = None  # free the previous run's tables first
-            rows = cells if chunk >= cells.batch else cells.rows(lo, lo + chunk)
-            root, forgets, _ = _run_plan(plan, rows)
-            values += root.tolist()
-            self.last = m, obs, lo, rows, forgets
-        return values
+    def _fill(self, group: _Group, shape: _Shape, m: ConnectionPattern, p: int) -> None:
+        """Runs pattern p over the group, with the rest of its shape over
+        more than one bucket, and stores their gains."""
+        if group.gains is None:
+            group.gains = array("q", [_UNRUN]) * (len(group.table.shape_of) * group.cells.batch)
+        if group.cells.part.count == 1:
+            plan = shape.plan if shape.patterns[0] == p else compile_plan(m, group.obs)
+            shape = _Shape(plan, (p,))
+        gains, batch = self._run(group, shape), group.cells.batch
+        for i, q in enumerate(shape.patterns):
+            group.gains[q * batch:(q + 1) * batch] = gains[i * batch:(i + 1) * batch]
+
+    def _run(self, group: _Group, shape: _Shape) -> array:
+        """Gains of the group's cells under each of the shape's patterns,
+        pattern-major. Chunks hold whole patterns, so that no table holds
+        more than MAX_BATCH_ENTRIES entries; a pattern that does not fit alone
+        is cut into chunks of assignments. The last chunk's cells and forget
+        tables stay in self.last if it ran one pattern."""
+        cells, plan = group.cells, shape.plan
+        count, batch = len(shape.patterns), cells.batch
+        fit = max(1, MAX_BATCH_ENTRIES // cells.s**plan.width)  # rows of one chunk
+        per, step = (fit // batch, batch) if fit >= batch else (1, fit)
+        gains = array("q")
+        for lo in range(0, count, per):
+            hi = min(count, lo + per)
+            for first in range(0, batch, step):
+                self.last = None  # free the previous chunk's tables first
+                rows = cells if step == batch else cells.rows(first, first + step)
+                if hi > 1:  # a pattern past the shape's first reads its own sides
+                    rows = rows.over(shape, lo, hi)
+                root, forgets, _ = _run_plan(plan, rows)
+                gains += _gains(root)
+                if hi - lo == 1:
+                    self.last = group, shape.patterns[lo], first, rows, forgets
+        if len(gains) != count * batch:
+            raise InvariantError(f"{len(gains)} gains from a run of {count} x {batch} cells")
+        return gains
 
     def take(self, m: ConnectionPattern, obs, assignment) -> tuple | None:
-        """(cells, forget tables, row, root value) of the cell if the latest
-        run held it, else None; the tables are dropped either way."""
+        """(cells, forget tables, row, gain) of the cell if the latest chunk
+        ran its pattern alone and held it, else None; the tables are dropped
+        either way."""
         last, self.last = self.last, None
-        row = self.row.get(assignment)
-        if last is None or row is None:
+        group, row = self.where.get(assignment, (None, -1))
+        if last is None or group is None or group.obs != obs:
             return None
-        pattern, last_obs, lo, cells, forgets = last
-        if pattern is not m or last_obs != obs or row < lo:
+        ran, p, first, cells, forgets = last
+        index = self.index if m is self.pattern else _pattern_index(self.k).get(m)
+        if ran is not group or p != index or row < first:
             return None
-        return cells, forgets, row - lo, self.values[obs][row]
+        gain = group.gains[p * group.cells.batch + row]
+        return cells, forgets, row - first, None if gain == _NONE else gain
 
 
 def _run_alone(
     arrays: TourArrays, part: BucketPartition, m: ConnectionPattern, obs, plan: Plan, assignment
 ) -> tuple | None:
-    """take's hand-over for one cell, from a run of its group of one; None
-    if the assignment does not fit."""
+    """take's hand-over for one cell, from a run of `plan` over its group of
+    one; None if the assignment does not fit. A plan whose one cell needs a
+    table of more than MAX_TABLE_BYTES raises ValueError before it runs."""
     runs = _GroupRuns(arrays, part, [assignment])
-    runs.root_value(m, obs, plan, assignment)
-    return runs.take(m, obs, assignment)
+    group = runs.groups.get(obs)
+    if group is None:
+        return None
+    _check_table_bytes(group.cells.s, plan.whole_width, group.cells.dtype)
+    (gain,) = runs._run(group, _Shape(plan, (None,)))
+    _, _, _, cells, forgets = runs.last
+    return cells, forgets, 0, None if gain == _NONE else gain
 
 
 def default_alpha(k: int) -> Fraction:
@@ -915,6 +1174,10 @@ def _best_move(
     assignments = list(enumerate_assignments(k, part.count))
     obs_of = [order_edges(a) for a in assignments]
     runs = _GroupRuns(arrays, part, assignments)
+    tables = {obs: _shape_table(k, obs) for obs in dict.fromkeys(obs_of)}
+    _check_table_bytes(part.size, max((tables[obs].whole_width for obs in runs.groups),
+                                      default=0), arrays.dtype(k))
+    shape_of = [tables[obs].shape_of for obs in obs_of]
 
     # canonical order: a later cell wins only with a strictly larger gain
     best: tuple[int, int, int] | None = None  # (gain, pattern idx, assignment idx)
@@ -922,7 +1185,7 @@ def _best_move(
         for a_idx, assignment in enumerate(assignments):
             # each call names its cell's decomposition, from which the
             # benchmark's tracer (perfbench/layers.py) sizes the cell's tables
-            nice = compile_plan(pattern, obs_of[a_idx]).nice
+            nice = shape_of[a_idx][p_idx].plan.nice
             gain = solve_fixed(inst, tour, pattern, assignment, part, nice, runs=runs).gain
             if gain is not None and (best is None or gain > best[0]):
                 best = (gain, p_idx, a_idx)
@@ -957,22 +1220,23 @@ def best_move(
     """Best k-move over all valid patterns and all bucket assignments.
 
     Every cell goes through solve_fixed in canonical (pattern, assignment)
-    order, but the DP runs per plan group: the first cell of a group of
-    fitting assignments that share an order-edge set runs the pattern's
-    compiled plan over the whole group in one batch, chunked by
-    MAX_BATCH_ENTRIES. policy="best" returns the maximum-gain move (ties
-    broken by pattern index, then assignment index, then the solver's
+    order, but the DP runs per plan group, the fitting assignments that
+    share an order-edge set, chunked by MAX_BATCH_ENTRIES. Over more than
+    one bucket the first cell of a group and shape runs every pattern of
+    the shape over the whole group in one batch; at one bucket it runs its
+    own pattern's plan alone. policy="best" returns the maximum-gain move
+    (ties broken by pattern index, then assignment index, then the solver's
     canonical embedding); "first" returns the first improving cell in that
-    same order, and groups not reached by then never run. The returned
-    cell's embedding is rebuilt from the forget tables of the last chunk run
-    when the cell lies in it, as an improving cell under policy="first" with
-    one bucket always does, else from one more run of that cell as a group
-    of one. Its KMove is built once, and its gain must equal the cell's;
-    apply_move then builds the new tour once and checks its weight. A
-    request of more than MAX_CELLS cells, or whose assignments hold more
-    than MAX_ASSIGNMENT_ENTRIES slot positions, raises ValueError before any
-    plan runs, and so does a plan whose one cell needs a table of more than
-    MAX_TABLE_BYTES, before that plan runs.
+    same order, and (group, shape) pairs not reached by then never run. The
+    returned cell's embedding is rebuilt from the forget tables of the last
+    chunk when that chunk ran the cell's pattern alone and held the cell, as
+    an improving cell under policy="first" with one bucket always does, else
+    from one more run of its plan over the cell as a group of one. Its KMove
+    is built once, and its gain must equal the cell's; apply_move then
+    builds the new tour once and checks its weight. A request of more than
+    MAX_CELLS cells, whose assignments hold more than MAX_ASSIGNMENT_ENTRIES
+    slot positions, or one of whose plans needs a table of more than
+    MAX_TABLE_BYTES for one cell raises ValueError before any plan runs.
     """
     return _best_move(inst, tour, k, alpha, policy)[0]
 

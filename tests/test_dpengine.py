@@ -857,14 +857,17 @@ def test_reconstruction_matches_argmax_over_full_tables():
 def test_first_max_positions_is_argmax(monkeypatch, max_entries):
     """Ties resolve to the first position, as argmax does: the move that
     _solve_cell rebuilds from the forget tables _GroupRuns.take hands over,
-    or from a run of its group of one when the latest chunk run did not
-    hold it, is argmax over the full tables of the group's batch. Past
-    MAX_BATCH_ENTRIES each row is its own chunk, so only the last row's
-    tables are handed over."""
+    or from a run of its group of one when the latest chunk did not run its
+    pattern alone and hold it, is argmax over the full tables of the group's
+    batch. Over three buckets a group runs every pattern of a shape at once,
+    so only a shape of one pattern is handed over; past MAX_BATCH_ENTRIES
+    each pattern and each row is its own chunk, so only the shape's last
+    pattern's last row is."""
     from kopt import dpengine
     from kopt.buckets import BucketPartition
     from kopt.dpengine import (
-        _Cells, _fits, _GroupRuns, _run_alone, _run_plan, _solve_cell, compile_plan,
+        _Cells, _fits, _GroupRuns, _run_alone, _run_plan, _shape_table, _solve_cell,
+        compile_plan,
     )
 
     monkeypatch.setattr(dpengine, "MAX_BATCH_ENTRIES", max_entries)
@@ -876,17 +879,23 @@ def test_first_max_positions_is_argmax(monkeypatch, max_entries):
     for a in filter(lambda a: _fits(a, part), enumerate_assignments(k, part.count)):
         groups.setdefault(order_edges(a), []).append(a)
     handed = rerun = forget_intos = 0
-    for m in valid_patterns(k):
+    for p, m in enumerate(valid_patterns(k)):
         for obs, group in groups.items():
             plan = compile_plan(m, obs)
             forget_intos += sum(op[0] == FORGET_INTO for op in plan.ops)
             cells = _Cells(arrays, part, group)
             root, _, tables = _run_plan(plan, cells, keep_tables=True)
+            shape = _shape_table(k, obs).shape_of[p]
             for row, a in enumerate(group):
                 runs = _GroupRuns(arrays, part, group)
-                assert runs.root_value(m, obs, plan, a) == root[row]
+                gain = runs.gain(m, a, None)
+                assert gain == (None if root[row] == float("-inf") else root[row])
                 kept = runs.take(m, obs, a)
-                assert (kept is None) == (max_entries == 1 and row < len(group) - 1)
+                if max_entries == 1:
+                    held = shape.patterns[-1] == p and row == len(group) - 1
+                else:
+                    held = len(shape.patterns) == 1
+                assert (kept is not None) == held
                 handed += kept is not None
                 rerun += kept is None
                 kept = kept or _run_alone(arrays, part, m, obs, plan, a)
@@ -895,8 +904,7 @@ def test_first_max_positions_is_argmax(monkeypatch, max_entries):
                 want = tuple(int(cells.dom[row, v, pos[v]]) + 1 for v in range(k))
                 assert got.gain == int(round(root[row]))
                 assert got.embedding == want, (m.pairs, a)
-    assert handed > 0 and forget_intos > 0
-    assert (rerun > 0) == (max_entries == 1)
+    assert handed > 0 and rerun > 0 and forget_intos > 0
 
 
 def test_chunked_batches_give_the_unchunked_answers(monkeypatch):
@@ -1001,6 +1009,111 @@ def test_sliced_and_chunked_best_move_gives_the_same_move(monkeypatch, k):
     assert answers() == whole
     monkeypatch.setattr(dpengine, "MAX_BATCH_ENTRIES", 1)
     assert answers() == whole
+
+
+# ---------------------------------------------------------------------------
+# Shape runs: the patterns of one shape as one batch
+# ---------------------------------------------------------------------------
+
+
+def _group_runs_made(monkeypatch) -> list:
+    """Every _GroupRuns made from here on, in order."""
+    from kopt import dpengine
+
+    made, init = [], dpengine._GroupRuns.__init__
+
+    def spy(self, *args):
+        init(self, *args)
+        made.append(self)
+
+    monkeypatch.setattr(dpengine._GroupRuns, "__init__", spy)
+    return made
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_shape_runs_give_every_cell_the_value_of_its_pattern_run_alone(monkeypatch, k):
+    """Over more than one bucket best_move runs all patterns of a shape as
+    one batch. Every cell's gain from those runs equals the root value of
+    its pattern's own plan run alone over the cell's group, and for every
+    seventh pattern one cell of each group equals _run_alone. Alpha 1/2, 2/3
+    and 3/4 on 13 vertices (12 at k = 6), so that buckets are padded;
+    weights in float32 and, with 4kW >= 2^24, in float64; MAX_BATCH_ENTRIES
+    at its default, where every shape runs whole, and at 1,000, which cuts
+    shapes into chunks of whole patterns that start past a shape's first
+    pattern and hold more than one. k = 6 checks every 97th pattern in 3 of
+    the 12 configurations, which between them take every value."""
+    from kopt import dpengine
+    from kopt.dpengine import _Cells, _run_alone, _run_plan, compile_plan
+
+    made = _group_runs_made(monkeypatch)
+    chunks, real_over = [], dpengine._Cells.over
+
+    def over(self, shape, lo, hi):
+        chunks.append((dpengine.MAX_BATCH_ENTRIES, lo, hi, len(shape.patterns)))
+        return real_over(self, shape, lo, hi)
+
+    monkeypatch.setattr(dpengine._Cells, "over", over)
+    n, step = (12, 97) if k == 6 else (13, 1)
+    patterns = valid_patterns(k)
+    configs = list(product(
+        (dpengine.MAX_BATCH_ENTRIES, 1000),
+        ((100, np.float32), (1 << 22, np.float64)),
+        (Fraction(1, 2), Fraction(2, 3), Fraction(3, 4)),
+    ))
+    # k = 6 takes each value once beside others: 3 of the 12 configurations
+    for max_entries, (wmax, dtype), alpha in configs[::4] if k == 6 else configs:
+        monkeypatch.setattr(dpengine, "MAX_BATCH_ENTRIES", max_entries)
+        inst, tour = gen_random(n, 190 + wmax, wmax), random_tour(n, 191)
+        arrays = TourArrays(inst, tour)
+        assert arrays.dtype(k) is dtype
+        part = make_buckets(n, alpha)
+        assert part.count > 1
+        made.clear()
+        best_move(inst, tour, k, alpha=alpha)
+        runs = made[0]
+        for obs, group in runs.groups.items():
+            assignments = [tuple(a) for a in group.cells.assignments.tolist()]
+            cells = _Cells(arrays, part, assignments)
+            for p in range(0, len(patterns), step):
+                m = patterns[p]
+                plan = compile_plan(m, obs)
+                root = _run_plan(plan, cells)[0]
+                want = [None if v == float("-inf") else int(v) for v in root]
+                assert [runs.gain(m, a, None) for a in assignments] == want, (m, obs)
+                if p % (7 * step) == 0:
+                    row = p % len(assignments)
+                    assert _run_alone(arrays, part, m, obs, plan, assignments[row])[3] == want[row]
+    cut = [(lo, hi) for entries, lo, hi, _ in chunks if entries == 1000]
+    assert any(lo > 0 and hi - lo > 1 for lo, hi in cut)
+    assert all((lo, hi) == (0, count) for entries, lo, hi, count in chunks if entries != 1000)
+
+
+def test_a_warm_k5_n40_call_runs_each_group_and_shape_once(monkeypatch):
+    """At k = 5 on 40 vertices (four buckets of 10) the 5,760 plans of the
+    fifteen order-edge groups fall into 1,095 shapes: a warm best_move runs
+    _run_plan once per group and shape, plus at most once for the winner,
+    while solve_fixed is still called once per cell."""
+    from kopt import dpengine
+
+    inst, tour = gen_random(40, 0, 10000), random_tour(40, 1)
+    want = best_move(inst, tour, 5)
+    plan_runs, cells = [], []
+    real_run_plan, real_solve_fixed = dpengine._run_plan, dpengine.solve_fixed
+
+    def run_plan(*args, **kwargs):
+        plan_runs.append(args[0])
+        return real_run_plan(*args, **kwargs)
+
+    def solve_fixed(*args, **kwargs):
+        cells.append(args[3])
+        return real_solve_fixed(*args, **kwargs)
+
+    monkeypatch.setattr(dpengine, "_run_plan", run_plan)
+    monkeypatch.setattr(dpengine, "solve_fixed", solve_fixed)
+    got = best_move(inst, tour, 5)
+    assert (got.gain, got.embedding) == (want.gain, want.embedding)
+    assert len(cells) == 21_504
+    assert 1_095 <= len(plan_runs) <= 1_096
 
 
 # ---------------------------------------------------------------------------

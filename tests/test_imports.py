@@ -1,4 +1,5 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports, and states no
+invariant with `assert`, which `python -O` strips."""
 
 import ast
 from pathlib import Path
@@ -54,3 +55,22 @@ def test_the_gate_sees_an_unused_import_and_honours_all():
     )
     used = used_names(tree)
     assert [name for name in imported_names(tree) if name not in used] == ["pi"]
+
+
+def assert_lines(tree: ast.Module) -> list[int]:
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+def test_no_module_asserts():
+    """An invariant that guards the answer raises InvariantError instead."""
+    found = [
+        f"{path.stem}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        for line in assert_lines(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == []
+
+
+def test_the_gate_sees_an_assert():
+    tree = ast.parse("def f(x):\n    if x:\n        assert x > 0, 'x'\n    return x\n")
+    assert assert_lines(tree) == [3]
