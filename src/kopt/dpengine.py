@@ -13,16 +13,19 @@ cells share it.
   the order they run, and op i runs node i. Each introduce op carries, per
   bag neighbour of the introduced slot, the pattern pairs, self-loop mask
   and order edge between the two slots; each join op carries its correction
-  terms. Plans are cached and do not depend on the tour; equal ops are one
-  shared object, so a cached plan costs little more than its op list.
+  terms. Plans do not depend on the tour; equal ops are one shared object,
+  so a plan costs little more than its op list.
 - **Shapes.** Over one order-edge set, the plans of patterns that pair the
-  same slots the same number of times (`Plan.shape`) have one decomposition
-  and the same ops but for which sides their pairs read. `_shape_table`
-  lists each valid pattern's shape per order-edge set, with the shape's
-  patterns, the first one's plan, whose ops they all run, and a small array
-  of each pattern's pair sides per slot pair. At k = 5 over four buckets of
-  10, the 5,760 plans of one call fall into 1,095 shapes; at k = 6 over
-  three buckets of 8, 61,440 plans into 6,208.
+  same slots the same number of times have one decomposition and the same
+  ops but for which sides their pairs read. `_shape_table` compiles one
+  plan per shape and order-edge set, from the shape's first pattern, and
+  keeps it with the shape's patterns and a small array of each pattern's
+  pair sides per slot pair (`_sides_by_shape`). A valid pattern always runs
+  as its shape's plan plus its row of that array; only a pattern of its
+  own (a caller's decomposition, a pattern that is not valid, or k past
+  MAX_SOLVER_K) runs its own plan, as a shape of one. A cold k = 5 call
+  over four buckets of 10 compiles 1,095 plans for 5,760 (pattern,
+  order-edge set) pairs; k = 6 over three buckets of 8, 6,208 for 61,440.
 - **Batch axis.** Every plan runs through `_GroupRuns`, over a group of
   fitting assignments that share an order-edge set. `best_move` still visits
   every cell through `solve_fixed`, which finds the cell's group and row
@@ -37,7 +40,8 @@ cells share it.
   differ stacks each pattern's value from the group's memo. At one bucket a
   group is one assignment with s^w-entry tables, and a run holds the
   requested pattern alone: batching there made a policy="first" search pay
-  for patterns it never reached. A standalone `solve_fixed` call, and a
+  for patterns it never reached; a run past a shape's first pattern reads
+  its sides through `_Cells.over`. A standalone `solve_fixed` call, and a
   winner that the latest chunk did not run alone, run as a group of one, so
   chunks, shared blocks and the memory bound below hold for every run.
   Every table has shape `(R, s, ..., s)`: axis 0 runs over the run's rows,
@@ -97,20 +101,22 @@ cells share it.
 - **Check once.** Root values give every cell's gain. A run of one pattern
   keeps the tables its forget ops output, and a run of several keeps none.
   A group run holds on to its last chunk's cells and forget tables, when
-  that chunk ran one pattern, until the next run starts. A forget-into op's kept
-  table has its full bag width, one slot more than a forget op's output over
-  the same input. The winning cell's embedding is rebuilt top-down from
-  those tables, at the cell's row: at each forget op, the child's table is
-  summed again along the forgotten slot only, from the kept forget tables
-  below it and the lines of the blocks in between, and the slot takes its
-  first maximum: at a forget-into op, its first maximum among the positions
-  before w's chosen one (after it, when w < v), the one that gave w's entry
-  its value. When the winner lies in that last chunk nothing runs again;
-  otherwise, as always when its shape ran several patterns at once, its
-  plan runs once more over its group of one. Its embedding is turned into a
+  that chunk ran one pattern, until the next run starts. A forget-into op's
+  kept table has its full bag width, one slot more than a forget op's
+  output over the same input. The winning cell's embedding is rebuilt
+  top-down from those tables, at the cell's row: at each forget op, the
+  child's table is summed again along the forgotten slot only, from the
+  kept forget tables below it and the lines of the blocks in between (with
+  the run's pair sides), and the slot takes its first maximum: at a
+  forget-into op, its first maximum among the positions before w's chosen
+  one (after it, when w < v), the one that gave w's entry its value. When
+  the winner lies in that last chunk nothing runs again; otherwise, as
+  always when its shape ran several patterns at once, its pattern runs
+  alone once more over its group of one. Its embedding is turned into a
   `KMove` once, whose gain must equal the root value, and applied once
-  through `apply_move`, which builds the new tour from the move's k segments
-  and checks its weight.
+  through `apply_move`, which builds the new tour from the move's k
+  segments and checks its weight. The tests, not the runs, check each
+  shape's plan against its patterns' own (compile_plan).
 
 -inf marks assignments with no legal completion. Every other table entry,
 and every partial sum the kernel forms, is an integer sum of at most 4k
@@ -272,9 +278,9 @@ class TourArrays:
 #   block's (batch, slot positions...) array on the op's table axes.
 # Slots are 1-based in the op constructors' arguments and 0-based in ops.
 
-# Entries in each cache of compiled plans and ops. One k=6 call compiles at
-# most valid_pattern_count(6) * 2**5 = 122,880 plans (2**5 order-edge sets),
-# so a second call finds them all; a k=7 call compiles more than it holds.
+# Entries in each cache of compiled ops, so that equal ops are one object. A
+# k = 7 call at its default alpha compiles 17,227 plans (2,461 shapes times 7
+# order-edge sets); past the bound a miss builds an equal op again.
 COMPILE_CACHE_SIZE = 1 << 17
 
 
@@ -287,17 +293,13 @@ class Plan:
     as every table is over one node's bag: one cell's largest table has
     s**width entries. `whole_width` is the slot count of the largest table
     that is built whole: an introduce op under a forget op is summed in
-    pieces of at most MAX_SLICE_ENTRIES entries or the forget's output.
-    `shape` is the pattern's pairs as sorted (slot, slot) pairs, their sides
-    dropped (_slot_pairs): over one order-edge set, the plans of one shape
-    have one decomposition and ops that differ only in their pairs' sides."""
+    pieces of at most MAX_SLICE_ENTRIES entries or the forget's output."""
 
     k: int
     ops: tuple[tuple, ...]
     width: int
     nice: NiceTreeDecomposition
     whole_width: int
-    shape: tuple[tuple[int, int], ...]
 
 
 def _pattern_pairs_info(m: ConnectionPattern) -> tuple[tuple[int, bool, int, bool], ...]:
@@ -311,17 +313,6 @@ def _pattern_pairs_info(m: ConnectionPattern) -> tuple[tuple[int, bool, int, boo
         )
         for a, b in m.pairs
     )
-
-
-@lru_cache(maxsize=COMPILE_CACHE_SIZE)
-def _interned(key: tuple) -> tuple:
-    return key
-
-
-def _slot_pairs(pairs_info) -> tuple[tuple[int, int], ...]:
-    """A plan's shape key: the pattern's pairs as sorted (slot, slot) pairs,
-    their sides dropped; one shared object per distinct key."""
-    return _interned(tuple(sorted((min(sa, sb), max(sa, sb)) for sa, _, sb, _ in pairs_info)))
 
 
 _DECOMP_CACHE: dict[
@@ -466,13 +457,12 @@ def _compile(
         else op[1] if op[0] == INTRODUCE and up[0] not in _FORGETS else 0
         for op, up in zip(ops, ops[1:] + [_LEAF_OP])
     )
-    return Plan(m.k, tuple(ops), nice.width + 1, nice, whole_width, _slot_pairs(pairs_info))
+    return Plan(m.k, tuple(ops), nice.width + 1, nice, whole_width)
 
 
-@lru_cache(maxsize=COMPILE_CACHE_SIZE)
 def compile_plan(m: ConnectionPattern, obs: frozenset[tuple[int, int]]) -> Plan:
-    """The DP plan of every cell with pattern m and order-edge set obs, over
-    the cached width-optimal nice decomposition of its dependence graph."""
+    """Pattern m's own DP plan under order-edge set obs, not cached, over the
+    cached width-optimal nice decomposition of its dependence graph."""
     ig = interference_graph(m)
     dep = dependence_graph(ig, obs)
     return _compile(m, obs, nice_decomposition_for(dep, obs - ig.edges))
@@ -485,8 +475,9 @@ def _pattern_index(k: int) -> dict[ConnectionPattern, int]:
 
 @lru_cache(maxsize=MAX_SOLVER_K)
 def _sides_by_shape(k: int) -> dict[tuple, tuple]:
-    """Per shape key of the valid k-patterns, _Shape's fields but its plan:
-    the patterns' indices, in pattern order; the columns, each slot pair
+    """Per shape key of the valid k-patterns, their pairs as sorted (slot,
+    slot) pairs with sides dropped, _Shape's fields but its plan: the
+    patterns' indices, in pattern order; the columns, each slot pair
     (0-based, lo < hi) that pattern pairs join, mapped to its index; per
     column the distinct sides its pairs take, each a sorted tuple of (side
     at lo, side at hi) as a block's pairs are; and a read-only (patterns,
@@ -501,11 +492,12 @@ def _sides_by_shape(k: int) -> dict[tuple, tuple]:
             if sa != sb:
                 (a, side_a), (b, side_b) = sorted(((sa - 1, ra), (sb - 1, rb)))
                 sides.setdefault((a, b), []).append((side_a, side_b))
-        found.setdefault(_slot_pairs(info), []).append((p, sides))
+        key = tuple(sorted((min(sa, sb), max(sa, sb)) for sa, _, sb, _ in info))
+        found.setdefault(key, []).append((p, sides))
     out = {}
     for key, members in found.items():
         columns = sorted(members[0][1])  # the key fixes the slot pairs
-        rows = [[_interned(tuple(sorted(sides[c]))) for c in columns] for _, sides in members]
+        rows = [[tuple(sorted(sides[c])) for c in columns] for _, sides in members]
         variants = [tuple(dict.fromkeys(got)) for got in zip(*rows)]
         ids = np.array([[v.index(x) for v, x in zip(variants, row)] for row in rows], np.int8)
         ids.flags.writeable = False
@@ -517,12 +509,13 @@ def _sides_by_shape(k: int) -> dict[tuple, tuple]:
 @dataclass(frozen=True, slots=True)
 class _Shape:
     """Patterns whose plans over one order-edge set differ only in the sides
-    of their pairs: `plan` is the first one's, whose ops they all run;
-    `patterns` their indices in valid_patterns(k), in pattern order; the rest
-    as _sides_by_shape gives it, or None for a plan run alone."""
+    of their pairs: `plan` is compiled from the first one, and they all run
+    its ops; `patterns` their indices in valid_patterns(k), in pattern order;
+    the rest as _sides_by_shape gives it. A plan of one pattern of its own
+    (solve_fixed's) is a shape of one with no index and no sides."""
 
     plan: Plan
-    patterns: tuple
+    patterns: tuple = (None,)
     columns: dict[tuple[int, int], int] | None = None
     variants: tuple | None = None
     ids: np.ndarray | None = None
@@ -541,19 +534,14 @@ class _ShapeTable:
 # A best_move call reads one table per order-edge set: at most 2^(k - 1).
 @lru_cache(maxsize=1 << (MAX_SOLVER_K - 1))
 def _shape_table(k: int, obs: frozenset[tuple[int, int]]) -> _ShapeTable:
-    sides = _sides_by_shape(k)
-    shapes: dict[tuple, _Shape] = {}
-    shape_of = []
-    for p, m in enumerate(valid_patterns(k)):
-        plan = compile_plan(m, obs)
-        shape = shapes.get(plan.shape)
-        if shape is None:
-            shape = shapes[plan.shape] = _Shape(plan, *sides[plan.shape])
-        if (p not in shape.patterns or plan.nice is not shape.plan.nice
-                or plan.whole_width != shape.plan.whole_width):
-            raise InvariantError(f"the plans of shape {plan.shape} do not share a decomposition")
-        shape_of.append(shape)
-    return _ShapeTable(tuple(shape_of), max(s.plan.whole_width for s in shapes.values()))
+    patterns = valid_patterns(k)
+    shapes = [_Shape(compile_plan(patterns[members[0]], obs), members, *sides)
+              for members, *sides in _sides_by_shape(k).values()]
+    shape_of = [None] * len(patterns)
+    for shape in shapes:
+        for p in shape.patterns:
+            shape_of[p] = shape
+    return _ShapeTable(tuple(shape_of), max(shape.plan.whole_width for shape in shapes))
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +584,7 @@ class _Cells:
     With a `budget` the cells keep a memo of their two-slot block values,
     keyed by the block's terms, while the budget lasts; else `memo` is None.
 
-    A run over several patterns of one shape reads its cells through
+    A run of a shape's patterns past its first reads its cells through
     `over`: the batch is then `patterns` times the assignments, pattern-major,
     and `sides` says which sides each pattern's pairs take."""
 
@@ -633,10 +621,14 @@ class _Cells:
         """These cells under patterns lo..hi-1 of `shape`: row p * B + b is
         the shape's pattern lo + p at assignment b. The memo is shared.
         `sides` holds the shape's columns and variants, the patterns' rows of
-        its ids, and per column whether those rows all agree."""
+        its ids, and per column their one variant index, or None where they
+        differ."""
         run = copy.copy(self)
         ids = shape.ids[lo:hi]
-        same = (ids == ids[:1]).all(axis=0).tolist()
+        same = ids[0].tolist()
+        if hi - lo > 1:
+            same = [v if agree else None
+                    for v, agree in zip(same, (ids == ids[:1]).all(axis=0).tolist())]
         run.patterns, run.sides = hi - lo, (shape.columns, shape.variants, ids, same)
         run.batch = run.patterns * self.batch
         return run
@@ -655,11 +647,10 @@ def _block_value(block: tuple, cells: _Cells) -> np.ndarray:
         return _stored(block, cells)[index]
     columns, variants, ids, same = cells.sides
     col = columns[slots]
-    ids, variants = ids[:, col], variants[col]
-    if same[col]:
-        return _stored((slots, unary, variants[ids[0]], matrix, order), cells)[index]
-    values = np.stack([_stored((slots, unary, v, matrix, order), cells) for v in variants])
-    return values[ids].reshape(-1, *values.shape[2:])[index]
+    if same[col] is not None:
+        return _stored((slots, unary, variants[col][same[col]], matrix, order), cells)[index]
+    values = np.stack([_stored((slots, unary, v, matrix, order), cells) for v in variants[col]])
+    return values[ids[:, col]].reshape(-1, *values.shape[2:])[index]
 
 
 def _stored(key: tuple, cells: _Cells) -> np.ndarray:
@@ -699,8 +690,13 @@ def _pair_value(key: tuple, cells: _Cells) -> np.ndarray:
 
 def _block_line(block: tuple, cells: _Cells, row: int, pos: dict[int, int], v: int | None):
     """The block's terms for batch row `row` at the positions `pos`: a vector
-    over slot v's positions if the block holds v, else a scalar."""
+    over slot v's positions if the block holds v, else a scalar. Pairs take
+    the sides of the run's one pattern, as in _block_value."""
     slots, unary, pairs, matrix, order, _ = block
+    if cells.sides is not None and pairs:
+        columns, variants, _, same = cells.sides
+        col = columns[slots]
+        pairs = variants[col][same[col]]
     at = [slice(None) if b == v else pos[b] for b in slots]
     value = _order_mask(cells.s, cells.dtype)[(0, *at)] if order else 0
     mat = getattr(cells, matrix)
@@ -927,8 +923,10 @@ def solve_fixed(
 ) -> SolveResult:
     """Maximum gain over bucket-monotone embeddings for one pattern and one
     nondecreasing bucket assignment (a sequence of ints), checked before any
-    plan is compiled: the compiled plan run on the cell as a group of one.
-    The embedding is rebuilt from that run's forget tables and re-verified
+    plan is compiled. The pattern runs alone on the cell as a group of one:
+    a valid one as its shape's plan with its own pair sides, any other, or
+    one over the caller's decomposition `nice`, as its own plan. The
+    embedding is rebuilt from that run's forget tables and re-verified
     against the direct gain computation.
 
     With `runs` (best_move's batched runs over this tour and partition) the
@@ -948,18 +946,19 @@ def solve_fixed(
     if part.n != tour.n:
         raise ValueError("bucket partition does not match the tour size")
     obs = order_edges(assignment)
-    plan = compile_plan(m, obs)
-    if nice is not None and nice is not plan.nice:
+    p = _pattern_index(m.k).get(m) if 2 <= m.k <= MAX_SOLVER_K else None
+    shape = _Shape(compile_plan(m, obs)) if p is None else _shape_table(m.k, obs).shape_of[p]
+    if nice is not None and nice is not shape.plan.nice:
         if nice.k != m.k:
             raise ValueError("decomposition is for a different k")
         ok, diags = validate_decomposition(dependence_graph(interference_graph(m), obs), nice)
         if not ok:
             raise ValueError(f"invalid decomposition: {'; '.join(diags)}")
-        plan = _compile(m, obs, nice)
-    kept = _run_alone(TourArrays(inst, tour), part, m, obs, plan, assignment)
+        shape, p = _Shape(_compile(m, obs, nice)), None
+    kept = _run_alone(TourArrays(inst, tour), part, shape, p, assignment)
     if runs is not None:
         return SolveResult(None if kept is None else kept[3], None, None)
-    return _solve_cell(inst, tour, m, plan, kept)
+    return _solve_cell(inst, tour, m, shape.plan, kept)
 
 
 def _solve_cell(
@@ -1024,7 +1023,6 @@ class _GroupRuns:
         budget = _Budget(MAX_BATCH_ENTRIES) if part.count > 1 else None
         self.groups = {obs: _Group(obs, _Cells(arrays, part, group, budget))
                        for obs, group in found.items()}
-        self.cells = {obs: group.cells for obs, group in self.groups.items()}
         for obs, group in found.items():
             self.where.update((a, (self.groups[obs], row)) for row, a in enumerate(group))
         self.pattern: ConnectionPattern | None = None
@@ -1053,35 +1051,35 @@ class _GroupRuns:
             return _UNHELD
         at = p * group.cells.batch + row
         if group.gains is None or group.gains[at] == _UNRUN:
-            self._fill(group, shape, m, p)
+            self._fill(group, shape, p)
         gain = group.gains[at]
         return None if gain == _NONE else gain
 
-    def _fill(self, group: _Group, shape: _Shape, m: ConnectionPattern, p: int) -> None:
+    def _fill(self, group: _Group, shape: _Shape, p: int) -> None:
         """Runs pattern p over the group, with the rest of its shape over
         more than one bucket, and stores their gains."""
         if group.gains is None:
             group.gains = array("q", [_UNRUN]) * (len(group.table.shape_of) * group.cells.batch)
-        if group.cells.part.count == 1:
-            plan = shape.plan if shape.patterns[0] == p else compile_plan(m, group.obs)
-            shape = _Shape(plan, (p,))
-        gains, batch = self._run(group, shape), group.cells.batch
-        for i, q in enumerate(shape.patterns):
+        one = group.cells.part.count == 1  # a run of pattern p alone
+        start = shape.patterns.index(p) if one else 0
+        stop = start + 1 if one else len(shape.patterns)
+        gains, batch = self._run(group, shape, start, stop), group.cells.batch
+        for i, q in enumerate(shape.patterns[start:stop]):
             group.gains[q * batch:(q + 1) * batch] = gains[i * batch:(i + 1) * batch]
 
-    def _run(self, group: _Group, shape: _Shape) -> array:
-        """Gains of the group's cells under each of the shape's patterns,
+    def _run(self, group: _Group, shape: _Shape, start: int, stop: int) -> array:
+        """Gains of the group's cells under the shape's patterns start..stop-1,
         pattern-major. Chunks hold whole patterns, so that no table holds
         more than MAX_BATCH_ENTRIES entries; a pattern that does not fit alone
         is cut into chunks of assignments. The last chunk's cells and forget
         tables stay in self.last if it ran one pattern."""
         cells, plan = group.cells, shape.plan
-        count, batch = len(shape.patterns), cells.batch
+        count, batch = stop - start, cells.batch
         fit = max(1, MAX_BATCH_ENTRIES // cells.s**plan.width)  # rows of one chunk
         per, step = (fit // batch, batch) if fit >= batch else (1, fit)
         gains = array("q")
-        for lo in range(0, count, per):
-            hi = min(count, lo + per)
+        for lo in range(start, stop, per):
+            hi = min(stop, lo + per)
             for first in range(0, batch, step):
                 self.last = None  # free the previous chunk's tables first
                 rows = cells if step == batch else cells.rows(first, first + step)
@@ -1095,34 +1093,35 @@ class _GroupRuns:
             raise InvariantError(f"{len(gains)} gains from a run of {count} x {batch} cells")
         return gains
 
-    def take(self, m: ConnectionPattern, obs, assignment) -> tuple | None:
-        """(cells, forget tables, row, gain) of the cell if the latest chunk
-        ran its pattern alone and held it, else None; the tables are dropped
-        either way."""
+    def take(self, p: int, assignment) -> tuple | None:
+        """(cells, forget tables, row, gain) of the cell of pattern index p
+        if the latest chunk ran that pattern alone and held the cell, else
+        None; the tables are dropped either way."""
         last, self.last = self.last, None
         group, row = self.where.get(assignment, (None, -1))
-        if last is None or group is None or group.obs != obs:
+        if last is None or group is None:
             return None
-        ran, p, first, cells, forgets = last
-        index = self.index if m is self.pattern else _pattern_index(self.k).get(m)
-        if ran is not group or p != index or row < first:
+        ran, index, first, cells, forgets = last
+        if ran is not group or index != p or row < first:
             return None
         gain = group.gains[p * group.cells.batch + row]
         return cells, forgets, row - first, None if gain == _NONE else gain
 
 
 def _run_alone(
-    arrays: TourArrays, part: BucketPartition, m: ConnectionPattern, obs, plan: Plan, assignment
+    arrays: TourArrays, part: BucketPartition, shape: _Shape, p: int | None, assignment: tuple
 ) -> tuple | None:
-    """take's hand-over for one cell, from a run of `plan` over its group of
-    one; None if the assignment does not fit. A plan whose one cell needs a
-    table of more than MAX_TABLE_BYTES raises ValueError before it runs."""
+    """take's hand-over for one cell, from a run of pattern index p of
+    `shape` alone over the cell's group of one; None if the assignment does
+    not fit. A plan whose one cell needs a table of more than
+    MAX_TABLE_BYTES raises ValueError before it runs."""
     runs = _GroupRuns(arrays, part, [assignment])
-    group = runs.groups.get(obs)
+    group, _ = runs.where[assignment]
     if group is None:
         return None
-    _check_table_bytes(group.cells.s, plan.whole_width, group.cells.dtype)
-    (gain,) = runs._run(group, _Shape(plan, (None,)))
+    _check_table_bytes(group.cells.s, shape.plan.whole_width, group.cells.dtype)
+    i = shape.patterns.index(p)
+    (gain,) = runs._run(group, shape, i, i + 1)
     _, _, _, cells, forgets = runs.last
     return cells, forgets, 0, None if gain == _NONE else gain
 
@@ -1199,11 +1198,10 @@ def _best_move(
     gain, p_idx, a_idx = best
     if improving_only and gain <= 0:
         return SolveResult(gain, None, None), tour
-    m, assignment, obs = patterns[p_idx], assignments[a_idx], obs_of[a_idx]
-    plan = compile_plan(m, obs)
+    m, assignment, shape = patterns[p_idx], assignments[a_idx], shape_of[a_idx][p_idx]
     res = _solve_cell(
-        inst, tour, m, plan,
-        runs.take(m, obs, assignment) or _run_alone(arrays, part, m, obs, plan, assignment),
+        inst, tour, m, shape.plan,
+        runs.take(p_idx, assignment) or _run_alone(arrays, part, shape, p_idx, assignment),
     )
     if res.gain != gain:
         raise InvariantError(f"winning cell re-solved to gain {res.gain}, not {gain}")
@@ -1221,17 +1219,18 @@ def best_move(
 
     Every cell goes through solve_fixed in canonical (pattern, assignment)
     order, but the DP runs per plan group, the fitting assignments that
-    share an order-edge set, chunked by MAX_BATCH_ENTRIES. Over more than
-    one bucket the first cell of a group and shape runs every pattern of
-    the shape over the whole group in one batch; at one bucket it runs its
-    own pattern's plan alone. policy="best" returns the maximum-gain move
+    share an order-edge set, chunked by MAX_BATCH_ENTRIES, and every
+    pattern of a shape runs that shape's one plan with its own pair sides.
+    Over more than one bucket the first cell of a group and shape runs every
+    pattern of the shape over the whole group in one batch; at one bucket it
+    runs its own pattern alone. policy="best" returns the maximum-gain move
     (ties broken by pattern index, then assignment index, then the solver's
     canonical embedding); "first" returns the first improving cell in that
     same order, and (group, shape) pairs not reached by then never run. The
     returned cell's embedding is rebuilt from the forget tables of the last
     chunk when that chunk ran the cell's pattern alone and held the cell, as
     an improving cell under policy="first" with one bucket always does, else
-    from one more run of its plan over the cell as a group of one. Its KMove
+    from one more run of its pattern alone over its group of one. Its KMove
     is built once, and its gain must equal the cell's; apply_move then
     builds the new tour once and checks its weight. A request of more than
     MAX_CELLS cells, whose assignments hold more than MAX_ASSIGNMENT_ENTRIES

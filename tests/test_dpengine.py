@@ -368,7 +368,7 @@ def test_solve_fixed_checks_its_assignment_before_compiling(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("no plan may be compiled or run")
 
-    for name in ("compile_plan", "_run_plan"):
+    for name in ("compile_plan", "_compile", "_run_plan"):
         monkeypatch.setattr(dpengine, name, fail)
     with pytest.raises(ValueError, match=r"assignment \(2, 1, 3\) is not nondecreasing"):
         solve_fixed(inst, tour, m, (2, 1, 3), part)
@@ -425,11 +425,19 @@ def _instance_up_to(n, bound, seed):
     return Instance(n=n, weights=upper + upper.T)
 
 
-def _k10_cell(bound, seed, dtype):
+def _k10_cell(monkeypatch, bound, seed, dtype):
     """solve_fixed and the brute-force maximum of one k = 10 cell, whose
     tables are of `dtype`: the first valid pattern of a seeded search,
-    weights up to `bound`, two buckets of 10 with five slots each."""
+    weights up to `bound`, two buckets of 10 with five slots each. Past
+    MAX_SOLVER_K the pattern runs its own plan, so the solver lists no
+    valid patterns."""
+    from kopt import dpengine
     from kopt.buckets import BucketPartition
+
+    def fail(k):
+        raise AssertionError(f"valid_patterns({k}) must not be listed")
+
+    monkeypatch.setattr(dpengine, "valid_patterns", fail)
 
     rng = random.Random(seed)
     while True:
@@ -446,19 +454,19 @@ def _k10_cell(bound, seed, dtype):
             enumerate_b_monotone_max(inst, tour, m, assignment, part))
 
 
-def test_float64_exact_at_the_weight_bound_with_k10():
+def test_float64_exact_at_the_weight_bound_with_k10(monkeypatch):
     """Weights span the whole [-2^40, 2^40] range the instance allows, and the
     gain exceeds 2^40: the float64 tables must still give the exact integer
     maximum over the cell's bucket-monotone embeddings."""
-    res, brute = _k10_cell(1 << 40, 0, np.float64)
+    res, brute = _k10_cell(monkeypatch, 1 << 40, 0, np.float64)
     assert res.gain == brute.value and res.gain > 1 << 40
     assert res.embedding == brute.witness
 
 
-def test_float32_exact_with_k10_and_small_weights():
+def test_float32_exact_with_k10_and_small_weights(monkeypatch):
     """solve_fixed is not capped at MAX_SOLVER_K: at k = 10 the dtype rule
     still sends weights up to 10000 to float32, and the gain stays exact."""
-    res, brute = _k10_cell(10_000, 1, np.float32)
+    res, brute = _k10_cell(monkeypatch, 10_000, 1, np.float32)
     assert res.gain == brute.value and res.embedding == brute.witness
 
 
@@ -672,7 +680,7 @@ def test_batched_root_values_match_exhaustive_enumeration(k):
     assignments = list(enumerate_assignments(k, part.count))
     arrays = TourArrays(inst, tour)
     runs = _GroupRuns(arrays, part, assignments)
-    assert any(cells.batch > 1 for cells in runs.cells.values())
+    assert any(group.cells.batch > 1 for group in runs.groups.values())
     for m in valid_patterns(k):
         for assignment in assignments:
             got = solve_fixed(inst, tour, m, assignment, part, runs=runs)
@@ -862,7 +870,8 @@ def test_first_max_positions_is_argmax(monkeypatch, max_entries):
     batch. Over three buckets a group runs every pattern of a shape at once,
     so only a shape of one pattern is handed over; past MAX_BATCH_ENTRIES
     each pattern and each row is its own chunk, so only the shape's last
-    pattern's last row is."""
+    pattern's last row is. The reference tables are the pattern's own
+    plan's; the move is rebuilt from its shape's plan, which it runs."""
     from kopt import dpengine
     from kopt.buckets import BucketPartition
     from kopt.dpengine import (
@@ -890,7 +899,7 @@ def test_first_max_positions_is_argmax(monkeypatch, max_entries):
                 runs = _GroupRuns(arrays, part, group)
                 gain = runs.gain(m, a, None)
                 assert gain == (None if root[row] == float("-inf") else root[row])
-                kept = runs.take(m, obs, a)
+                kept = runs.take(p, a)
                 if max_entries == 1:
                     held = shape.patterns[-1] == p and row == len(group) - 1
                 else:
@@ -898,8 +907,8 @@ def test_first_max_positions_is_argmax(monkeypatch, max_entries):
                 assert (kept is not None) == held
                 handed += kept is not None
                 rerun += kept is None
-                kept = kept or _run_alone(arrays, part, m, obs, plan, a)
-                got = _solve_cell(inst, tour, m, plan, kept)
+                kept = kept or _run_alone(arrays, part, shape, p, a)
+                got = _solve_cell(inst, tour, m, shape.plan, kept)
                 pos = _argmax_positions(plan, tables, row)
                 want = tuple(int(cells.dom[row, v, pos[v]]) + 1 for v in range(k))
                 assert got.gain == int(round(root[row]))
@@ -919,7 +928,7 @@ def test_chunked_batches_give_the_unchunked_answers(monkeypatch):
 
     def answers():
         runs = dpengine._GroupRuns(arrays, part, assignments)
-        assert max(cells.batch for cells in runs.cells.values()) > 1
+        assert max(group.cells.batch for group in runs.groups.values()) > 1
         gains = [solve_fixed(inst, tour, m, a, part, runs=runs).gain
                  for m in valid_patterns(3) for a in assignments]
         moves = [best_move(inst, tour, 3, alpha=Fraction(1, 2), policy=p)
@@ -1041,18 +1050,29 @@ def test_shape_runs_give_every_cell_the_value_of_its_pattern_run_alone(monkeypat
     at its default, where every shape runs whole, and at 1,000, which cuts
     shapes into chunks of whole patterns that start past a shape's first
     pattern and hold more than one. k = 6 checks every 97th pattern in 3 of
-    the 12 configurations, which between them take every value."""
+    the 12 configurations, which between them take every value. Runs
+    alone, best_move's winner's and this test's, each run one pattern of
+    its shape."""
     from kopt import dpengine
-    from kopt.dpengine import _Cells, _run_alone, _run_plan, compile_plan
+    from kopt.dpengine import _Cells, _run_plan, _shape_table, compile_plan
 
     made = _group_runs_made(monkeypatch)
-    chunks, real_over = [], dpengine._Cells.over
+    # chunks of the runs of best_move's search, and of the runs alone
+    chunks, alone, real_over, real_alone = [], [], dpengine._Cells.over, dpengine._run_alone
 
     def over(self, shape, lo, hi):
         chunks.append((dpengine.MAX_BATCH_ENTRIES, lo, hi, len(shape.patterns)))
         return real_over(self, shape, lo, hi)
 
+    def run_alone(*args):
+        before = len(chunks)
+        kept = real_alone(*args)
+        alone.extend(chunks[before:])
+        del chunks[before:]
+        return kept
+
     monkeypatch.setattr(dpengine._Cells, "over", over)
+    monkeypatch.setattr(dpengine, "_run_alone", run_alone)
     n, step = (12, 97) if k == 6 else (13, 1)
     patterns = valid_patterns(k)
     configs = list(product(
@@ -1082,10 +1102,13 @@ def test_shape_runs_give_every_cell_the_value_of_its_pattern_run_alone(monkeypat
                 assert [runs.gain(m, a, None) for a in assignments] == want, (m, obs)
                 if p % (7 * step) == 0:
                     row = p % len(assignments)
-                    assert _run_alone(arrays, part, m, obs, plan, assignments[row])[3] == want[row]
+                    shape = _shape_table(k, obs).shape_of[p]
+                    kept = dpengine._run_alone(arrays, part, shape, p, assignments[row])
+                    assert kept[3] == want[row]
     cut = [(lo, hi) for entries, lo, hi, _ in chunks if entries == 1000]
     assert any(lo > 0 and hi - lo > 1 for lo, hi in cut)
     assert all((lo, hi) == (0, count) for entries, lo, hi, count in chunks if entries != 1000)
+    assert alone and all(hi - lo == 1 for _, lo, hi, _ in alone)
 
 
 def test_a_warm_k5_n40_call_runs_each_group_and_shape_once(monkeypatch):
@@ -1134,7 +1157,7 @@ def test_shared_blocks_give_every_pattern_the_tables_of_fresh_cells(k):
     part = BucketPartition(n=11, count=3)
     arrays = TourArrays(inst, tour)
     runs = _GroupRuns(arrays, part, list(enumerate_assignments(k, part.count)))
-    groups = [(obs, cells) for obs, cells in runs.cells.items() if cells.batch > 1]
+    groups = [(obs, group.cells) for obs, group in runs.groups.items() if group.cells.batch > 1]
     assert groups
     for obs, shared in groups:
         for m in valid_patterns(k):
@@ -1167,8 +1190,8 @@ def test_block_memo_budget_and_one_bucket_gate(monkeypatch, k):
     def spy(self, *args):
         init(self, *args)
         if budget is not None:
-            for cells in self.cells.values():
-                cells.budget.left = budget
+            for group in self.groups.values():
+                group.cells.budget.left = budget
         made.append(self)
 
     def rerun(*args):
@@ -1186,7 +1209,7 @@ def test_block_memo_budget_and_one_bucket_gate(monkeypatch, k):
         return got
 
     def memos():
-        return [cells.memo for runs in made for cells in runs.cells.values()]
+        return [group.cells.memo for runs in made for group in runs.groups.values()]
 
     whole = results()
     assert any(memos())
@@ -1340,13 +1363,68 @@ def test_compile_refuses_a_forget_into_without_a_pure_order_edge():
     assert res.gain == enumerate_b_monotone_max(inst, tour, IDENTITY_2, (1, 1), part).value
 
 
-def test_compile_cache_holds_every_plan_of_a_k6_call():
-    """A k=6 call compiles one plan per valid pattern and order-edge set, of
-    which there are 2**5, so a second call compiles none of them again."""
-    from kopt.dpengine import compile_plan
-    from kopt.moves import valid_pattern_count
+def test_plans_are_compiled_once_per_shape():
+    """In a fresh process, a cold best_move compiles one plan per shape and
+    order-edge set, and a warm one none: 1,095 plans for the 5,760 (pattern,
+    order-edge set) pairs of k = 5 over four buckets of 10, and 388 for the
+    3,840 patterns of k = 6 over one bucket of 24."""
+    code = (
+        "from kopt import best_move, dpengine, gen_random, random_tour\n"
+        "compiled = []\n"
+        "real = dpengine._compile\n"
+        "dpengine._compile = lambda *args: compiled.append(args) or real(*args)\n"
+        "for k, n, alpha in ((5, 40, None), (5, 40, None), (6, 24, 1)):\n"
+        "    compiled.clear()\n"
+        "    best_move(gen_random(n, 0, 10000), random_tour(n, 1), k, alpha=alpha)\n"
+        "    print(len(compiled))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["1095", "0", "388"]
 
-    assert compile_plan.cache_info().maxsize >= valid_pattern_count(6) * 2**5
+
+def _blanked(ops):
+    """The ops with each block's pairs replaced by their count."""
+    return [op[:-1] + (tuple(b[:2] + (len(b[2]),) + b[3:] for b in op[-1]),)
+            if op[0] in (INTRODUCE, FORGET_INTO, JOIN) else op for op in ops]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_every_pattern_of_a_shape_runs_its_shape_plan_with_its_own_sides(k):
+    """Each valid pattern's own plan (compile_plan) against its shape's
+    plan, which the engine compiles from the shape's first pattern and runs
+    for all of them: the same decomposition object, the same widths, the
+    same ops once pair sides are blanked, and in each block exactly the
+    pairs of the shape's variant for the pattern. Every order-edge set for
+    k = 2..5; the empty and the full one for k = 6."""
+    from kopt.dpengine import _shape_table, compile_plan
+
+    path = [(i, i + 1) for i in range(1, k)]
+    subsets = ([frozenset(), frozenset(path)] if k == 6 else
+               [frozenset(c) for size in range(k) for c in combinations(path, size)])
+    blocks = 0
+    for obs in subsets:
+        table = _shape_table(k, obs)
+        for p, m in enumerate(valid_patterns(k)):
+            own, shape = compile_plan(m, obs), table.shape_of[p]
+            i = shape.patterns.index(p)
+            assert own.nice is shape.plan.nice
+            assert (own.width, own.whole_width) == (shape.plan.width, shape.plan.whole_width)
+            assert _blanked(own.ops) == _blanked(shape.plan.ops)
+            if i == 0:
+                assert own.ops == shape.plan.ops
+            blocked = [op for op in own.ops if op[0] in (INTRODUCE, FORGET_INTO, JOIN)]
+            for slots, _, pairs, *_ in (block for op in blocked for block in op[-1]):
+                if pairs:
+                    col = shape.columns[slots]
+                    assert tuple(sorted(pairs)) == shape.variants[col][shape.ids[i, col]]
+                    blocks += 1
+        assert table.whole_width == max(shape.plan.whole_width for shape in table.shape_of)
+    assert blocks > 0
 
 
 def test_assignment_memory_is_bounded_before_any_assignment_is_listed(monkeypatch):
