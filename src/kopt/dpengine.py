@@ -60,7 +60,15 @@ cells share it.
   added as an introduce op adds them. The step builds no table over v and w
   together, so a k = 4 or 5 plan at one bucket holds at most 3 slots in a
   table where it held 4, and it adds no terms, so the dtype bound below
-  holds.
+  holds. The running maximum is taken one of two ways, by the slab, the
+  entries at one position of v's axis. From MIN_STEP_SLAB (2^10) entries up
+  it takes one np.maximum per position, since np.maximum.accumulate walks
+  the axis with a strided inner loop: on a (1, 64, 64, 64) float32 table
+  along axis 1, 1.4 ms against 0.13 ms for the 63 steps (0.36 ms along axis
+  2). k = 4 one-bucket tables and k = 5 shape runs have such slabs. Below
+  it, as on the k = 3 one-bucket tables (slabs of 1 or s entries), one
+  accumulate call costs less than a Python step per position. Max is exact,
+  so both ways give the same tables.
 - **Padding.** The buckets are balanced (buckets.make_buckets): each holds
   s or s - 1 edges. A bucket of s - 1 is padded to `s` positions, and the
   padded position's entries are -inf, as are loops and order violations.
@@ -88,8 +96,10 @@ cells share it.
   `MAX_SLICE_ENTRIES` entries. One routine, `_forget`, sums it in pieces
   along the forgotten slot's axis into one reused buffer. A forget op folds
   each piece's maximum into its output; a forget-into op walks the pieces in
-  w's order and carries the running maximum from each into the next. A
-  table that fits runs the same code as one piece.
+  w's order and carries the running maximum from each into the next, by
+  steps or accumulate as its slab decides (a piece changes the number of
+  positions, not the slab). A table that fits runs the same code as one
+  piece.
 - **Chunks.** The batch axis is cut into chunks of whole patterns so that no
   table holds more than `MAX_BATCH_ENTRIES` entries; a pattern that does not
   fit alone is cut into chunks of assignments, down to one cell's table when
@@ -183,6 +193,13 @@ MAX_BATCH_ENTRIES = 1 << 22
 # reduces at once, in entries (or one position of the forgotten slot, when
 # that is larger).
 MAX_SLICE_ENTRIES = 1 << 20
+# Smallest slab (the entries at one position of the forgotten axis) whose
+# running maximum a forget-into op takes in position steps, one np.maximum
+# per position; a smaller slab runs np.maximum.accumulate, whose strided inner
+# loop costs little there. Timed in float32 at s = 10..100 positions, the
+# steps win from slabs of 250-400 entries along table axis 1 and of 400-1,000
+# along a later axis; below them accumulate wins, by 20-40x at slab 1.
+MIN_STEP_SLAB = 1 << 10
 # float32 holds every integer of magnitude up to 2^24, and no larger range
 FLOAT32_EXACT = 1 << 24
 # Most slot positions best_move lists: bucket assignments times k times the
@@ -747,6 +764,27 @@ def _introduce(
     return out
 
 
+def _max_accumulate(piece: np.ndarray, run: np.ndarray, axis: int, lo: int, m: int) -> None:
+    """Positions lo + 1 .. lo + m of `run` along `axis`: the running maximum
+    of its position lo and the piece's first m positions, by one
+    np.maximum.accumulate and, past the first piece, one np.maximum that
+    carries position lo in."""
+    to = _along(axis, lo + 1, lo + 1 + m)
+    np.maximum.accumulate(piece[_along(axis, 0, m)], axis=axis, out=run[to])
+    if lo:
+        np.maximum(run[to], run[_along(axis, lo, lo + 1)], out=run[to])
+
+
+def _max_steps(piece: np.ndarray, run: np.ndarray, axis: int, lo: int, m: int) -> None:
+    """The same positions of `run` in m steps: position j + 1 is the maximum
+    of position j and the piece's position j - lo, one slab at a time.
+    Position lo is -inf in the first piece and the previous piece's last
+    position after it."""
+    at = (slice(None),) * axis
+    for j in range(lo, lo + m):
+        np.maximum(run[at + (j,)], piece[at + (j - lo,)], out=run[at + (j + 1,)])
+
+
 def _forget(
     op: tuple, below: tuple | None, child: np.ndarray, cells: _Cells, kept: list | None
 ) -> np.ndarray:
@@ -757,8 +795,14 @@ def _forget(
     reused buffer; `child`, or a table appended to `kept`, is one piece. A
     forget op folds each piece's maximum into its output. A forget-into op
     turns slot v's axis into w's, at each position of w the maximum over v's
-    positions before it (after it, when w < v) or -inf: it steps through the
-    pieces in w's order, carries the running maximum on, and adds w's terms."""
+    positions before it (after it, when w < v) or -inf: it walks the pieces in
+    w's order, extends the running maximum over each, and adds w's terms. Where
+    the slab, the entries at one position of the axis, holds MIN_STEP_SLAB or
+    more, the running maximum takes one np.maximum per position
+    (`_max_steps`): numpy's accumulate walks the axis with a strided inner
+    loop, up to 10x slower on a 64^3 table. On smaller slabs that loop is
+    cheap and one call beats a Python step per position
+    (`_max_accumulate`). Both give the same entries."""
     kind, axis = op[0], op[1]
     s = cells.s
     shape = list(child.shape) if below is None else [cells.batch] + [s] * below[1]
@@ -788,11 +832,8 @@ def _forget(
             out = best if out is None else np.maximum(out, best, out=out)
             continue
         m = min(s - 1, hi) - lo  # v's positions lo.. give w's lo + 1..; w has no position s
-        to = _along(axis, lo + 1, lo + 1 + m)
-        step = piece if flip is None else piece[flip]
-        np.maximum.accumulate(step[_along(axis, 0, m)], axis=axis, out=run[to])
-        if lo:
-            np.maximum(run[to], run[_along(axis, lo, lo + 1)], out=run[to])
+        in_w_order = piece if flip is None else piece[flip]
+        (_max_steps if slab >= MIN_STEP_SLAB else _max_accumulate)(in_w_order, run, axis, lo, m)
     for block in op[5] if run is not None else ():
         _add(out, _block_value(block, cells), cells.patterns)
     return out

@@ -945,14 +945,19 @@ def test_one_position_slices_give_the_whole_tables(monkeypatch, k):
     """Every introduce op under a forget or forget-into op, run in pieces of
     one position, gives the root values and forget tables of a keep_tables
     run, which builds each table whole: weights in 1..3 make ties, buckets
-    of 4, 4 and 3 pad the last one. Forget-into ops step both ways: w > v,
-    and at k = 6, whose sampled plans hold some, w < v."""
+    of 4, 4 and 3 pad the last one; weights up to 2^22 (4kW >= 2^24) run the
+    same in float64. Each runs with every forget-into op's running maximum
+    in position steps (MIN_STEP_SLAB = 1), so one-position pieces carry it
+    from piece to piece, and with none (MIN_STEP_SLAB above any slab); both
+    step kinds give equal root values and forget tables, of one dtype.
+    Forget-into ops step both ways: w > v, and at k = 6, whose sampled plans
+    hold some, w < v."""
     from kopt import dpengine
     from kopt.buckets import BucketPartition
     from kopt.dpengine import _Cells, _run_plan, compile_plan
 
     # piece widths per parent: FORGET, (FORGET_INTO, w > v), or None (whole)
-    widths, parent = {}, [None]
+    widths, parent, ran = {}, [None], set()
     real_forget, real_introduce = dpengine._forget, dpengine._introduce
 
     def forget(op, *args):
@@ -965,30 +970,53 @@ def test_one_position_slices_give_the_whole_tables(monkeypatch, k):
         widths.setdefault(parent[0], set()).add(out.shape[axis])
         return real_introduce(op, child, cells, out, axis, lo)
 
+    def spy(name):
+        real = getattr(dpengine, name)
+
+        def running_max(*args):
+            ran.add((name, parent[0]))
+            return real(*args)
+
+        monkeypatch.setattr(dpengine, name, running_max)
+
     monkeypatch.setattr(dpengine, "_forget", forget)
     monkeypatch.setattr(dpengine, "_introduce", introduce)
+    spy("_max_steps")
+    spy("_max_accumulate")
     monkeypatch.setattr(dpengine, "MAX_SLICE_ENTRIES", 1)
     n = 11
     part = BucketPartition(n=n, count=3)
-    inst, tour = gen_random(n, 110 + k, 3), random_tour(n, 120 + k)
-    arrays = TourArrays(inst, tour)
     groups = {}
     for a in enumerate_assignments(k, part.count):
         groups.setdefault(order_edges(a), []).append(a)
-    for m in valid_patterns(k)[:: {5: 7, 6: 97}.get(k, 1)]:
-        for obs, group in groups.items():
-            plan = compile_plan(m, obs)
-            cells = _Cells(arrays, part, group)
-            root, forgets, _ = _run_plan(plan, cells)
-            whole_root, _, tables = _run_plan(plan, cells, keep_tables=True)
-            assert np.array_equal(root, whole_root)
-            at_forgets = [t for op, t in zip(plan.ops, tables) if op[0] in (FORGET, FORGET_INTO)]
-            assert len(forgets) == len(at_forgets)
-            for got, want in zip(forgets, at_forgets):
-                assert got.dtype == want.dtype and np.array_equal(got, want)
+    for wmax, dtype in ((3, np.float32), (1 << 22, np.float64)):
+        inst, tour = gen_random(n, 110 + k, wmax), random_tour(n, 120 + k)
+        arrays = TourArrays(inst, tour)
+        assert arrays.dtype(k) is dtype
+        for m in valid_patterns(k)[:: {5: 7, 6: 97}.get(k, 1)]:
+            for obs, group in groups.items():
+                plan = compile_plan(m, obs)
+                cells = _Cells(arrays, part, group)
+                by_kind = []
+                for min_step_slab in (1, 1 << 62):
+                    monkeypatch.setattr(dpengine, "MIN_STEP_SLAB", min_step_slab)
+                    root, forgets, _ = _run_plan(plan, cells)
+                    whole_root, _, tables = _run_plan(plan, cells, keep_tables=True)
+                    assert np.array_equal(root, whole_root)
+                    at_forgets = [t for op, t in zip(plan.ops, tables)
+                                  if op[0] in (FORGET, FORGET_INTO)]
+                    assert len(forgets) == len(at_forgets)
+                    for got, want in zip(forgets, at_forgets):
+                        assert got.dtype == want.dtype == dtype and np.array_equal(got, want)
+                    by_kind.append((root, forgets))
+                (root, forgets), (acc_root, acc_forgets) = by_kind
+                assert root.dtype == acc_root.dtype and np.array_equal(root, acc_root)
+                for got, want in zip(forgets, acc_forgets):
+                    assert got.dtype == want.dtype and np.array_equal(got, want)
     into = [(FORGET_INTO, True)] + [(FORGET_INTO, False)] * (k == 6)
     for kind in [FORGET] + into:
         assert {1, part.size} <= widths[kind], kind
+    assert {(name, kind) for name in ("_max_steps", "_max_accumulate") for kind in into} <= ran
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -998,13 +1026,17 @@ def test_sliced_and_chunked_best_move_gives_the_same_move(monkeypatch, k):
     one position at a time, nor when each batch row is also its own chunk.
     Buckets of 4 at alpha 1/2, and one bucket of 11 at alpha 1, where a
     forget-into op carries its running maximum across 11 one-position
-    pieces."""
+    pieces; weights in 1..3 (float32) and up to 2^22 (float64). Each runs
+    with every forget-into op's running maximum in position steps
+    (MIN_STEP_SLAB = 1) and with none."""
     from kopt import dpengine
 
     n = 11
     assert make_buckets(n, Fraction(1, 2)).size == 4 and make_buckets(n, 1).size == 11
-    cases = [(gen_random(n, 130 + 10 * k + i, 3), random_tour(n, 140 + 10 * k + i), alpha)
-             for i in range(3) for alpha in (Fraction(1, 2), 1)]
+    cases = [(gen_random(n, 130 + 10 * k + i, wmax), random_tour(n, 140 + 10 * k + i), alpha)
+             for i, wmax in ((0, 3), (1, 3), (2, 1 << 22)) for alpha in (Fraction(1, 2), 1)]
+    assert {TourArrays(inst, tour).dtype(k) for inst, tour, _ in cases} == {np.float32, np.float64}
+    slice_entries, batch_entries = dpengine.MAX_SLICE_ENTRIES, dpengine.MAX_BATCH_ENTRIES
 
     def answers():
         return [
@@ -1014,10 +1046,15 @@ def test_sliced_and_chunked_best_move_gives_the_same_move(monkeypatch, k):
         ]
 
     whole = answers()
-    monkeypatch.setattr(dpengine, "MAX_SLICE_ENTRIES", 1)
-    assert answers() == whole
-    monkeypatch.setattr(dpengine, "MAX_BATCH_ENTRIES", 1)
-    assert answers() == whole
+    for min_step_slab in (1, 1 << 62):
+        monkeypatch.setattr(dpengine, "MIN_STEP_SLAB", min_step_slab)
+        monkeypatch.setattr(dpengine, "MAX_SLICE_ENTRIES", slice_entries)
+        monkeypatch.setattr(dpengine, "MAX_BATCH_ENTRIES", batch_entries)
+        assert answers() == whole
+        monkeypatch.setattr(dpengine, "MAX_SLICE_ENTRIES", 1)
+        assert answers() == whole
+        monkeypatch.setattr(dpengine, "MAX_BATCH_ENTRIES", 1)
+        assert answers() == whole
 
 
 # ---------------------------------------------------------------------------
@@ -1137,6 +1174,43 @@ def test_a_warm_k5_n40_call_runs_each_group_and_shape_once(monkeypatch):
     assert (got.gain, got.embedding) == (want.gain, want.embedding)
     assert len(cells) == 21_504
     assert 1_095 <= len(plan_runs) <= 1_096
+
+
+def test_forget_into_ops_step_only_where_the_slab_is_large(monkeypatch):
+    """A warm best_move at k = 4 on 64 vertices (one bucket) takes 12 of its
+    48 forget-into ops' running maxima in position steps, those over slabs of
+    64^2 entries, and accumulates the other 36. A k = 3 search on 100
+    vertices, whose slabs hold 1 or 100 entries, steps none."""
+    from kopt import dpengine
+
+    ops, real_forget = [], dpengine._forget
+
+    def forget(op, *args):
+        if op[0] == FORGET_INTO:
+            ops.append(set())
+        return real_forget(op, *args)
+
+    def spy(name):
+        real = getattr(dpengine, name)
+
+        def running_max(*args):
+            ops[-1].add(name)
+            return real(*args)
+
+        monkeypatch.setattr(dpengine, name, running_max)
+
+    inst, tour = gen_random(64, 0, 10_000), random_tour(64, 1)
+    best_move(inst, tour, 4)
+    monkeypatch.setattr(dpengine, "_forget", forget)
+    spy("_max_steps")
+    spy("_max_accumulate")
+    best_move(inst, tour, 4)
+    assert Counter(frozenset(names) for names in ops) == {
+        frozenset({"_max_steps"}): 12, frozenset({"_max_accumulate"}): 36}
+    ops.clear()
+    inst, tour = gen_random(100, 0, 10_000), random_tour(100, 1)
+    history = local_search(inst, tour, 3, policy="first")[1]
+    assert history and ops and all(names == {"_max_accumulate"} for names in ops)
 
 
 # ---------------------------------------------------------------------------
