@@ -12,17 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from .decomp import adjacency, treewidth
-from .moves import (
-    ConnectionPattern,
-    _interference_raw,
-    _is_valid_raw,
-    _matchings_raw,
-    interference_graph,
-    matching_count,
-)
+from .moves import ConnectionPattern, interference_graph, matching_count, pattern_classes
 
 MAX_PROFILE_K = 10
 
@@ -75,12 +69,14 @@ def _envelope(lines: list[tuple[Fraction, Fraction]], a: Fraction) -> Fraction:
     return max(b + m * a for b, m in lines)
 
 
+@cache
 def optimal_alpha(profile: WidthProfile) -> AlphaSolution:
     """Exact minimizer of the envelope of the k cost lines over alpha in [0,1].
 
     The minimum can be attained on an interval; the largest optimal alpha is
     returned because bigger buckets mean fewer bucket assignments and hence
-    less bookkeeping overhead at an equal exponent.
+    less bookkeeping overhead at an equal exponent. Cached by profile: the
+    classes of one k share a few profiles (18 over 2,461 classes at k = 7).
     """
     k = profile.k
     # value at alpha: (k-s) + alpha * (t[s] - (k-s))
@@ -106,7 +102,6 @@ def optimal_alpha(profile: WidthProfile) -> AlphaSolution:
 class InterferenceClassReport:
     edges: tuple[tuple[int, int], ...]
     pattern_count: int
-    example_pattern: tuple[tuple[int, int], ...]
     profile: WidthProfile
     alpha: Fraction
     c: Fraction
@@ -138,35 +133,20 @@ def c_of_k(
     (optionally) per-interference-class optima.
 
     Patterns sharing an interference edge set share their width profile, so
-    profiles are computed once per distinct edge set.
+    profiles are computed once per class of moves.pattern_classes, the
+    table the solver groups its plans by.
     """
     if not (2 <= k <= MAX_PROFILE_K):
         raise ValueError(f"k must be in 2..{MAX_PROFILE_K}")
     if k >= 9 and not allow_large:
         raise ValueError("refusing k >= 9 without allow_large: " + estimate_large_k_cost(k))
 
-    groups: dict[tuple[tuple[int, int], ...], list] = {}
-    total = 0
-    valid = 0
-    for pairs in _matchings_raw(tuple(range(1, 2 * k + 1))):
-        total += 1
-        if not _is_valid_raw(pairs, k):
-            continue
-        valid += 1
-        counts, _ = _interference_raw(pairs)
-        key = tuple(sorted(counts))
-        entry = groups.get(key)
-        if entry is None:
-            groups[key] = [1, pairs]
-        else:
-            entry[0] += 1
-
+    classes = pattern_classes(k)
     per_class = []
     aggregate = [0] * k
     c_max_min = None
-    for key in sorted(groups):
-        count, example = groups[key]
-        profile = width_profile_from_edges(key, k)
+    for edges, members in classes:
+        profile = width_profile_from_edges(edges, k)
         sol = optimal_alpha(profile)
         if c_max_min is None or sol.c > c_max_min:
             c_max_min = sol.c
@@ -175,9 +155,8 @@ def c_of_k(
         if want_per_class:
             per_class.append(
                 InterferenceClassReport(
-                    edges=key,
-                    pattern_count=count,
-                    example_pattern=example,
+                    edges=edges,
+                    pattern_count=len(members),
                     profile=profile,
                     alpha=sol.alpha,
                     c=sol.c,
@@ -191,7 +170,7 @@ def c_of_k(
         alpha=global_sol.alpha,
         c_max_min=c_max_min,
         agree=global_sol.c == c_max_min,
-        total_patterns=total,
-        valid_patterns=valid,
+        total_patterns=matching_count(k),
+        valid_patterns=sum(len(members) for _, members in classes),
         per_class=tuple(per_class) if want_per_class else None,
     )

@@ -15,17 +15,19 @@ cells share it.
   and order edge between the two slots; each join op carries its correction
   terms. Plans do not depend on the tour; equal ops are one shared object,
   so a plan costs little more than its op list.
-- **Shapes.** Over one order-edge set, the plans of patterns that pair the
-  same slots the same number of times have one decomposition and the same
-  ops but for which sides their pairs read. `_shape_table` compiles one
-  plan per shape and order-edge set, from the shape's first pattern, and
-  keeps it with the shape's patterns and a small array of each pattern's
-  pair sides per slot pair (`_sides_by_shape`). A valid pattern always runs
-  as its shape's plan plus its row of that array; only a pattern of its
-  own (a caller's decomposition, a pattern that is not valid, or k past
-  MAX_SOLVER_K) runs its own plan, as a shape of one. A cold k = 5 call
-  over four buckets of 10 compiles 1,095 plans for 5,760 (pattern,
-  order-edge set) pairs; k = 6 over three buckets of 8, 6,208 for 61,440.
+- **Shapes.** A shape is a pattern class of `moves.pattern_classes`: the
+  patterns of one interference edge set, which pair the same slots the
+  same number of times. Over one order-edge set their plans have one
+  decomposition and the same ops but for which sides their pairs read.
+  `_shape_table` compiles one plan per shape and order-edge set, from the
+  shape's first pattern, and keeps it with the shape's patterns and a small
+  array of each pattern's pair sides per slot pair (`_sides_by_shape`).
+  best_move runs every pattern as its shape's plan plus its row of that
+  array. A standalone `solve_fixed` runs the pattern's own plan, as a shape
+  of one, over the same cached decomposition, so it lists no patterns and
+  gives the same gain and embedding. A cold k = 5 call over four buckets of
+  10 compiles 1,095 plans for 5,760 (pattern, order-edge set) pairs; k = 6
+  over three buckets of 8, 6,208 for 61,440.
 - **Batch axis.** Every plan runs through `_GroupRuns`, over a group of
   fitting assignments that share an order-edge set. `best_move` still visits
   every cell through `solve_fixed`, which finds the cell's group and row
@@ -177,6 +179,7 @@ from .moves import (
     endpoint_is_right,
     gain_partial,
     interference_graph,
+    pattern_classes,
     slot_of_endpoint,
     valid_pattern_count,
     valid_patterns,
@@ -491,48 +494,45 @@ def _pattern_index(k: int) -> dict[ConnectionPattern, int]:
 
 
 @lru_cache(maxsize=MAX_SOLVER_K)
-def _sides_by_shape(k: int) -> dict[tuple, tuple]:
-    """Per shape key of the valid k-patterns, their pairs as sorted (slot,
-    slot) pairs with sides dropped, _Shape's fields but its plan: the
-    patterns' indices, in pattern order; the columns, each slot pair
-    (0-based, lo < hi) that pattern pairs join, mapped to its index; per
-    column the distinct sides its pairs take, each a sorted tuple of (side
-    at lo, side at hi) as a block's pairs are; and a read-only (patterns,
-    columns) int8 array, each pattern's variant index in each column. The
-    key does not depend on the order edges, so every order-edge set shares
-    these."""
-    found: dict[tuple, list] = {}
-    for p, m in enumerate(valid_patterns(k)):
-        info = _pattern_pairs_info(m)
-        sides: dict[tuple[int, int], list[tuple[bool, bool]]] = {}
-        for sa, ra, sb, rb in info:
-            if sa != sb:
-                (a, side_a), (b, side_b) = sorted(((sa - 1, ra), (sb - 1, rb)))
-                sides.setdefault((a, b), []).append((side_a, side_b))
-        key = tuple(sorted((min(sa, sb), max(sa, sb)) for sa, _, sb, _ in info))
-        found.setdefault(key, []).append((p, sides))
-    out = {}
-    for key, members in found.items():
-        columns = sorted(members[0][1])  # the key fixes the slot pairs
-        rows = [[tuple(sorted(sides[c])) for c in columns] for _, sides in members]
+def _sides_by_shape(k: int) -> tuple[tuple, ...]:
+    """Per pattern class of k (moves.pattern_classes), _Shape's fields but
+    its plan: the patterns' indices, ascending; the columns, each slot pair
+    (0-based, lo < hi) that the class's pattern pairs join, mapped to its
+    index; per column the distinct sides its pairs take, each a sorted tuple
+    of (side at lo, side at hi) as a block's pairs are; and a read-only
+    (patterns, columns) int8 array, each pattern's variant index in each
+    column. The classes do not depend on the order edges, so every
+    order-edge set shares these."""
+    patterns = valid_patterns(k)
+    out = []
+    for edges, members in pattern_classes(k):
+        columns = [(i - 1, j - 1) for i, j in edges]
+        rows = []
+        for p in members:
+            sides: dict[tuple[int, int], list[tuple[bool, bool]]] = {c: [] for c in columns}
+            for sa, ra, sb, rb in _pattern_pairs_info(patterns[p]):
+                if sa != sb:
+                    (a, side_a), (b, side_b) = sorted(((sa - 1, ra), (sb - 1, rb)))
+                    sides[a, b].append((side_a, side_b))
+            rows.append([tuple(sorted(got)) for got in sides.values()])
         variants = [tuple(dict.fromkeys(got)) for got in zip(*rows)]
         ids = np.array([[v.index(x) for v, x in zip(variants, row)] for row in rows], np.int8)
         ids.flags.writeable = False
-        out[key] = (tuple(p for p, _ in members), {c: i for i, c in enumerate(columns)},
-                    tuple(variants), ids)
-    return out
+        out.append((members, {c: i for i, c in enumerate(columns)}, tuple(variants), ids))
+    return tuple(out)
 
 
 @dataclass(frozen=True, slots=True)
 class _Shape:
-    """Patterns whose plans over one order-edge set differ only in the sides
-    of their pairs: `plan` is compiled from the first one, and they all run
-    its ops; `patterns` their indices in valid_patterns(k), in pattern order;
-    the rest as _sides_by_shape gives it. A plan of one pattern of its own
-    (solve_fixed's) is a shape of one with no index and no sides."""
+    """A pattern class, whose plans over one order-edge set differ only in
+    the sides of their pairs: `plan` is compiled from the first pattern, and
+    they all run its ops; `patterns` their indices in valid_patterns(k),
+    ascending; the rest as _sides_by_shape gives it. A plan of one pattern
+    of its own (solve_fixed's) is a shape of one with no index and no
+    sides."""
 
     plan: Plan
-    patterns: tuple = (None,)
+    patterns: array | tuple = (None,)
     columns: dict[tuple[int, int], int] | None = None
     variants: tuple | None = None
     ids: np.ndarray | None = None
@@ -553,7 +553,7 @@ class _ShapeTable:
 def _shape_table(k: int, obs: frozenset[tuple[int, int]]) -> _ShapeTable:
     patterns = valid_patterns(k)
     shapes = [_Shape(compile_plan(patterns[members[0]], obs), members, *sides)
-              for members, *sides in _sides_by_shape(k).values()]
+              for members, *sides in _sides_by_shape(k)]
     shape_of = [None] * len(patterns)
     for shape in shapes:
         for p in shape.patterns:
@@ -964,9 +964,8 @@ def solve_fixed(
 ) -> SolveResult:
     """Maximum gain over bucket-monotone embeddings for one pattern and one
     nondecreasing bucket assignment (a sequence of ints), checked before any
-    plan is compiled. The pattern runs alone on the cell as a group of one:
-    a valid one as its shape's plan with its own pair sides, any other, or
-    one over the caller's decomposition `nice`, as its own plan. The
+    plan is compiled. The pattern runs its own plan alone on the cell as a
+    group of one, over the caller's decomposition `nice` if given. The
     embedding is rebuilt from that run's forget tables and re-verified
     against the direct gain computation.
 
@@ -987,19 +986,18 @@ def solve_fixed(
     if part.n != tour.n:
         raise ValueError("bucket partition does not match the tour size")
     obs = order_edges(assignment)
-    p = _pattern_index(m.k).get(m) if 2 <= m.k <= MAX_SOLVER_K else None
-    shape = _Shape(compile_plan(m, obs)) if p is None else _shape_table(m.k, obs).shape_of[p]
-    if nice is not None and nice is not shape.plan.nice:
+    plan = compile_plan(m, obs)
+    if nice is not None and nice is not plan.nice:
         if nice.k != m.k:
             raise ValueError("decomposition is for a different k")
         ok, diags = validate_decomposition(dependence_graph(interference_graph(m), obs), nice)
         if not ok:
             raise ValueError(f"invalid decomposition: {'; '.join(diags)}")
-        shape, p = _Shape(_compile(m, obs, nice)), None
-    kept = _run_alone(TourArrays(inst, tour), part, shape, p, assignment)
+        plan = _compile(m, obs, nice)
+    kept = _run_alone(TourArrays(inst, tour), part, _Shape(plan), None, assignment)
     if runs is not None:
         return SolveResult(None if kept is None else kept[3], None, None)
-    return _solve_cell(inst, tour, m, shape.plan, kept)
+    return _solve_cell(inst, tour, m, plan, kept)
 
 
 def _solve_cell(

@@ -10,10 +10,12 @@ edge j owns endpoint ids 2j-1 (its left endpoint) and 2j (its right endpoint).
 from __future__ import annotations
 
 import math
-from collections import Counter
+from array import array
+from collections import defaultdict
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import NamedTuple
 
 from .instance import Instance, Tour, tour_weight
 
@@ -128,76 +130,58 @@ def valid_patterns(k: int) -> tuple[ConnectionPattern, ...]:
     return tuple(m for m in enumerate_matchings(k) if is_valid_pattern(m))
 
 
-def _interference_raw(pairs) -> tuple[Counter, set[int]]:
-    counts: Counter = Counter()
-    readded: set[int] = set()
-    for a, b in pairs:
-        i, j = slot_of_endpoint(a), slot_of_endpoint(b)
-        if i == j:
-            readded.add(i)
-        else:
-            counts[(min(i, j), max(i, j))] += 1
-    return counts, readded
+def _interference_edges(pairs) -> tuple[tuple[int, int], ...]:
+    """The sorted (slot, slot) pairs, lo < hi, that pattern pairs join; each
+    pattern pair (a, b) has a < b, so its slots come in order."""
+    joined = {((a + 1) // 2, (b + 1) // 2) for a, b in pairs}
+    return tuple(sorted(edge for edge in joined if edge[0] != edge[1]))
 
 
 @dataclass(frozen=True)
 class InterferenceGraph:
-    """Graph on move slots recording which removed edges are joined by added edges.
-
-    Obtained from the pattern by identifying the two endpoint ids of each slot.
-    A pair joining both endpoints of one slot re-adds that removed edge; such
-    slots are listed in `readded_slots` and stay isolated in the simple edge
-    set. Components of the simple graph are cycles, single (doubled) edges, or
-    isolated re-added slots.
-    """
+    """Graph on move slots recording which removed edges are joined by added
+    edges, obtained from the pattern by identifying the two endpoint ids of
+    each slot. A pair within one slot re-adds that removed edge and adds no
+    edge; two pairs between the same two slots make one edge. The edge set
+    fixes the rest (pattern_classes)."""
 
     k: int
     edges: frozenset[tuple[int, int]]
-    multiplicity: tuple[tuple[tuple[int, int], int], ...]
-    readded_slots: frozenset[int]
-
-    @property
-    def doubled_edges(self) -> frozenset[tuple[int, int]]:
-        return frozenset(e for e, c in self.multiplicity if c == 2)
-
-    def components(self) -> list[tuple[str, tuple[int, ...]]]:
-        """(kind, sorted vertices) per connected component of the simple graph;
-        kind is one of 'cycle', 'edge', 'isolated'."""
-        adj: dict[int, set[int]] = {v: set() for v in range(1, self.k + 1)}
-        for i, j in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        seen: set[int] = set()
-        comps = []
-        for v in range(1, self.k + 1):
-            if v in seen:
-                continue
-            stack, comp = [v], set()
-            while stack:
-                u = stack.pop()
-                if u in comp:
-                    continue
-                comp.add(u)
-                stack.extend(adj[u] - comp)
-            seen |= comp
-            if len(comp) == 1:
-                kind = "isolated"
-            elif len(comp) == 2:
-                kind = "edge"
-            else:
-                kind = "cycle"
-            comps.append((kind, tuple(sorted(comp))))
-        return comps
 
 
 def interference_graph(m: ConnectionPattern) -> InterferenceGraph:
-    counts, readded = _interference_raw(m.pairs)
-    return InterferenceGraph(
-        k=m.k,
-        edges=frozenset(counts),
-        multiplicity=tuple(sorted(counts.items())),
-        readded_slots=frozenset(readded),
-    )
+    return InterferenceGraph(k=m.k, edges=frozenset(_interference_edges(m.pairs)))
+
+
+class PatternClass(NamedTuple):
+    """The valid k-patterns of one interference edge set: the edges, sorted,
+    and the patterns' indices in valid_patterns(k), ascending."""
+
+    edges: tuple[tuple[int, int], ...]
+    members: array
+
+
+@lru_cache(maxsize=8)
+def pattern_classes(k: int) -> tuple[PatternClass, ...]:
+    """The valid k-patterns grouped by interference edge set, ordered by
+    edges, from one walk of the raw matchings in valid_patterns' order that
+    builds no ConnectionPattern; cached.
+
+    An edge set fixes which slots every pattern pair joins, so patterns of
+    one class differ only in the sides of their pairs. Each slot has two
+    endpoints: a slot with no interference neighbour pairs its own two, a
+    slot with one neighbour pairs both with it (a doubled edge), and a slot
+    with two neighbours pairs one endpoint with each.
+    """
+    if not (2 <= k <= MAX_PATTERN_K):
+        raise ValueError(f"k must be in 2..{MAX_PATTERN_K}")
+    found: defaultdict[tuple[tuple[int, int], ...], array] = defaultdict(partial(array, "i"))
+    index = 0
+    for pairs in _matchings_raw(tuple(range(1, 2 * k + 1))):
+        if _is_valid_raw(pairs, k):
+            found[_interference_edges(pairs)].append(index)
+            index += 1
+    return tuple(PatternClass(edges, found[edges]) for edges in sorted(found))
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ from kopt.moves import (
     gain_partial,
     interference_graph,
     is_valid_pattern,
+    pattern_classes,
     valid_patterns,
 )
 from kopt.oracle import enumerate_b_monotone_max, naive_best_move
@@ -275,7 +276,7 @@ def test_join_rule_against_synthetic_decomposition():
     # valid k=3 pattern: slots 1,2 doubly interfere, slot 3 re-added
     m = ConnectionPattern(3, ((1, 3), (2, 4), (5, 6)))
     ig = interference_graph(m)
-    assert ig.edges == frozenset({(1, 2)}) and ig.readded_slots == frozenset({3})
+    assert ig.edges == frozenset({(1, 2)})
 
     nodes = (
         NiceNode("leaf", frozenset(), None, ()),
@@ -468,6 +469,40 @@ def test_float32_exact_with_k10_and_small_weights(monkeypatch):
     still sends weights up to 10000 to float32, and the gain stays exact."""
     res, brute = _k10_cell(monkeypatch, 10_000, 1, np.float32)
     assert res.gain == brute.value and res.embedding == brute.witness
+
+
+@pytest.mark.parametrize("k", [6, 7])
+def test_a_standalone_solve_fixed_lists_and_groups_no_patterns(monkeypatch, k):
+    """A standalone solve_fixed runs its pattern's own plan: it lists no
+    valid patterns, builds no pattern classes or shapes, and gives the gain
+    and embedding of its shape's run, which the brute force confirms. The
+    pattern is the last of the largest class, whose shape's plan is
+    compiled from another pattern."""
+    from kopt import dpengine
+    from kopt.buckets import BucketPartition
+
+    n = 2 * k
+    inst, tour = gen_random(n, k, 10000), random_tour(n, k + 1)
+    part = BucketPartition(n=n, count=1)
+    assignment = (1,) * k
+    p = max(pattern_classes(k), key=lambda c: len(c.members)).members[-1]
+    m = valid_patterns(k)[p]
+
+    def fail(*args):
+        raise AssertionError("a standalone solve_fixed must not list or group patterns")
+
+    for name in ("valid_patterns", "pattern_classes", "_pattern_index", "_shape_table"):
+        monkeypatch.setattr(dpengine, name, fail)
+    res = solve_fixed(inst, tour, m, assignment, part)
+    monkeypatch.undo()
+
+    shape = dpengine._shape_table(k, order_edges(assignment)).shape_of[p]
+    assert shape.patterns[0] != p
+    kept = dpengine._run_alone(TourArrays(inst, tour), part, shape, p, assignment)
+    ran = dpengine._solve_cell(inst, tour, m, shape.plan, kept)
+    brute = enumerate_b_monotone_max(inst, tour, m, assignment, part)
+    assert res.gain is not None
+    assert (res.gain, res.embedding) == (ran.gain, ran.embedding) == (brute.value, brute.witness)
 
 
 def _table_dtypes(inst, tour, k, part):

@@ -156,47 +156,41 @@ def test_apply_move_adds_and_removes_exactly_the_moves_edges(k):
             assert tour_weight(inst, new) == tour_weight(inst, tour) - move.gain
 
 
-def test_interference_identity_pattern_readds_all():
-    ig = interference_graph(IDENTITY_2)
-    assert ig.edges == frozenset()
-    assert ig.readded_slots == frozenset({1, 2})
-    assert [kind for kind, _ in ig.components()] == ["isolated", "isolated"]
-
-
-def test_interference_swap_pattern_doubled_edge():
-    ig = interference_graph(SWAP_2)
-    assert ig.edges == frozenset({(1, 2)})
-    assert ig.doubled_edges == frozenset({(1, 2)})
-    assert ig.readded_slots == frozenset()
-
-
-def test_interference_three_cycle():
-    # valid k=3 pattern joining the slots in a 3-cycle
-    m = ConnectionPattern(3, ((2, 5), (4, 1), (6, 3)))
-    assert is_valid_pattern(m)
-    ig = interference_graph(m)
-    assert ig.edges == frozenset({(1, 2), (2, 3), (1, 3)})
-    assert ig.components() == [("cycle", (1, 2, 3))]
-
-
-@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 def test_interference_components_are_cycles_edges_or_readds(k):
-    for m in valid_patterns(k):
-        ig = interference_graph(m)
-        degree = {v: 0 for v in range(1, k + 1)}
-        for (a, b), count in ig.multiplicity:
-            degree[a] += count
-            degree[b] += count
-        for slot in ig.readded_slots:
-            degree[slot] += 2
-        assert all(d == 2 for d in degree.values())
-        for kind, vertices in ig.components():
-            if kind == "isolated":
-                assert vertices[0] in ig.readded_slots
-            elif kind == "edge":
-                assert (vertices[0], vertices[1]) in ig.doubled_edges
+    """The fact the pattern-class table rests on, for every matching. Each
+    slot has two endpoints, so its number of interference neighbours says
+    what its pairs join: none, its own two endpoints (a re-added edge); one,
+    both endpoints to that neighbour (a doubled edge); two, one endpoint to
+    each. The edge set thus gives every pattern's pairs as (slot, slot)
+    pairs, and the components are re-added slots, doubled edges or
+    cycles."""
+    for m in enumerate_matchings(k):
+        edges = interference_graph(m).edges
+        degree = {v: sum(v in e for e in edges) for v in range(1, k + 1)}
+        assert max(degree.values()) <= 2
+        given = sorted([(v, v) for v, d in degree.items() if d == 0]
+                       + [e for e in edges for _ in range(3 - degree[e[0]])])
+        assert given == sorted(((a + 1) // 2, (b + 1) // 2) for a, b in m.pairs), m.pairs
+        seen: set[int] = set()
+        for v in range(1, k + 1):
+            if v in seen:
+                continue
+            comp, stack = {v}, [v]
+            while stack:
+                u = stack.pop()
+                for w in (sum(e) - u for e in edges if u in e):
+                    if w not in comp:
+                        comp.add(w)
+                        stack.append(w)
+            seen |= comp
+            inside = [e for e in edges if e[0] in comp]
+            if len(comp) == 1:
+                assert (v, v) in given
+            elif len(comp) == 2:
+                assert given.count(inside[0]) == 2
             else:
-                assert len(vertices) >= 3
+                assert len(inside) == len(comp) and all(degree[u] == 2 for u in comp)
 
 
 def test_gain_partial_empty_domain_is_zero():

@@ -1,0 +1,60 @@
+"""The pattern-class table (moves.pattern_classes) against valid_patterns
+and both of its readers: c_of_k and the engine's shapes."""
+
+import hashlib
+from itertools import combinations
+
+import pytest
+
+from kopt.alpha import c_of_k
+from kopt.dpengine import _shape_table
+from kopt.moves import interference_graph, pattern_classes, valid_pattern_count, valid_patterns
+
+CLASS_COUNTS = {2: 2, 3: 5, 4: 17, 5: 73, 6: 388, 7: 2461}
+
+
+@pytest.mark.parametrize("k", sorted(CLASS_COUNTS))
+def test_classes_partition_the_valid_patterns_by_interference_edges(k):
+    patterns = valid_patterns(k)
+    classes = pattern_classes(k)
+    assert pattern_classes(k) is classes
+    assert len(classes) == CLASS_COUNTS[k]
+    assert [c.edges for c in classes] == sorted(c.edges for c in classes)
+    found = []
+    for edges, members in classes:
+        assert list(edges) == sorted(edges)
+        assert len(members) > 0 and list(members) == sorted(members)
+        assert all(interference_graph(patterns[p]).edges == frozenset(edges) for p in members)
+        found += members
+    assert sum(len(members) for _, members in classes) == valid_pattern_count(k)
+    assert sorted(found) == list(range(len(patterns)))
+
+
+@pytest.mark.parametrize("k", sorted(CLASS_COUNTS))
+def test_every_shape_is_the_class_of_its_patterns(k):
+    """The engine's shape of each pattern holds the pattern's class, under
+    every order-edge set for k <= 5 and the empty and the full one past."""
+    path = [(i, i + 1) for i in range(1, k)]
+    subsets = ([frozenset(), frozenset(path)] if k > 5 else
+               [frozenset(c) for size in range(k) for c in combinations(path, size)])
+    classes = pattern_classes(k)
+    for obs in subsets:
+        shape_of = _shape_table(k, obs).shape_of
+        assert len(shape_of) == valid_pattern_count(k)
+        for _, members in classes:
+            assert all(list(shape_of[p].patterns) == list(members) for p in members)
+
+
+def test_c_of_k_reports_are_pinned():
+    """c_of_k's per-class reports (edges, pattern count, widths, alpha, c)
+    for k = 2..6 hash to the digest they had when c_of_k grouped the raw
+    matchings itself."""
+    digest = hashlib.sha256()
+    for k in range(2, 7):
+        res = c_of_k(k, want_per_class=True)
+        rows = [(r.edges, r.pattern_count, r.profile.t, str(r.alpha), str(r.c))
+                for r in res.per_class]
+        digest.update(repr((k, rows)).encode())
+    assert digest.hexdigest() == (
+        "9492d5a0e078255fefdc68b3877abfd68373150a7153c434622bdf10e5514dd0"
+    )
