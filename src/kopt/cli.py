@@ -33,7 +33,7 @@ from .instance import (
     tour_to_json,
     tour_weight,
 )
-from .moves import matching_count, valid_pattern_count, valid_patterns
+from .moves import MAX_PATTERN_K, matching_count, valid_pattern_count, valid_patterns
 
 
 class CliError(Exception):
@@ -143,6 +143,9 @@ def cmd_ck(args) -> int:
 
 
 def cmd_patterns(args) -> int:
+    # before any count: (2k-1)!! at k = 100,000 takes seconds, then fails to print
+    if not 2 <= args.k <= MAX_PATTERN_K:
+        raise CliError(f"--k must be in 2..{MAX_PATTERN_K}, not {args.k}")
     if args.list:
         if args.k > dpengine.MAX_SOLVER_K:
             raise CliError(

@@ -3,31 +3,30 @@
 For a fixed connection pattern and bucket assignment (a *cell*) the solver
 finds a bucket-monotone embedding of maximum gain by dynamic programming over
 a nice tree decomposition of the dependence graph (order edges plus
-interference edges). That DP depends only on the pattern and the
-assignment's order-edge set, not on which buckets the cell uses, so many
-cells share it.
+interference edges). That DP's shape depends only on the pattern's
+interference class and the assignment's order-edge set, so many cells share
+it; the pattern decides only its pair sides, which endpoint of each removed
+edge its added edges use.
 
-- **Plans.** `compile_plan(pattern, order_edges)` turns one such DP into a
-  flat list of leaf, introduce, forget and join ops with precomputed table
-  axes, run as a stack machine. The nice decomposition lists its nodes in
-  the order they run, and op i runs node i. Each introduce op carries, per
-  bag neighbour of the introduced slot, the pattern pairs, self-loop mask
-  and order edge between the two slots; each join op carries its correction
-  terms. Plans do not depend on the tour; equal ops are one shared object,
-  so a plan costs little more than its op list.
-- **Shapes.** A shape is a pattern class of `moves.pattern_classes`: the
-  patterns of one interference edge set, which pair the same slots the
-  same number of times. Over one order-edge set their plans have one
-  decomposition and the same ops but for which sides their pairs read.
-  `_shape_table` compiles one plan per shape and order-edge set, from the
-  shape's first pattern, and keeps it with the shape's patterns and a small
-  array of each pattern's pair sides per slot pair (`_sides_by_shape`).
-  best_move runs every pattern as its shape's plan plus its row of that
-  array. A standalone `solve_fixed` runs the pattern's own plan, as a shape
-  of one, over the same cached decomposition, so it lists no patterns and
-  gives the same gain and embedding. A cold k = 5 call over four buckets of
-  10 compiles 1,095 plans for 5,760 (pattern, order-edge set) pairs; k = 6
-  over three buckets of 8, 6,208 for 61,440.
+- **Plans.** `_compile` turns the DP of one interference class and
+  order-edge set into a flat list of leaf, introduce, forget and join ops
+  with precomputed table axes, run as a stack machine. The nice
+  decomposition lists its nodes in the order they run, and op i runs node
+  i. Each introduce op carries, per bag neighbour of the introduced slot,
+  the number of pattern pairs (the class fixes it), the self-loop mask and
+  the order edge between the two slots; each join op carries its correction
+  terms. No op holds a pair's sides. Plans do not depend on the tour; equal
+  ops are one shared object, so a plan costs little more than its op list.
+- **Shapes.** A shape is a pattern class of `moves.pattern_classes`.
+  `_shape_table` compiles one plan per class and order-edge set and keeps
+  it with the class's patterns and its sides table (`_pattern_sides`): per
+  slot pair the distinct sides its pairs take, and each pattern's variant
+  index per slot pair. Every run reads its patterns' rows of that table. A
+  standalone `solve_fixed` runs its pattern's class plan with a table of its
+  own (`_shape_of_one`), over the same cached decomposition, so it lists no
+  patterns and gives the same gain and embedding. A cold k = 5 call over
+  four buckets of 10 compiles 1,095 plans for 5,760 (pattern, order-edge
+  set) pairs; k = 6 over three buckets of 8, 6,208 for 61,440.
 - **Batch axis.** Every plan runs through `_GroupRuns`, over a group of
   fitting assignments that share an order-edge set. `best_move` still visits
   every cell through `solve_fixed`, which finds the cell's group and row
@@ -42,10 +41,11 @@ cells share it.
   differ stacks each pattern's value from the group's memo. At one bucket a
   group is one assignment with s^w-entry tables, and a run holds the
   requested pattern alone: batching there made a policy="first" search pay
-  for patterns it never reached; a run past a shape's first pattern reads
-  its sides through `_Cells.over`. A standalone `solve_fixed` call, and a
-  winner that the latest chunk did not run alone, run as a group of one, so
-  chunks, shared blocks and the memory bound below hold for every run.
+  for patterns it never reached. Every chunk of every run reads its
+  patterns' sides through `_Cells.over`. A standalone `solve_fixed` call,
+  and a winner that the latest chunk did not run alone, run as a group of
+  one, so chunks, shared blocks and the memory bound below hold for every
+  run.
   Every table has shape `(R, s, ..., s)`: axis 0 runs over the run's rows,
   and each bag slot has one axis over `s = part.size` positions, the
   largest bucket's size: position j of a slot in bucket b is the tour edge j
@@ -128,7 +128,8 @@ cells share it.
   `KMove` once, whose gain must equal the root value, and applied once
   through `apply_move`, which builds the new tour from the move's k
   segments and checks its weight. The tests, not the runs, check each
-  shape's plan against its patterns' own (compile_plan).
+  pattern's row of its shape's sides table against its own sides
+  (`_shape_of_one`).
 
 -inf marks assignments with no legal completion. Every other table entry,
 and every partial sum the kernel forms, is an integer sum of at most 4k
@@ -150,7 +151,7 @@ import operator
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -172,6 +173,7 @@ from .instance import Instance, Tour, tour_weight
 # gain_partial is unused here but stays bound: perfbench/layers.py traces it
 from .moves import (
     ConnectionPattern,
+    InterferenceGraph,
     InvariantError,
     KMove,
     apply_move,
@@ -291,23 +293,18 @@ class TourArrays:
 # A block is the sum of all terms of one op that involve the same one or two
 # bag slots: (slots, unary, pairs, matrix, order, index)
 # slots: 0-based slots in table-axis order; unary: (block dim, _Cells
-#   attribute) per one-slot term; pairs: (side of slots[0], side of slots[1])
-#   per pattern pair, looked up in the _Cells weight matrix `matrix` ("neg_w"
-#   or "wf");
+#   attribute) per one-slot term; pairs: how many pattern pairs join the two
+#   slots, looked up in the _Cells weight matrix `matrix` ("neg_w" or "wf")
+#   at the sides that the run's sides table gives them (_Cells.over);
 #   order: the order edge slots[0] < slots[1] holds; index: places the
 #   block's (batch, slot positions...) array on the op's table axes.
 # Slots are 1-based in the op constructors' arguments and 0-based in ops.
 
-# Entries in each cache of compiled ops, so that equal ops are one object. A
-# k = 7 call at its default alpha compiles 17,227 plans (2,461 shapes times 7
-# order-edge sets); past the bound a miss builds an equal op again.
-COMPILE_CACHE_SIZE = 1 << 17
-
 
 @dataclass(frozen=True, slots=True)
 class Plan:
-    """The DP of one (pattern, order-edge set) as a flat op list, compiled
-    from the nice decomposition `nice`: op i runs node i, so
+    """The DP of one (interference class, order-edge set) as a flat op list,
+    compiled from the nice decomposition `nice`: op i runs node i, so
     `nice.nodes[i].children` are the ops whose tables op i takes, in stack
     order. `width` is the largest table's slot count, the largest bag size,
     as every table is over one node's bag: one cell's largest table has
@@ -357,70 +354,62 @@ def nice_decomposition_for(dep: DepGraph, order_only=frozenset()) -> NiceTreeDec
     return nice
 
 
-def _block(bag: tuple[int, ...], slots, unary, pairs, matrix: str, order: bool) -> tuple:
+def _block(bag: tuple[int, ...], slots, unary, pairs: int, matrix: str, order: bool) -> tuple:
     index = (slice(None),) + tuple(slice(None) if b in slots else None for b in bag)
-    return tuple(s - 1 for s in slots), tuple(unary), tuple(pairs), matrix, order, index
+    return tuple(s - 1 for s in slots), tuple(unary), pairs, matrix, order, index
 
 
-@lru_cache(maxsize=COMPILE_CACHE_SIZE)
-def _introduce_op(
-    bag: tuple[int, ...], i: int, touching, self_paired: bool, ordered
-) -> tuple:
-    """Slot i joins `bag`: its removed edge, the added edges `touching` it
-    realizes with bag slots ((slot, side of i, side of slot) each), their
-    loops, and its order edges with the `ordered` bag slots."""
-    realized = len(touching) + self_paired
+@cache
+def _introduce_op(bag: tuple[int, ...], i: int, paired, self_paired: bool, ordered) -> tuple:
+    """Slot i joins `bag`: its removed edge, the added edges it realizes with
+    bag slots (`paired`: (slot, pair count) each), their loops, and its order
+    edges with the `ordered` bag slots."""
+    realized = sum(count for _, count in paired) + self_paired
     if realized > 2:
         raise InvariantError(f"slot {i} realizes {realized} added edges; at most two exist")
-    per_nb: dict[int, list[tuple[bool, bool]]] = {}
-    for nb, ri, rnb in touching:
-        # sides in slot order, which is table-axis order
-        per_nb.setdefault(nb, []).append((ri, rnb) if i < nb else (rnb, ri))
+    counts = dict(paired)
     unary_src = "pad" if self_paired else "gain_in"
     blocks = []
-    for nb in sorted(set(per_nb) | set(ordered)):
+    for nb in sorted(set(counts) | set(ordered)):
         unary = [] if blocks else [(0 if i < nb else 1, unary_src)]
         blocks.append(
-            _block(bag, sorted((i, nb)), unary, per_nb.get(nb, ()), "neg_w", nb in ordered)
+            _block(bag, sorted((i, nb)), unary, counts.get(nb, 0), "neg_w", nb in ordered)
         )
     if not blocks:
-        blocks.append(_block(bag, (i,), [(0, unary_src)], (), "neg_w", False))
+        blocks.append(_block(bag, (i,), [(0, unary_src)], 0, "neg_w", False))
     place = (slice(None),) + tuple(None if b == i else slice(None) for b in bag)
     return INTRODUCE, len(bag), place, tuple(blocks)
 
 
-@lru_cache(maxsize=COMPILE_CACHE_SIZE)
+@cache
 def _forget_op(child_bag: tuple[int, ...], v: int) -> tuple:
     bag = tuple(b - 1 for b in child_bag if b != v)
     return FORGET, 1 + child_bag.index(v), v - 1, bag
 
 
-@lru_cache(maxsize=COMPILE_CACHE_SIZE)
-def _forget_into_op(child_bag: tuple[int, ...], v: int, w: int, touching, self_paired: bool,
+@cache
+def _forget_into_op(child_bag: tuple[int, ...], v: int, w: int, paired, self_paired: bool,
                     ordered) -> tuple:
     """Slot v leaves `child_bag` through its order edge with w, whose axis
     its own becomes, and w joins the bag as _introduce_op has it join."""
     bag = tuple(sorted(set(child_bag) - {v} | {w}))
-    blocks = _introduce_op(bag, w, touching, self_paired, ordered)[3]
+    blocks = _introduce_op(bag, w, paired, self_paired, ordered)[3]
     return FORGET_INTO, 1 + child_bag.index(v), v - 1, tuple(b - 1 for b in bag), w - 1, blocks
 
 
-@lru_cache(maxsize=COMPILE_CACHE_SIZE)
+@cache
 def _join_op(bag: tuple[int, ...], inside, unpaired) -> tuple:
     """Take the bag's gain, counted in both children, out once: the removed
     edges of the `unpaired` slots (a re-added edge cancels its own) and the
-    added edges `inside` the bag ((lo, side, hi, side) each)."""
-    per_pair: dict[tuple[int, int], list[tuple[bool, bool]]] = {}
-    for lo, rlo, hi, rhi in inside:
-        per_pair.setdefault((lo, hi), []).append((rlo, rhi))
+    added edges `inside` the bag (((lo, hi), pair count) each)."""
     pending = list(unpaired)
     blocks = []
-    for (lo, hi), pairs in sorted(per_pair.items()):
+    for (lo, hi), count in inside:
         unary = [(dim, "neg_rem") for dim, s in enumerate((lo, hi)) if s in pending]
         pending = [s for s in pending if s not in (lo, hi)]
-        blocks.append(_block(bag, (lo, hi), unary, pairs, "wf", False))
+        blocks.append(_block(bag, (lo, hi), unary, count, "wf", False))
     for s in pending:
-        blocks.append(_block(bag, (s,), [(0, "neg_rem")], (), "wf", False))
+        blocks.append(_block(bag, (s,), [(0, "neg_rem")], 0, "wf", False))
     return JOIN, tuple(blocks)
 
 
@@ -430,27 +419,30 @@ _FORGETS = (FORGET, FORGET_INTO)
 
 
 def _compile(
-    m: ConnectionPattern, obs: frozenset[tuple[int, int]], nice: NiceTreeDecomposition
+    edges: tuple[tuple[int, int], ...], obs: frozenset[tuple[int, int]],
+    nice: NiceTreeDecomposition,
 ) -> Plan:
-    """The plan of pattern m and order-edge set obs over `nice`, which its
-    callers have validated as a decomposition of their dependence graph."""
-    pairs_info = _pattern_pairs_info(m)
-    self_paired = {sa for sa, _, sb, _ in pairs_info if sa == sb}
-    # each added edge between two slots, from both ends, and in slot order
-    from_slot: dict[int, list[tuple[int, bool, bool]]] = {}
-    ordered_pairs = []
-    for sa, ra, sb, rb in pairs_info:
-        if sa != sb:
-            from_slot.setdefault(sa, []).append((sb, ra, rb))
-            from_slot.setdefault(sb, []).append((sa, rb, ra))
-            ordered_pairs.append((sa, ra, sb, rb) if sa < sb else (sb, rb, sa, ra))
+    """The plan of the interference class `edges` (sorted (lo, hi) slot
+    pairs) and order-edge set obs over `nice`, which its callers have
+    validated as a decomposition of their dependence graph. The class fixes
+    how many pattern pairs join two slots (moves.pattern_classes): a slot
+    with no neighbour pairs its own endpoints, two slots that are each
+    other's only neighbour are joined by two pairs, and every other edge by
+    one."""
+    neighbours: dict[int, list[int]] = {}
+    for i, j in edges:
+        neighbours.setdefault(i, []).append(j)
+        neighbours.setdefault(j, []).append(i)
+    counts = {(i, j): 2 if len(neighbours[i]) == len(neighbours[j]) == 1 else 1
+              for i, j in edges}
     nodes = nice.nodes
 
     def introduced(i: int, bag: tuple[int, ...]) -> tuple:
         """_introduce_op's terms of slot i joining `bag`."""
-        touching = tuple(sorted(p for p in from_slot.get(i, ()) if p[0] in bag))
+        paired = tuple((j, counts[min(i, j), max(i, j)])
+                       for j in neighbours.get(i, ()) if j in bag)
         ordered = tuple(j for j in (i - 1, i + 1) if j in bag and (min(i, j), max(i, j)) in obs)
-        return touching, i in self_paired, ordered
+        return paired, i not in neighbours, ordered
 
     ops: list[tuple] = []
     for nd in nodes:
@@ -463,29 +455,37 @@ def _compile(
             ops.append(_forget_op(tuple(sorted(nodes[nd.children[0]].bag)), nd.vertex))
         elif nd.kind == FORGET_INTO:
             v, w = nd.vertex, nd.into
-            if (min(v, w), max(v, w)) not in obs or any(p[0] == w for p in from_slot.get(v, ())):
+            edge = min(v, w), max(v, w)
+            if edge not in obs or edge in counts:
                 raise InvariantError(f"slots {v} and {w} must be joined by an order edge alone"
                                      " to forget one into the other")
             child_bag = tuple(sorted(nodes[nd.children[0]].bag))
             ops.append(_forget_into_op(child_bag, v, w, *introduced(w, bag)))
         else:  # JOIN
-            inside = tuple(sorted(p for p in ordered_pairs if p[0] in bag and p[2] in bag))
-            unpaired = tuple(s for s in bag if s not in self_paired)
+            inside = tuple((e, n) for e, n in counts.items() if e[0] in bag and e[1] in bag)
+            unpaired = tuple(s for s in bag if s in neighbours)
             ops.append(_join_op(bag, inside, unpaired))
     whole_width = max(
         len(op[3]) if op[0] in _FORGETS
         else op[1] if op[0] == INTRODUCE and up[0] not in _FORGETS else 0
         for op, up in zip(ops, ops[1:] + [_LEAF_OP])
     )
-    return Plan(m.k, tuple(ops), nice.width + 1, nice, whole_width)
+    return Plan(nice.k, tuple(ops), nice.width + 1, nice, whole_width)
+
+
+def _class_plan(
+    k: int, edges: tuple[tuple[int, int], ...], obs: frozenset[tuple[int, int]]
+) -> Plan:
+    """_compile's plan over the cached decomposition of least width."""
+    ig = InterferenceGraph(k, frozenset(edges))
+    return _compile(edges, obs, nice_decomposition_for(dependence_graph(ig, obs), obs - ig.edges))
 
 
 def compile_plan(m: ConnectionPattern, obs: frozenset[tuple[int, int]]) -> Plan:
-    """Pattern m's own DP plan under order-edge set obs, not cached, over the
-    cached width-optimal nice decomposition of its dependence graph."""
-    ig = interference_graph(m)
-    dep = dependence_graph(ig, obs)
-    return _compile(m, obs, nice_decomposition_for(dep, obs - ig.edges))
+    """Pattern m's plan under order-edge set obs, not cached: its
+    interference class's, which every pattern of the class runs with its own
+    pair sides."""
+    return _class_plan(m.k, tuple(sorted(interference_graph(m).edges)), obs)
 
 
 @lru_cache(maxsize=MAX_SOLVER_K)
@@ -493,49 +493,56 @@ def _pattern_index(k: int) -> dict[ConnectionPattern, int]:
     return {m: i for i, m in enumerate(valid_patterns(k))}
 
 
+def _pattern_sides(edges: tuple[tuple[int, int], ...], patterns) -> tuple:
+    """The sides table of `patterns`, all of the interference class `edges`:
+    the columns, each slot pair (0-based, lo < hi) that the class's pattern
+    pairs join, mapped to its index; per column the distinct sides its pairs
+    take, each a sorted tuple of (side at lo, side at hi); and a read-only
+    (patterns, columns) int8 array, each pattern's variant index in each
+    column."""
+    columns = {(i - 1, j - 1): c for c, (i, j) in enumerate(edges)}
+    rows = []
+    for m in patterns:
+        sides: list[list[tuple[bool, bool]]] = [[] for _ in columns]
+        for sa, ra, sb, rb in _pattern_pairs_info(m):
+            if sa != sb:
+                sides[columns[sa - 1, sb - 1]].append((ra, rb))
+        rows.append([tuple(sorted(got)) for got in sides])
+    variants = tuple(tuple(dict.fromkeys(got)) for got in zip(*rows))
+    ids = np.array([[v.index(x) for v, x in zip(variants, row)] for row in rows], np.int8)
+    ids.flags.writeable = False
+    return columns, variants, ids
+
+
 @lru_cache(maxsize=MAX_SOLVER_K)
 def _sides_by_shape(k: int) -> tuple[tuple, ...]:
-    """Per pattern class of k (moves.pattern_classes), _Shape's fields but
-    its plan: the patterns' indices, ascending; the columns, each slot pair
-    (0-based, lo < hi) that the class's pattern pairs join, mapped to its
-    index; per column the distinct sides its pairs take, each a sorted tuple
-    of (side at lo, side at hi) as a block's pairs are; and a read-only
-    (patterns, columns) int8 array, each pattern's variant index in each
-    column. The classes do not depend on the order edges, so every
-    order-edge set shares these."""
+    """Per pattern class of k (moves.pattern_classes), its edges, its
+    patterns' indices, ascending, and their sides table (_pattern_sides).
+    The classes do not depend on the order edges, so every order-edge set
+    shares these."""
     patterns = valid_patterns(k)
-    out = []
-    for edges, members in pattern_classes(k):
-        columns = [(i - 1, j - 1) for i, j in edges]
-        rows = []
-        for p in members:
-            sides: dict[tuple[int, int], list[tuple[bool, bool]]] = {c: [] for c in columns}
-            for sa, ra, sb, rb in _pattern_pairs_info(patterns[p]):
-                if sa != sb:
-                    (a, side_a), (b, side_b) = sorted(((sa - 1, ra), (sb - 1, rb)))
-                    sides[a, b].append((side_a, side_b))
-            rows.append([tuple(sorted(got)) for got in sides.values()])
-        variants = [tuple(dict.fromkeys(got)) for got in zip(*rows)]
-        ids = np.array([[v.index(x) for v, x in zip(variants, row)] for row in rows], np.int8)
-        ids.flags.writeable = False
-        out.append((members, {c: i for i, c in enumerate(columns)}, tuple(variants), ids))
-    return tuple(out)
+    return tuple((edges, members, *_pattern_sides(edges, [patterns[p] for p in members]))
+                 for edges, members in pattern_classes(k))
 
 
 @dataclass(frozen=True, slots=True)
 class _Shape:
-    """A pattern class, whose plans over one order-edge set differ only in
-    the sides of their pairs: `plan` is compiled from the first pattern, and
-    they all run its ops; `patterns` their indices in valid_patterns(k),
-    ascending; the rest as _sides_by_shape gives it. A plan of one pattern
-    of its own (solve_fixed's) is a shape of one with no index and no
-    sides."""
+    """A pattern class over one order-edge set: `plan`, the class's, which
+    all its patterns run, each with its own row of `ids`; `patterns` their
+    indices in valid_patterns(k), ascending, or (None,) for a pattern run on
+    its own (_shape_of_one); the rest as _pattern_sides gives it."""
 
     plan: Plan
-    patterns: array | tuple = (None,)
-    columns: dict[tuple[int, int], int] | None = None
-    variants: tuple | None = None
-    ids: np.ndarray | None = None
+    patterns: array | tuple
+    columns: dict[tuple[int, int], int]
+    variants: tuple
+    ids: np.ndarray
+
+
+def _shape_of_one(m: ConnectionPattern, plan: Plan) -> _Shape:
+    """Pattern m on its own, running `plan`, its class's: how a standalone
+    solve_fixed runs it, with no index in valid_patterns."""
+    return _Shape(plan, (None,), *_pattern_sides(tuple(sorted(interference_graph(m).edges)), [m]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -551,10 +558,9 @@ class _ShapeTable:
 # A best_move call reads one table per order-edge set: at most 2^(k - 1).
 @lru_cache(maxsize=1 << (MAX_SOLVER_K - 1))
 def _shape_table(k: int, obs: frozenset[tuple[int, int]]) -> _ShapeTable:
-    patterns = valid_patterns(k)
-    shapes = [_Shape(compile_plan(patterns[members[0]], obs), members, *sides)
-              for members, *sides in _sides_by_shape(k)]
-    shape_of = [None] * len(patterns)
+    shapes = [_Shape(_class_plan(k, edges, obs), members, *sides)
+              for edges, members, *sides in _sides_by_shape(k)]
+    shape_of = [None] * valid_pattern_count(k)
     for shape in shapes:
         for p in shape.patterns:
             shape_of[p] = shape
@@ -601,9 +607,9 @@ class _Cells:
     With a `budget` the cells keep a memo of their two-slot block values,
     keyed by the block's terms, while the budget lasts; else `memo` is None.
 
-    A run of a shape's patterns past its first reads its cells through
-    `over`: the batch is then `patterns` times the assignments, pattern-major,
-    and `sides` says which sides each pattern's pairs take."""
+    A plan runs over the view `over` gives, which adds its patterns' count
+    and pair sides: the batch is then `patterns` times the assignments,
+    pattern-major."""
 
     def __init__(
         self, arrays: TourArrays, part: BucketPartition, assignments, budget: _Budget | None = None
@@ -628,8 +634,7 @@ class _Cells:
         self.neg_rem = -rem
         self.budget = budget
         self.memo: dict[tuple, np.ndarray] | None = None if budget is None else {}
-        self.patterns, self.batch = 1, len(self.assignments)
-        self.sides: tuple | None = None
+        self.batch = len(self.assignments)
 
     def rows(self, lo: int, hi: int) -> _Cells:
         return _Cells(self.arrays, self.part, self.assignments[lo:hi])
@@ -657,11 +662,11 @@ def _block_value(block: tuple, cells: _Cells) -> np.ndarray:
     holds for every pattern of the run. A pair block whose sides differ
     between the run's patterns stacks each pattern's value, one row per
     batch row."""
-    slots, unary, pairs, matrix, order, index = block
+    slots, unary, count, matrix, order, index = block
     if len(slots) == 1:
         return getattr(cells, unary[0][1])[:, slots[0]][index]
-    if cells.sides is None or not pairs:
-        return _stored(block, cells)[index]
+    if not count:
+        return _stored((slots, unary, (), matrix, order), cells)[index]
     columns, variants, ids, same = cells.sides
     col = columns[slots]
     if same[col] is not None:
@@ -671,13 +676,12 @@ def _block_value(block: tuple, cells: _Cells) -> np.ndarray:
 
 
 def _stored(key: tuple, cells: _Cells) -> np.ndarray:
-    """A two-slot block's value (key: the block, or its first five fields),
-    looked up in, or stored read-only into, the cells' memo when they have
-    one."""
+    """A two-slot block's value (key: its slots, unary, pair sides, matrix
+    and order), looked up in, or stored read-only into, the cells' memo when
+    they have one."""
     memo = cells.memo
     if memo is None:
         return _pair_value(key, cells)
-    key = key[:5]
     value = memo.get(key)
     if value is None:
         value = _pair_value(key, cells)
@@ -689,9 +693,9 @@ def _stored(key: tuple, cells: _Cells) -> np.ndarray:
 
 
 def _pair_value(key: tuple, cells: _Cells) -> np.ndarray:
-    """A two-slot block's terms (its first five fields) summed over the
-    cells' assignments: (B, s, s), or (1, s, s) for an order edge alone."""
-    slots, unary, pairs, matrix, order = key[:5]
+    """A two-slot block's terms (key as _stored's) summed over the cells'
+    assignments: (B, s, s), or (1, s, s) for an order edge alone."""
+    slots, unary, pairs, matrix, order = key
     a, b = slots
     mat = getattr(cells, matrix)
     value = _order_mask(cells.s, cells.dtype) if order else None
@@ -709,8 +713,9 @@ def _block_line(block: tuple, cells: _Cells, row: int, pos: dict[int, int], v: i
     """The block's terms for batch row `row` at the positions `pos`: a vector
     over slot v's positions if the block holds v, else a scalar. Pairs take
     the sides of the run's one pattern, as in _block_value."""
-    slots, unary, pairs, matrix, order, _ = block
-    if cells.sides is not None and pairs:
+    slots, unary, count, matrix, order, _ = block
+    pairs = ()
+    if count:
         columns, variants, _, same = cells.sides
         col = columns[slots]
         pairs = variants[col][same[col]]
@@ -964,20 +969,17 @@ def solve_fixed(
 ) -> SolveResult:
     """Maximum gain over bucket-monotone embeddings for one pattern and one
     nondecreasing bucket assignment (a sequence of ints), checked before any
-    plan is compiled. The pattern runs its own plan alone on the cell as a
-    group of one, over the caller's decomposition `nice` if given. The
-    embedding is rebuilt from that run's forget tables and re-verified
-    against the direct gain computation.
+    plan is compiled. The pattern runs its class plan with its own pair
+    sides, alone on the cell as a group of one, over the caller's
+    decomposition `nice` if given. The embedding is rebuilt from that run's
+    forget tables and re-verified against the direct gain computation.
 
     With `runs` (best_move's batched runs over this tour and partition) the
-    result carries no embedding or move, and the gain of a cell the runs hold
-    is read from the run of its group and shape; any other cell is checked
-    and runs as without `runs`.
+    result carries no embedding or move, and the cell's gain is read from the
+    run of its group and shape; the runs must hold the cell (_GroupRuns.gain).
     """
     if runs is not None:
-        gain = runs.gain(m, assignment, nice)
-        if gain is not _UNHELD:
-            return SolveResult(gain, None, None)
+        return SolveResult(runs.gain(m, tuple(assignment), nice), None, None)
     assignment = tuple(map(operator.index, assignment))
     if len(assignment) != m.k:
         raise ValueError("assignment length must equal k")
@@ -993,10 +995,8 @@ def solve_fixed(
         ok, diags = validate_decomposition(dependence_graph(interference_graph(m), obs), nice)
         if not ok:
             raise ValueError(f"invalid decomposition: {'; '.join(diags)}")
-        plan = _compile(m, obs, nice)
-    kept = _run_alone(TourArrays(inst, tour), part, _Shape(plan), None, assignment)
-    if runs is not None:
-        return SolveResult(None if kept is None else kept[3], None, None)
+        plan = _compile(tuple(sorted(interference_graph(m).edges)), obs, nice)
+    kept = _run_alone(TourArrays(inst, tour), part, _shape_of_one(m, plan), None, assignment)
     return _solve_cell(inst, tour, m, plan, kept)
 
 
@@ -1015,10 +1015,6 @@ def _solve_cell(
     if move.gain != gain:
         raise InvariantError(f"reconstructed embedding gain {move.gain} != table gain {gain}")
     return SolveResult(gain, embedding, move)
-
-
-# _GroupRuns.gain's answer for a cell the runs do not hold
-_UNHELD = object()
 
 
 class _Group:
@@ -1068,26 +1064,26 @@ class _GroupRuns:
         self.index: int | None = None  # of self.pattern in valid_patterns(k)
         self.last: tuple | None = None  # (group, pattern index, first row, cells, forget tables)
 
-    def gain(self, m: ConnectionPattern, assignment, nice) -> int | None | object:
-        """The cell's gain, None if it has no embedding, or _UNHELD if the
-        runs do not hold it: its assignment is not one of theirs, m is not a
-        valid pattern of theirs, or `nice` is not its plan's decomposition."""
-        try:
-            group, row = self.where[assignment]
-        except (KeyError, TypeError):  # TypeError: a list, which is not hashable
-            return _UNHELD
+    def gain(self, m: ConnectionPattern, assignment: tuple, nice) -> int | None:
+        """The cell's gain, None if it has no embedding. The runs must hold
+        the cell, else InvariantError: its assignment is one of theirs, m a
+        valid pattern of theirs, and `nice`, if given, its plan's
+        decomposition."""
+        held = self.where.get(assignment)
         if m is not self.pattern:
             self.pattern, self.index = m, _pattern_index(self.k).get(m)
         p = self.index
-        if p is None:
-            return _UNHELD
+        if held is None or p is None:
+            raise InvariantError(f"the runs hold no cell of pattern {m.pairs} at {assignment}")
+        group, row = held
         if group is None:
             return None
         if group.table is None:
             group.table = _shape_table(self.k, group.obs)
         shape = group.table.shape_of[p]
         if nice is not None and nice is not shape.plan.nice:
-            return _UNHELD
+            raise InvariantError(f"the cell of pattern {m.pairs} at {assignment} runs another"
+                                 " decomposition")
         at = p * group.cells.batch + row
         if group.gains is None or group.gains[at] == _UNRUN:
             self._fill(group, shape, p)
@@ -1121,9 +1117,8 @@ class _GroupRuns:
             hi = min(stop, lo + per)
             for first in range(0, batch, step):
                 self.last = None  # free the previous chunk's tables first
-                rows = cells if step == batch else cells.rows(first, first + step)
-                if hi > 1:  # a pattern past the shape's first reads its own sides
-                    rows = rows.over(shape, lo, hi)
+                rows = (cells if step == batch else cells.rows(first, first + step)).over(
+                    shape, lo, hi)
                 root, forgets, _ = _run_plan(plan, rows)
                 gains += _gains(root)
                 if hi - lo == 1:

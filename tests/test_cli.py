@@ -425,6 +425,8 @@ TSPLIB_SQUARE = (
             id="negative-max-steps",
         ),
         pytest.param(["patterns", "--k", "9", "--list"], {}, id="pattern-list-beyond-solver-k"),
+        pytest.param(["patterns", "--k", "100000"], {}, id="pattern-count-beyond-pattern-k"),
+        pytest.param(["patterns", "--k", "1"], {}, id="pattern-count-below-2"),
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, command, files):

@@ -241,11 +241,12 @@ def _reference_tables(inst, tour, m, assignment, part, nice):
 
 
 def _compare_all_tables(inst, tour, m, assignment, part, nice, reference):
-    from kopt.dpengine import _Cells, _compile, _run_plan
+    from kopt.dpengine import _Cells, _compile, _run_plan, _shape_of_one
 
     arrays = TourArrays(inst, tour)
-    plan = _compile(m, order_edges(assignment), nice)
-    _, _, tables = _run_plan(plan, _Cells(arrays, part, [assignment]), keep_tables=True)
+    plan = _compile(tuple(sorted(interference_graph(m).edges)), order_edges(assignment), nice)
+    cells = _Cells(arrays, part, [assignment]).over(_shape_of_one(m, plan), 0, 1)
+    _, _, tables = _run_plan(plan, cells, keep_tables=True)
     for t, got in zip(nice.postorder(), tables, strict=True):
         bag = sorted(nice.nodes[t].bag)
         ref = reference[t]
@@ -375,8 +376,31 @@ def test_solve_fixed_checks_its_assignment_before_compiling(monkeypatch):
         solve_fixed(inst, tour, m, (2, 1, 3), part)
 
 
+def test_runs_refuse_a_cell_they_do_not_hold():
+    """solve_fixed with runs reads every cell's gain from them: a cell whose
+    assignment, pattern or decomposition they do not hold is an error, not a
+    standalone run."""
+    from kopt import dpengine
+    from kopt.moves import InvariantError
+
+    inst, tour = gen_random(12, 0, 100), random_tour(12, 1)
+    m, part = valid_patterns(3)[2], make_buckets(12, Fraction(1, 2))
+    runs = dpengine._GroupRuns(TourArrays(inst, tour), part, [(1, 1, 1)])
+    nice = dpengine._shape_table(3, order_edges((1, 1, 1))).shape_of[2].plan.nice
+    assert solve_fixed(inst, tour, m, (1, 1, 1), part, nice, runs=runs).gain is not None
+    other = nice_decomposition_for(dependence_graph(interference_graph(m), frozenset()))
+    assert other is not nice
+    invalid = ConnectionPattern(3, ((1, 2), (3, 6), (4, 5)))
+    assert not is_valid_pattern(invalid)
+    for pattern, assignment, given in ((m, (1, 1, 2), None), (valid_patterns(2)[0], (1, 1), None),
+                                       (invalid, (1, 1, 1), None), (m, (1, 1, 1), other)):
+        with pytest.raises(InvariantError):
+            solve_fixed(inst, tour, pattern, assignment, part, given, runs=runs)
+
+
 def test_every_plan_runs_through_group_runs(monkeypatch):
-    """_GroupRuns._run is the one caller of _run_plan: best_move under both
+    """_GroupRuns._run is the one caller of _run_plan, and every run reads
+    its pair sides from the view _Cells.over gives: best_move under both
     policies at alpha 1/2 over buckets of 4, 4 and 3, also with each batch
     row its own chunk so that winners run again as groups of one;
     local_search; and solve_fixed over its own decomposition and over a
@@ -389,6 +413,7 @@ def test_every_plan_runs_through_group_runs(monkeypatch):
 
     def run_plan(*args, **kwargs):
         callers.append(sys._getframe(1).f_code)
+        assert args[1].sides is not None
         return real_run_plan(*args, **kwargs)
 
     def run_alone(*args):
@@ -476,8 +501,8 @@ def test_a_standalone_solve_fixed_lists_and_groups_no_patterns(monkeypatch, k):
     """A standalone solve_fixed runs its pattern's own plan: it lists no
     valid patterns, builds no pattern classes or shapes, and gives the gain
     and embedding of its shape's run, which the brute force confirms. The
-    pattern is the last of the largest class, whose shape's plan is
-    compiled from another pattern."""
+    pattern is the last of the largest class, so its sides are not the
+    class's first pattern's."""
     from kopt import dpengine
     from kopt.buckets import BucketPartition
 
@@ -507,13 +532,12 @@ def test_a_standalone_solve_fixed_lists_and_groups_no_patterns(monkeypatch, k):
 
 def _table_dtypes(inst, tour, k, part):
     """The dtypes of every table a k = len(assignment) plan builds."""
-    from kopt.dpengine import _Cells, _run_plan, compile_plan
+    from kopt.dpengine import _Cells, _run_plan, _shape_of_one, compile_plan
 
     m, a = valid_patterns(k)[-1], (1,) * k
-    _, _, tables = _run_plan(
-        compile_plan(m, order_edges(a)), _Cells(TourArrays(inst, tour), part, [a]),
-        keep_tables=True,
-    )
+    plan = compile_plan(m, order_edges(a))
+    cells = _Cells(TourArrays(inst, tour), part, [a]).over(_shape_of_one(m, plan), 0, 1)
+    _, _, tables = _run_plan(plan, cells, keep_tables=True)
     return {t.dtype for t in tables}
 
 
@@ -863,7 +887,7 @@ def test_reconstruction_matches_argmax_over_full_tables():
     weights in 1..3 make ties, buckets of 4, 4 and 3 pad the last one, and
     the rows with no legal embedding walk all -inf lines."""
     from kopt.buckets import BucketPartition
-    from kopt.dpengine import _Cells, _reconstruct, _run_plan, compile_plan
+    from kopt.dpengine import _Cells, _reconstruct, _run_plan, _shape_of_one, compile_plan
 
     n = 11
     part = BucketPartition(n=n, count=3)
@@ -877,7 +901,7 @@ def test_reconstruction_matches_argmax_over_full_tables():
         for m in valid_patterns(k)[:: 3 if k == 5 else 1]:
             for obs, group in groups.items():
                 plan = compile_plan(m, obs)
-                cells = _Cells(arrays, part, group)
+                cells = _Cells(arrays, part, group).over(_shape_of_one(m, plan), 0, 1)
                 root, forgets, _ = _run_plan(plan, cells)
                 _, _, tables = _run_plan(plan, cells, keep_tables=True)
                 joins_on_forgets += sum(
@@ -905,13 +929,14 @@ def test_first_max_positions_is_argmax(monkeypatch, max_entries):
     batch. Over three buckets a group runs every pattern of a shape at once,
     so only a shape of one pattern is handed over; past MAX_BATCH_ENTRIES
     each pattern and each row is its own chunk, so only the shape's last
-    pattern's last row is. The reference tables are the pattern's own
-    plan's; the move is rebuilt from its shape's plan, which it runs."""
+    pattern's last row is. The reference tables are those of the pattern's
+    plan run with its shape of one; the move is rebuilt from its shape's
+    runs."""
     from kopt import dpengine
     from kopt.buckets import BucketPartition
     from kopt.dpengine import (
-        _Cells, _fits, _GroupRuns, _run_alone, _run_plan, _shape_table, _solve_cell,
-        compile_plan,
+        _Cells, _fits, _GroupRuns, _run_alone, _run_plan, _shape_of_one, _shape_table,
+        _solve_cell, compile_plan,
     )
 
     monkeypatch.setattr(dpengine, "MAX_BATCH_ENTRIES", max_entries)
@@ -927,7 +952,7 @@ def test_first_max_positions_is_argmax(monkeypatch, max_entries):
         for obs, group in groups.items():
             plan = compile_plan(m, obs)
             forget_intos += sum(op[0] == FORGET_INTO for op in plan.ops)
-            cells = _Cells(arrays, part, group)
+            cells = _Cells(arrays, part, group).over(_shape_of_one(m, plan), 0, 1)
             root, _, tables = _run_plan(plan, cells, keep_tables=True)
             shape = _shape_table(k, obs).shape_of[p]
             for row, a in enumerate(group):
@@ -989,7 +1014,7 @@ def test_one_position_slices_give_the_whole_tables(monkeypatch, k):
     hold some, w < v."""
     from kopt import dpengine
     from kopt.buckets import BucketPartition
-    from kopt.dpengine import _Cells, _run_plan, compile_plan
+    from kopt.dpengine import _Cells, _run_plan, _shape_of_one, compile_plan
 
     # piece widths per parent: FORGET, (FORGET_INTO, w > v), or None (whole)
     widths, parent, ran = {}, [None], set()
@@ -1031,7 +1056,7 @@ def test_one_position_slices_give_the_whole_tables(monkeypatch, k):
         for m in valid_patterns(k)[:: {5: 7, 6: 97}.get(k, 1)]:
             for obs, group in groups.items():
                 plan = compile_plan(m, obs)
-                cells = _Cells(arrays, part, group)
+                cells = _Cells(arrays, part, group).over(_shape_of_one(m, plan), 0, 1)
                 by_kind = []
                 for min_step_slab in (1, 1 << 62):
                     monkeypatch.setattr(dpengine, "MIN_STEP_SLAB", min_step_slab)
@@ -1126,7 +1151,7 @@ def test_shape_runs_give_every_cell_the_value_of_its_pattern_run_alone(monkeypat
     alone, best_move's winner's and this test's, each run one pattern of
     its shape."""
     from kopt import dpengine
-    from kopt.dpengine import _Cells, _run_plan, _shape_table, compile_plan
+    from kopt.dpengine import _Cells, _run_plan, _shape_of_one, _shape_table, compile_plan
 
     made = _group_runs_made(monkeypatch)
     # chunks of the runs of best_move's search, and of the runs alone
@@ -1169,7 +1194,7 @@ def test_shape_runs_give_every_cell_the_value_of_its_pattern_run_alone(monkeypat
             for p in range(0, len(patterns), step):
                 m = patterns[p]
                 plan = compile_plan(m, obs)
-                root = _run_plan(plan, cells)[0]
+                root = _run_plan(plan, cells.over(_shape_of_one(m, plan), 0, 1))[0]
                 want = [None if v == float("-inf") else int(v) for v in root]
                 assert [runs.gain(m, a, None) for a in assignments] == want, (m, obs)
                 if p % (7 * step) == 0:
@@ -1260,7 +1285,7 @@ def test_shared_blocks_give_every_pattern_the_tables_of_fresh_cells(k):
     table entry for entry: weights in 1..3 make ties, buckets of 4, 4 and 3
     pad the last one. Every stored block is read-only."""
     from kopt.buckets import BucketPartition
-    from kopt.dpengine import _Cells, _GroupRuns, _run_plan, compile_plan
+    from kopt.dpengine import _Cells, _GroupRuns, _run_plan, _shape_of_one, compile_plan
 
     inst, tour = gen_random(11, 150 + k, 3), random_tour(11, 160 + k)
     part = BucketPartition(n=11, count=3)
@@ -1271,10 +1296,11 @@ def test_shared_blocks_give_every_pattern_the_tables_of_fresh_cells(k):
     for obs, shared in groups:
         for m in valid_patterns(k):
             plan = compile_plan(m, obs)
+            alone = _shape_of_one(m, plan)
             fresh = _Cells(arrays, part, shared.assignments)
             assert fresh.memo is None
-            got = _run_plan(plan, shared, keep_tables=True)
-            want = _run_plan(plan, fresh, keep_tables=True)
+            got = _run_plan(plan, shared.over(alone, 0, 1), keep_tables=True)
+            want = _run_plan(plan, fresh.over(alone, 0, 1), keep_tables=True)
             assert np.array_equal(got[0], want[0])
             for got_tables, want_tables in zip(got[1:], want[1:]):
                 assert len(got_tables) == len(want_tables)
@@ -1397,10 +1423,38 @@ def test_cold_best_move_leaves_no_reference_cycles():
     assert out.stdout.split() == ["0", "0"]
 
 
+def _with_sides(m, plan):
+    """plan's ops with m's own pair sides (from its shape of one) in place of
+    each block's pair count, in the order the compiler emitted them when it
+    compiled each pattern's own plan: sorted by the lower slot's side, as in
+    a variant, but by (higher slot's side, lower slot's side) in an introduce
+    or forget-into block whose introduced slot is the block's higher slot."""
+    from kopt.dpengine import _shape_of_one
+
+    shape = _shape_of_one(m, plan)
+    ops = []
+    for op, nd in zip(plan.ops, plan.nice.nodes, strict=True):
+        if op[0] not in (INTRODUCE, FORGET_INTO, JOIN):
+            ops.append(op)
+            continue
+        introduced = {INTRODUCE: nd.vertex, FORGET_INTO: nd.into}.get(op[0])
+        blocks = []
+        for slots, unary, count, *rest in op[-1]:
+            pairs = shape.variants[shape.columns[slots]][0] if count else ()
+            assert len(pairs) == count
+            if introduced == slots[-1] + 1:
+                pairs = tuple(sorted(pairs, key=lambda sides: sides[::-1]))
+            blocks.append((slots, unary, pairs, *rest))
+        ops.append(op[:-1] + (tuple(blocks),))
+    return tuple(ops)
+
+
 def test_compiled_plans_are_pinned():
     """The ops and width of every plan for k = 2..5 (each valid pattern with
-    each order-edge set) hash to a pinned digest, so a change to the node
-    order or to op building that changes any op fails here."""
+    each order-edge set), with the pattern's own pair sides filled in, hash
+    to a pinned digest, so a change to the node order or to op building
+    that changes any op fails here. The digest is the one from when each
+    pattern compiled its own plan with its sides in it."""
     import hashlib
     from itertools import combinations
 
@@ -1414,7 +1468,7 @@ def test_compiled_plans_are_pinned():
         for m in valid_patterns(k):
             for obs in subsets:
                 plan = compile_plan(m, obs)
-                digest.update(repr((plan.ops, plan.width)).encode())
+                digest.update(repr((_with_sides(m, plan), plan.width)).encode())
                 plans += 1
     assert plans == 6564
     assert digest.hexdigest() == (
@@ -1425,8 +1479,8 @@ def test_compiled_plans_are_pinned():
 def test_plans_with_no_order_only_edge_are_unchanged():
     """The 1,445 plans of the test above whose order edges all carry a
     pattern pair too (every plan with no order edge among them) have nothing
-    the order-edge rule can use: they hash to the digest they had before the
-    rule existed."""
+    the order-edge rule can use: with their pattern's sides filled in, they
+    hash to the digest they had before the rule existed."""
     import hashlib
     from itertools import combinations
 
@@ -1442,7 +1496,7 @@ def test_plans_with_no_order_only_edge_are_unchanged():
                 if obs <= interference_graph(m).edges:
                     plan = compile_plan(m, obs)
                     assert all(op[0] != FORGET_INTO for op in plan.ops)
-                    digest.update(repr((plan.ops, plan.width)).encode())
+                    digest.update(repr((_with_sides(m, plan), plan.width)).encode())
                     plans += 1
     assert plans == 1445
     assert digest.hexdigest() == (
@@ -1466,7 +1520,7 @@ def test_compile_refuses_a_forget_into_without_a_pure_order_edge():
     with pytest.raises(InvariantError, match=refusal):
         solve_fixed(inst, tour, SWAP_2, (1, 1), part, chain)
     with pytest.raises(InvariantError, match=refusal):
-        _compile(IDENTITY_2, frozenset(), chain)
+        _compile((), frozenset(), chain)
     # the same chain is fine where the order edge is pure
     res = solve_fixed(inst, tour, IDENTITY_2, (1, 1), part, chain)
     assert res.gain == enumerate_b_monotone_max(inst, tour, IDENTITY_2, (1, 1), part).value
@@ -1496,21 +1550,14 @@ def test_plans_are_compiled_once_per_shape():
     assert out.stdout.split() == ["1095", "0", "388"]
 
 
-def _blanked(ops):
-    """The ops with each block's pairs replaced by their count."""
-    return [op[:-1] + (tuple(b[:2] + (len(b[2]),) + b[3:] for b in op[-1]),)
-            if op[0] in (INTRODUCE, FORGET_INTO, JOIN) else op for op in ops]
-
-
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 def test_every_pattern_of_a_shape_runs_its_shape_plan_with_its_own_sides(k):
-    """Each valid pattern's own plan (compile_plan) against its shape's
-    plan, which the engine compiles from the shape's first pattern and runs
-    for all of them: the same decomposition object, the same widths, the
-    same ops once pair sides are blanked, and in each block exactly the
-    pairs of the shape's variant for the pattern. Every order-edge set for
-    k = 2..5; the empty and the full one for k = 6."""
-    from kopt.dpengine import _shape_table, compile_plan
+    """Each valid pattern's plan (compile_plan) is its shape's plan, over the
+    same decomposition object, and its row of the shape's sides table gives
+    every pair block as many pairs as the block declares: the pattern's own
+    sides, those of its shape of one. Every order-edge set for k = 2..5; the
+    empty and the full one for k = 6."""
+    from kopt.dpengine import _shape_of_one, _shape_table, compile_plan
 
     path = [(i, i + 1) for i in range(1, k)]
     subsets = ([frozenset(), frozenset(path)] if k == 6 else
@@ -1520,17 +1567,16 @@ def test_every_pattern_of_a_shape_runs_its_shape_plan_with_its_own_sides(k):
         table = _shape_table(k, obs)
         for p, m in enumerate(valid_patterns(k)):
             own, shape = compile_plan(m, obs), table.shape_of[p]
-            i = shape.patterns.index(p)
-            assert own.nice is shape.plan.nice
-            assert (own.width, own.whole_width) == (shape.plan.width, shape.plan.whole_width)
-            assert _blanked(own.ops) == _blanked(shape.plan.ops)
-            if i == 0:
-                assert own.ops == shape.plan.ops
+            assert own == shape.plan and own.nice is shape.plan.nice
+            alone, i = _shape_of_one(m, own), shape.patterns.index(p)
+            assert alone.columns == shape.columns
             blocked = [op for op in own.ops if op[0] in (INTRODUCE, FORGET_INTO, JOIN)]
-            for slots, _, pairs, *_ in (block for op in blocked for block in op[-1]):
-                if pairs:
+            for slots, _, count, *_ in (block for op in blocked for block in op[-1]):
+                if count:
                     col = shape.columns[slots]
-                    assert tuple(sorted(pairs)) == shape.variants[col][shape.ids[i, col]]
+                    sides = shape.variants[col][shape.ids[i, col]]
+                    assert len(sides) == count
+                    assert sides == alone.variants[col][0]
                     blocks += 1
         assert table.whole_width == max(shape.plan.whole_width for shape in table.shape_of)
     assert blocks > 0
