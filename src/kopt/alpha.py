@@ -16,7 +16,13 @@ from functools import cache
 from itertools import combinations
 
 from .decomp import adjacency, treewidth
-from .moves import ConnectionPattern, interference_graph, matching_count, pattern_classes
+from .moves import (
+    ConnectionPattern,
+    interference_graph,
+    matching_count,
+    pattern_classes,
+    valid_pattern_count,
+)
 
 MAX_PROFILE_K = 10
 
@@ -121,7 +127,7 @@ class CofKResult:
 
 def estimate_large_k_cost(k: int) -> str:
     return (
-        f"k={k} means enumerating {matching_count(k):,} matchings and profiling each "
+        f"k={k} means walking {valid_pattern_count(k):,} valid patterns and profiling each "
         f"interference class over 2^{k - 1} subsets; expect minutes to hours"
     )
 

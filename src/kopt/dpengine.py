@@ -3,36 +3,37 @@
 For a fixed connection pattern and bucket assignment (a *cell*) the solver
 finds a bucket-monotone embedding of maximum gain by dynamic programming over
 a nice tree decomposition of the dependence graph (order edges plus
-interference edges). That DP's shape depends only on the pattern's
-interference class and the assignment's order-edge set, so many cells share
-it; the pattern decides only its pair sides, which endpoint of each removed
-edge its added edges use.
+interference edges). That DP depends only on the pattern's interference
+class and the assignment's order-edge set, so many cells share it; the
+pattern decides only its pair sides, which endpoint of each removed edge its
+added edges use.
 
-- **Plans.** `_compile` turns the DP of one interference class and
-  order-edge set into a flat list of leaf, introduce, forget and join ops
-  with precomputed table axes, run as a stack machine. The nice
-  decomposition lists its nodes in the order they run, and op i runs node
-  i. Each introduce op carries, per bag neighbour of the introduced slot,
-  the number of pattern pairs (the class fixes it), the self-loop mask and
-  the order edge between the two slots; each join op carries its correction
-  terms. No op holds a pair's sides. Plans do not depend on the tour; equal
-  ops are one shared object, so a plan costs little more than its op list.
-- **Shapes.** A shape is a pattern class of `moves.pattern_classes`.
-  `_shape_table` compiles one plan per class and order-edge set and keeps
-  it with the class's patterns and its sides table (`_pattern_sides`): per
-  slot pair the distinct sides its pairs take, and each pattern's variant
-  index per slot pair. Every run reads its patterns' rows of that table. A
-  standalone `solve_fixed` runs its pattern's class plan with a table of its
-  own (`_shape_of_one`), over the same cached decomposition, so it lists no
-  patterns and gives the same gain and embedding. A cold k = 5 call over
-  four buckets of 10 compiles 1,095 plans for 5,760 (pattern, order-edge
-  set) pairs; k = 6 over three buckets of 8, 6,208 for 61,440.
+- **Plans.** `_compile` turns the DP of one interference class
+  (`moves.pattern_classes`) and order-edge set into a flat list of leaf,
+  introduce, forget and join ops with precomputed table axes, run as a stack
+  machine. The nice decomposition lists its nodes in the order they run, and
+  op i runs node i. Each introduce op carries, per bag neighbour of the
+  introduced slot, the number of pattern pairs (the class fixes it), the
+  self-loop mask and the order edge between the two slots; each join op
+  carries its correction terms. No op holds a pair's sides. Plans do not
+  depend on the tour; equal ops are one shared object, so a plan costs
+  little more than its op list. `_class_table(k)` holds each class's
+  members and sides table (`_Class`): per slot pair the distinct sides its
+  pairs take, and each member's variant index per slot pair. It also maps
+  each valid pattern to its index and class id. Per order-edge set only the
+  plans are cached, by class id (`_class_plans`), and every run takes a
+  (plan, class) pair. A standalone `solve_fixed` runs its pattern's class
+  plan with a class of its own (`_class_of_one`), over the same cached
+  decomposition, so it lists no patterns and gives the same gain and
+  embedding. A cold k = 5 call over four buckets of 10 compiles 1,095 plans
+  for 5,760 (pattern, order-edge set) pairs; k = 6 over three buckets of 8,
+  6,208 for 61,440.
 - **Batch axis.** Every plan runs through `_GroupRuns`, over a group of
   fitting assignments that share an order-edge set. `best_move` still visits
   every cell through `solve_fixed`, which finds the cell's group and row
   with one dict lookup. Over more than one bucket, tables are small and
-  Python dispatch sets the time, so the first cell of a (group, shape)
-  asked for runs all of the shape's patterns at once, and every later cell
+  Python dispatch sets the time, so the first cell of a (group, class)
+  asked for runs all of the class's patterns at once, and every later cell
   of those patterns reads its gain from that run. Its rows are then
   (pattern, assignment) pairs, pattern-major. A term over the assignments
   alone, such as a one-slot term, is added through a (P, B, s, ...) view of
@@ -67,7 +68,7 @@ edge its added edges use.
   it takes one np.maximum per position, since np.maximum.accumulate walks
   the axis with a strided inner loop: on a (1, 64, 64, 64) float32 table
   along axis 1, 1.4 ms against 0.13 ms for the 63 steps (0.36 ms along axis
-  2). k = 4 one-bucket tables and k = 5 shape runs have such slabs. Below
+  2). k = 4 one-bucket tables and k = 5 class runs have such slabs. Below
   it, as on the k = 3 one-bucket tables (slabs of 1 or s entries), one
   accumulate call costs less than a Python step per position. Max is exact,
   so both ways give the same tables.
@@ -83,7 +84,7 @@ edge its added edges use.
   block's terms and on the group's cells, not on the pattern. Over more
   than one bucket each group's cells memoize these values, keyed by the
   block's terms (slots, unary, pairs, matrix, order; the op's index is
-  applied to the stored array as a view), so all of the group's shape runs
+  applied to the stored array as a view), so all of the group's class runs
   gather each block once, with each pattern's own pair sides. Stored arrays
   are read-only, which checks that no op writes into a block: introduce ops
   sum into fresh buffers and joins add blocks into their tables. One budget
@@ -108,8 +109,8 @@ edge its added edges use.
   that is larger. A plan whose one cell needs a table of more than
   `MAX_TABLE_BYTES`, counted from the widest table it builds whole, is
   refused before it runs, and `best_move` refuses the whole request before
-  any plan runs: the shape tables know the widest of all its plans, which
-  does not depend on the tour.
+  any plan runs: the class plans of each order-edge set carry the widest of
+  them, which does not depend on the tour.
 - **Check once.** Root values give every cell's gain. A run of one pattern
   keeps the tables its forget ops output, and a run of several keeps none.
   A group run holds on to its last chunk's cells and forget tables, when
@@ -123,13 +124,13 @@ edge its added edges use.
   forget-into op, its first maximum among the positions before w's chosen
   one (after it, when w < v), the one that gave w's entry its value. When
   the winner lies in that last chunk nothing runs again; otherwise, as
-  always when its shape ran several patterns at once, its pattern runs
+  always when its class ran several patterns at once, its pattern runs
   alone once more over its group of one. Its embedding is turned into a
   `KMove` once, whose gain must equal the root value, and applied once
   through `apply_move`, which builds the new tour from the move's k
   segments and checks its weight. The tests, not the runs, check each
-  pattern's row of its shape's sides table against its own sides
-  (`_shape_of_one`).
+  pattern's row of its class's sides table against its own sides
+  (`_class_of_one`).
 
 -inf marks assignments with no legal completion. Every other table entry,
 and every partial sum the kernel forms, is an integer sum of at most 4k
@@ -319,19 +320,6 @@ class Plan:
     whole_width: int
 
 
-def _pattern_pairs_info(m: ConnectionPattern) -> tuple[tuple[int, bool, int, bool], ...]:
-    """(slot_a, right_a, slot_b, right_b) per matching pair."""
-    return tuple(
-        (
-            slot_of_endpoint(a),
-            endpoint_is_right(a),
-            slot_of_endpoint(b),
-            endpoint_is_right(b),
-        )
-        for a, b in m.pairs
-    )
-
-
 _DECOMP_CACHE: dict[
     tuple[int, frozenset[tuple[int, int]], frozenset[tuple[int, int]]], NiceTreeDecomposition
 ] = {}
@@ -488,11 +476,6 @@ def compile_plan(m: ConnectionPattern, obs: frozenset[tuple[int, int]]) -> Plan:
     return _class_plan(m.k, tuple(sorted(interference_graph(m).edges)), obs)
 
 
-@lru_cache(maxsize=MAX_SOLVER_K)
-def _pattern_index(k: int) -> dict[ConnectionPattern, int]:
-    return {m: i for i, m in enumerate(valid_patterns(k))}
-
-
 def _pattern_sides(edges: tuple[tuple[int, int], ...], patterns) -> tuple:
     """The sides table of `patterns`, all of the interference class `edges`:
     the columns, each slot pair (0-based, lo < hi) that the class's pattern
@@ -504,9 +487,10 @@ def _pattern_sides(edges: tuple[tuple[int, int], ...], patterns) -> tuple:
     rows = []
     for m in patterns:
         sides: list[list[tuple[bool, bool]]] = [[] for _ in columns]
-        for sa, ra, sb, rb in _pattern_pairs_info(m):
+        for a, b in m.pairs:
+            sa, sb = slot_of_endpoint(a), slot_of_endpoint(b)
             if sa != sb:
-                sides[columns[sa - 1, sb - 1]].append((ra, rb))
+                sides[columns[sa - 1, sb - 1]].append((endpoint_is_right(a), endpoint_is_right(b)))
         rows.append([tuple(sorted(got)) for got in sides])
     variants = tuple(tuple(dict.fromkeys(got)) for got in zip(*rows))
     ids = np.array([[v.index(x) for v, x in zip(variants, row)] for row in rows], np.int8)
@@ -514,57 +498,60 @@ def _pattern_sides(edges: tuple[tuple[int, int], ...], patterns) -> tuple:
     return columns, variants, ids
 
 
-@lru_cache(maxsize=MAX_SOLVER_K)
-def _sides_by_shape(k: int) -> tuple[tuple, ...]:
-    """Per pattern class of k (moves.pattern_classes), its edges, its
-    patterns' indices, ascending, and their sides table (_pattern_sides).
-    The classes do not depend on the order edges, so every order-edge set
-    shares these."""
-    patterns = valid_patterns(k)
-    return tuple((edges, members, *_pattern_sides(edges, [patterns[p] for p in members]))
-                 for edges, members in pattern_classes(k))
-
-
 @dataclass(frozen=True, slots=True)
-class _Shape:
-    """A pattern class over one order-edge set: `plan`, the class's, which
-    all its patterns run, each with its own row of `ids`; `patterns` their
-    indices in valid_patterns(k), ascending, or (None,) for a pattern run on
-    its own (_shape_of_one); the rest as _pattern_sides gives it."""
+class _Class:
+    """An interference class of k (moves.pattern_classes): its sorted
+    `edges`, its `members`, their indices in valid_patterns(k), ascending,
+    or (None,) for a pattern run on its own (_class_of_one), and their sides
+    table as _pattern_sides gives it. Every member runs the class's plan
+    with its own row of `ids`."""
 
-    plan: Plan
-    patterns: array | tuple
+    edges: tuple[tuple[int, int], ...]
+    members: array | tuple
     columns: dict[tuple[int, int], int]
     variants: tuple
     ids: np.ndarray
 
 
-def _shape_of_one(m: ConnectionPattern, plan: Plan) -> _Shape:
-    """Pattern m on its own, running `plan`, its class's: how a standalone
-    solve_fixed runs it, with no index in valid_patterns."""
-    return _Shape(plan, (None,), *_pattern_sides(tuple(sorted(interference_graph(m).edges)), [m]))
+def _class_of_one(m: ConnectionPattern) -> _Class:
+    """Pattern m's class with m alone in it: how a standalone solve_fixed
+    runs m, with no index in valid_patterns."""
+    edges = tuple(sorted(interference_graph(m).edges))
+    return _Class(edges, (None,), *_pattern_sides(edges, [m]))
 
 
 @dataclass(frozen=True, slots=True)
-class _ShapeTable:
-    """Every valid k-pattern's shape over one order-edge set, by pattern
-    index, and the largest whole_width of their plans, which does not depend
-    on the tour."""
+class _ClassTable:
+    """The classes of k by class id, in pattern_classes' order; `class_of`,
+    each valid pattern's class id; and `index`, each valid pattern's index
+    in valid_patterns(k)."""
 
-    shape_of: tuple[_Shape, ...]
-    whole_width: int
+    classes: tuple[_Class, ...]
+    class_of: array
+    index: dict[ConnectionPattern, int]
 
 
-# A best_move call reads one table per order-edge set: at most 2^(k - 1).
+@lru_cache(maxsize=MAX_SOLVER_K)
+def _class_table(k: int) -> _ClassTable:
+    """The class table of k. Classes do not depend on the order edges, so
+    every order-edge set shares it."""
+    patterns = valid_patterns(k)
+    classes, class_of = [], array("i", [0]) * len(patterns)
+    for c, (edges, members) in enumerate(pattern_classes(k)):
+        classes.append(_Class(edges, members,
+                              *_pattern_sides(edges, [patterns[p] for p in members])))
+        for p in members:
+            class_of[p] = c
+    return _ClassTable(tuple(classes), class_of, {m: p for p, m in enumerate(patterns)})
+
+
+# A best_move call reads one plan tuple per order-edge set: at most 2^(k - 1).
 @lru_cache(maxsize=1 << (MAX_SOLVER_K - 1))
-def _shape_table(k: int, obs: frozenset[tuple[int, int]]) -> _ShapeTable:
-    shapes = [_Shape(_class_plan(k, edges, obs), members, *sides)
-              for edges, members, *sides in _sides_by_shape(k)]
-    shape_of = [None] * valid_pattern_count(k)
-    for shape in shapes:
-        for p in shape.patterns:
-            shape_of[p] = shape
-    return _ShapeTable(tuple(shape_of), max(shape.plan.whole_width for shape in shapes))
+def _class_plans(k: int, obs: frozenset[tuple[int, int]]) -> tuple[tuple[Plan, ...], int]:
+    """Each class's plan under obs, by class id, and the largest whole_width
+    of them, which does not depend on the tour."""
+    plans = tuple(_class_plan(k, cls.edges, obs) for cls in _class_table(k).classes)
+    return plans, max(plan.whole_width for plan in plans)
 
 
 # ---------------------------------------------------------------------------
@@ -639,19 +626,19 @@ class _Cells:
     def rows(self, lo: int, hi: int) -> _Cells:
         return _Cells(self.arrays, self.part, self.assignments[lo:hi])
 
-    def over(self, shape: _Shape, lo: int, hi: int) -> _Cells:
-        """These cells under patterns lo..hi-1 of `shape`: row p * B + b is
-        the shape's pattern lo + p at assignment b. The memo is shared.
-        `sides` holds the shape's columns and variants, the patterns' rows of
+    def over(self, cls: _Class, lo: int, hi: int) -> _Cells:
+        """These cells under members lo..hi-1 of class `cls`: row p * B + b
+        is the class's member lo + p at assignment b. The memo is shared.
+        `sides` holds the class's columns and variants, the members' rows of
         its ids, and per column their one variant index, or None where they
         differ."""
         run = copy.copy(self)
-        ids = shape.ids[lo:hi]
+        ids = cls.ids[lo:hi]
         same = ids[0].tolist()
         if hi - lo > 1:
             same = [v if agree else None
                     for v, agree in zip(same, (ids == ids[:1]).all(axis=0).tolist())]
-        run.patterns, run.sides = hi - lo, (shape.columns, shape.variants, ids, same)
+        run.patterns, run.sides = hi - lo, (cls.columns, cls.variants, ids, same)
         run.batch = run.patterns * self.batch
         return run
 
@@ -852,8 +839,8 @@ def _run_plan(
     keep_tables, which tests use to compare every node's table), both in op
     order. A run of several patterns keeps no forget tables, since no
     embedding is rebuilt from it. A join adds into its first child's table
-    unless that table is kept. An introduce op below a forget or forget-into
-    op runs with it, through _forget."""
+    unless that table is kept. Every forget and forget-into op runs through
+    _forget, with the introduce op below it when there is one."""
     B, s, ops, dtype, nodes = cells.batch, cells.s, plan.ops, cells.dtype, plan.nice.nodes
     keep_forgets = cells.patterns == 1
     stack: list[np.ndarray] = []
@@ -867,10 +854,7 @@ def _run_plan(
             table = _introduce(op, stack.pop(), cells, np.empty((B,) + (s,) * op[1], dtype))
         elif kind in _FORGETS:
             below = ops[i - 1] if ops[i - 1][0] == INTRODUCE else None
-            if below is None and kind == FORGET:
-                table = stack.pop().max(axis=op[1])
-            else:
-                table = _forget(op, below, stack.pop(), cells, kept if keep_tables else None)
+            table = _forget(op, below, stack.pop(), cells, kept if keep_tables else None)
             if keep_forgets:
                 forgets.append(table)
         elif kind == JOIN:
@@ -976,7 +960,7 @@ def solve_fixed(
 
     With `runs` (best_move's batched runs over this tour and partition) the
     result carries no embedding or move, and the cell's gain is read from the
-    run of its group and shape; the runs must hold the cell (_GroupRuns.gain).
+    run of its group and class; the runs must hold the cell (_GroupRuns.gain).
     """
     if runs is not None:
         return SolveResult(runs.gain(m, tuple(assignment), nice), None, None)
@@ -987,16 +971,16 @@ def solve_fixed(
         raise ValueError(f"assignment {assignment} is not nondecreasing")
     if part.n != tour.n:
         raise ValueError("bucket partition does not match the tour size")
-    obs = order_edges(assignment)
-    plan = compile_plan(m, obs)
+    obs, cls = order_edges(assignment), _class_of_one(m)
+    plan = _class_plan(m.k, cls.edges, obs)
     if nice is not None and nice is not plan.nice:
         if nice.k != m.k:
             raise ValueError("decomposition is for a different k")
         ok, diags = validate_decomposition(dependence_graph(interference_graph(m), obs), nice)
         if not ok:
             raise ValueError(f"invalid decomposition: {'; '.join(diags)}")
-        plan = _compile(tuple(sorted(interference_graph(m).edges)), obs, nice)
-    kept = _run_alone(TourArrays(inst, tour), part, _shape_of_one(m, plan), None, assignment)
+        plan = _compile(cls.edges, obs, nice)
+    kept = _run_alone(TourArrays(inst, tour), part, plan, cls, None, assignment)
     return _solve_cell(inst, tour, m, plan, kept)
 
 
@@ -1018,15 +1002,15 @@ def _solve_cell(
 
 
 class _Group:
-    """The fitting assignments of one order-edge set: their cells, the shape
-    table of their plans and the gains of every cell over them, pattern-major,
-    both made at first use."""
+    """The fitting assignments of one order-edge set: their cells, their
+    class plans by class id and the gains of every cell over them,
+    pattern-major, both made at first use."""
 
-    __slots__ = ("obs", "cells", "table", "gains")
+    __slots__ = ("obs", "cells", "plans", "gains")
 
     def __init__(self, obs: frozenset[tuple[int, int]], cells: _Cells):
         self.obs, self.cells = obs, cells
-        self.table: _ShapeTable | None = None
+        self.plans: tuple[Plan, ...] | None = None
         self.gains: array | None = None
 
 
@@ -1035,7 +1019,7 @@ class _GroupRuns:
     group at a time. The assignments, nondecreasing tuples over `part`, are
     grouped by order-edge set; one that does not fit has no embedding.
     The first request for a cell runs its group: over more than one bucket,
-    under every pattern of the cell's shape at once, rows pattern-major;
+    under every pattern of the cell's class at once, rows pattern-major;
     at one bucket, where a group is one assignment with s^w-entry tables,
     under the cell's pattern alone. Every later cell of those patterns reads
     its gain from that run. The cells and forget tables of the latest chunk
@@ -1062,6 +1046,7 @@ class _GroupRuns:
             self.where.update((a, (self.groups[obs], row)) for row, a in enumerate(group))
         self.pattern: ConnectionPattern | None = None
         self.index: int | None = None  # of self.pattern in valid_patterns(k)
+        self.class_id: int | None = None  # of self.pattern
         self.last: tuple | None = None  # (group, pattern index, first row, cells, forget tables)
 
     def gain(self, m: ConnectionPattern, assignment: tuple, nice) -> int | None:
@@ -1071,44 +1056,49 @@ class _GroupRuns:
         decomposition."""
         held = self.where.get(assignment)
         if m is not self.pattern:
-            self.pattern, self.index = m, _pattern_index(self.k).get(m)
+            table = _class_table(self.k)
+            self.pattern, self.index = m, table.index.get(m)
+            self.class_id = None if self.index is None else table.class_of[self.index]
         p = self.index
         if held is None or p is None:
             raise InvariantError(f"the runs hold no cell of pattern {m.pairs} at {assignment}")
         group, row = held
         if group is None:
             return None
-        if group.table is None:
-            group.table = _shape_table(self.k, group.obs)
-        shape = group.table.shape_of[p]
-        if nice is not None and nice is not shape.plan.nice:
+        if group.plans is None:
+            group.plans = _class_plans(self.k, group.obs)[0]
+        plan = group.plans[self.class_id]
+        if nice is not None and nice is not plan.nice:
             raise InvariantError(f"the cell of pattern {m.pairs} at {assignment} runs another"
                                  " decomposition")
         at = p * group.cells.batch + row
         if group.gains is None or group.gains[at] == _UNRUN:
-            self._fill(group, shape, p)
+            self._fill(group, plan, _class_table(self.k).classes[self.class_id], p)
         gain = group.gains[at]
         return None if gain == _NONE else gain
 
-    def _fill(self, group: _Group, shape: _Shape, p: int) -> None:
-        """Runs pattern p over the group, with the rest of its shape over
-        more than one bucket, and stores their gains."""
+    def _fill(self, group: _Group, plan: Plan, cls: _Class, p: int) -> None:
+        """Runs pattern p, a member of `cls`, over the group through `plan`,
+        the class's, with the rest of its class over more than one bucket,
+        and stores their gains."""
+        batch = group.cells.batch
         if group.gains is None:
-            group.gains = array("q", [_UNRUN]) * (len(group.table.shape_of) * group.cells.batch)
+            group.gains = array("q", [_UNRUN]) * (valid_pattern_count(self.k) * batch)
         one = group.cells.part.count == 1  # a run of pattern p alone
-        start = shape.patterns.index(p) if one else 0
-        stop = start + 1 if one else len(shape.patterns)
-        gains, batch = self._run(group, shape, start, stop), group.cells.batch
-        for i, q in enumerate(shape.patterns[start:stop]):
+        start = cls.members.index(p) if one else 0
+        stop = start + 1 if one else len(cls.members)
+        gains = self._run(group, plan, cls, start, stop)
+        for i, q in enumerate(cls.members[start:stop]):
             group.gains[q * batch:(q + 1) * batch] = gains[i * batch:(i + 1) * batch]
 
-    def _run(self, group: _Group, shape: _Shape, start: int, stop: int) -> array:
-        """Gains of the group's cells under the shape's patterns start..stop-1,
-        pattern-major. Chunks hold whole patterns, so that no table holds
-        more than MAX_BATCH_ENTRIES entries; a pattern that does not fit alone
-        is cut into chunks of assignments. The last chunk's cells and forget
-        tables stay in self.last if it ran one pattern."""
-        cells, plan = group.cells, shape.plan
+    def _run(self, group: _Group, plan: Plan, cls: _Class, start: int, stop: int) -> array:
+        """Gains of the group's cells under members start..stop-1 of `cls`,
+        through `plan`, the class's, pattern-major. Chunks hold whole
+        patterns, so that no table holds more than MAX_BATCH_ENTRIES entries;
+        a pattern that does not fit alone is cut into chunks of assignments.
+        The last chunk's cells and forget tables stay in self.last if it ran
+        one pattern."""
+        cells = group.cells
         count, batch = stop - start, cells.batch
         fit = max(1, MAX_BATCH_ENTRIES // cells.s**plan.width)  # rows of one chunk
         per, step = (fit // batch, batch) if fit >= batch else (1, fit)
@@ -1118,11 +1108,11 @@ class _GroupRuns:
             for first in range(0, batch, step):
                 self.last = None  # free the previous chunk's tables first
                 rows = (cells if step == batch else cells.rows(first, first + step)).over(
-                    shape, lo, hi)
+                    cls, lo, hi)
                 root, forgets, _ = _run_plan(plan, rows)
                 gains += _gains(root)
                 if hi - lo == 1:
-                    self.last = group, shape.patterns[lo], first, rows, forgets
+                    self.last = group, cls.members[lo], first, rows, forgets
         if len(gains) != count * batch:
             raise InvariantError(f"{len(gains)} gains from a run of {count} x {batch} cells")
         return gains
@@ -1143,19 +1133,20 @@ class _GroupRuns:
 
 
 def _run_alone(
-    arrays: TourArrays, part: BucketPartition, shape: _Shape, p: int | None, assignment: tuple
+    arrays: TourArrays, part: BucketPartition, plan: Plan, cls: _Class, p: int | None,
+    assignment: tuple,
 ) -> tuple | None:
-    """take's hand-over for one cell, from a run of pattern index p of
-    `shape` alone over the cell's group of one; None if the assignment does
-    not fit. A plan whose one cell needs a table of more than
-    MAX_TABLE_BYTES raises ValueError before it runs."""
+    """take's hand-over for one cell, from a run of member p of `cls` alone,
+    through `plan`, the class's, over the cell's group of one; None if the
+    assignment does not fit. A plan whose one cell needs a table of more
+    than MAX_TABLE_BYTES raises ValueError before it runs."""
     runs = _GroupRuns(arrays, part, [assignment])
     group, _ = runs.where[assignment]
     if group is None:
         return None
-    _check_table_bytes(group.cells.s, shape.plan.whole_width, group.cells.dtype)
-    i = shape.patterns.index(p)
-    (gain,) = runs._run(group, shape, i, i + 1)
+    _check_table_bytes(group.cells.s, plan.whole_width, group.cells.dtype)
+    i = cls.members.index(p)
+    (gain,) = runs._run(group, plan, cls, i, i + 1)
     _, _, _, cells, forgets = runs.last
     return cells, forgets, 0, None if gain == _NONE else gain
 
@@ -1203,22 +1194,23 @@ def _best_move(
                          f" make {pattern_count * count:,} cells; at most {MAX_CELLS:,} are"
                          " searched")
     arrays = TourArrays(inst, tour)
-    patterns = valid_patterns(k)
+    patterns, table = valid_patterns(k), _class_table(k)
     assignments = list(enumerate_assignments(k, part.count))
     obs_of = [order_edges(a) for a in assignments]
     runs = _GroupRuns(arrays, part, assignments)
-    tables = {obs: _shape_table(k, obs) for obs in dict.fromkeys(obs_of)}
-    _check_table_bytes(part.size, max((tables[obs].whole_width for obs in runs.groups),
-                                      default=0), arrays.dtype(k))
-    shape_of = [tables[obs].shape_of for obs in obs_of]
+    plans = {obs: _class_plans(k, obs) for obs in dict.fromkeys(obs_of)}
+    _check_table_bytes(part.size, max((plans[obs][1] for obs in runs.groups), default=0),
+                       arrays.dtype(k))
+    plans_of = [plans[obs][0] for obs in obs_of]
 
     # canonical order: a later cell wins only with a strictly larger gain
     best: tuple[int, int, int] | None = None  # (gain, pattern idx, assignment idx)
     for p_idx, pattern in enumerate(patterns):
+        c = table.class_of[p_idx]
         for a_idx, assignment in enumerate(assignments):
             # each call names its cell's decomposition, from which the
             # benchmark's tracer (perfbench/layers.py) sizes the cell's tables
-            nice = shape_of[a_idx][p_idx].plan.nice
+            nice = plans_of[a_idx][c].nice
             gain = solve_fixed(inst, tour, pattern, assignment, part, nice, runs=runs).gain
             if gain is not None and (best is None or gain > best[0]):
                 best = (gain, p_idx, a_idx)
@@ -1232,10 +1224,12 @@ def _best_move(
     gain, p_idx, a_idx = best
     if improving_only and gain <= 0:
         return SolveResult(gain, None, None), tour
-    m, assignment, shape = patterns[p_idx], assignments[a_idx], shape_of[a_idx][p_idx]
+    m, assignment, c = patterns[p_idx], assignments[a_idx], table.class_of[p_idx]
+    plan = plans_of[a_idx][c]
     res = _solve_cell(
-        inst, tour, m, shape.plan,
-        runs.take(p_idx, assignment) or _run_alone(arrays, part, shape, p_idx, assignment),
+        inst, tour, m, plan,
+        runs.take(p_idx, assignment)
+        or _run_alone(arrays, part, plan, table.classes[c], p_idx, assignment),
     )
     if res.gain != gain:
         raise InvariantError(f"winning cell re-solved to gain {res.gain}, not {gain}")
@@ -1254,13 +1248,13 @@ def best_move(
     Every cell goes through solve_fixed in canonical (pattern, assignment)
     order, but the DP runs per plan group, the fitting assignments that
     share an order-edge set, chunked by MAX_BATCH_ENTRIES, and every
-    pattern of a shape runs that shape's one plan with its own pair sides.
-    Over more than one bucket the first cell of a group and shape runs every
-    pattern of the shape over the whole group in one batch; at one bucket it
+    pattern of a class runs that class's one plan with its own pair sides.
+    Over more than one bucket the first cell of a group and class runs every
+    pattern of the class over the whole group in one batch; at one bucket it
     runs its own pattern alone. policy="best" returns the maximum-gain move
     (ties broken by pattern index, then assignment index, then the solver's
     canonical embedding); "first" returns the first improving cell in that
-    same order, and (group, shape) pairs not reached by then never run. The
+    same order, and (group, class) pairs not reached by then never run. The
     returned cell's embedding is rebuilt from the forget tables of the last
     chunk when that chunk ran the cell's pattern alone and held the cell, as
     an improving cell under policy="first" with one bucket always does, else

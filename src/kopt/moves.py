@@ -114,20 +114,55 @@ def _segment_entries(pairs, k: int) -> list[int]:
     return entries
 
 
-def _is_valid_raw(pairs, k: int) -> bool:
-    return len(_segment_entries(pairs, k)) == k - 1
-
-
 def is_valid_pattern(m: ConnectionPattern) -> bool:
     """True iff applying the pattern always reconnects the tour into one cycle."""
-    return _is_valid_raw(m.pairs, m.k)
+    return len(_segment_entries(m.pairs, m.k)) == m.k - 1
+
+
+def _valid_matchings_raw(k: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The valid raw k-matchings in _matchings_raw's order, walking no
+    invalid one. The tour segments join endpoint 2j to 2j+1 (j < k) and 2k
+    to 1, so they and the pairs chosen so far make chains. A pattern is
+    valid iff its pairs and the segments make one cycle, so a pair that
+    joins the two ends of one chain is skipped unless it is the last. No
+    partial matching is a dead end: while two or more pairs are left, the
+    smallest free endpoint has two partners or more that leave its chain
+    open."""
+    end = [0] * (2 * k + 1)
+    for e in range(2, 2 * k, 2):
+        end[e], end[e + 1] = e + 1, e
+    end[1], end[2 * k] = 2 * k, 1
+    return _chain_walk(tuple(range(1, 2 * k + 1)), end, [])
+
+
+def _chain_walk(
+    free: tuple[int, ...], end: list[int], pairs: list[tuple[int, int]]
+) -> Iterator[tuple[tuple[int, int], ...]]:
+    """_valid_matchings_raw's walk from `pairs` over the endpoints `free`;
+    `end[e]` is the other end of free endpoint e's chain. Each step joins
+    two chains and undoes it on return."""
+    if not free:
+        yield tuple(pairs)
+        return
+    a, rest = free[0], free[1:]
+    for i, b in enumerate(rest):
+        if end[a] == b and len(rest) > 1:
+            continue  # closes a cycle before the last pair
+        ea, eb = end[a], end[b]
+        end[ea], end[eb] = eb, ea
+        pairs.append((a, b))
+        yield from _chain_walk(rest[:i] + rest[i + 1:], end, pairs)
+        pairs.pop()
+        end[ea], end[eb] = a, b
 
 
 @lru_cache(maxsize=8)
 def valid_patterns(k: int) -> tuple[ConnectionPattern, ...]:
     """All valid connection patterns in canonical enumeration order; cached,
     so every call with the same k returns the same tuple."""
-    return tuple(m for m in enumerate_matchings(k) if is_valid_pattern(m))
+    if not (2 <= k <= MAX_PATTERN_K):
+        raise ValueError(f"k must be in 2..{MAX_PATTERN_K}")
+    return tuple(ConnectionPattern(k, pairs) for pairs in _valid_matchings_raw(k))
 
 
 def _interference_edges(pairs) -> tuple[tuple[int, int], ...]:
@@ -164,8 +199,8 @@ class PatternClass(NamedTuple):
 @lru_cache(maxsize=8)
 def pattern_classes(k: int) -> tuple[PatternClass, ...]:
     """The valid k-patterns grouped by interference edge set, ordered by
-    edges, from one walk of the raw matchings in valid_patterns' order that
-    builds no ConnectionPattern; cached.
+    edges, from one walk of the valid raw matchings in valid_patterns' order
+    that builds no ConnectionPattern; cached.
 
     An edge set fixes which slots every pattern pair joins, so patterns of
     one class differ only in the sides of their pairs. Each slot has two
@@ -176,11 +211,8 @@ def pattern_classes(k: int) -> tuple[PatternClass, ...]:
     if not (2 <= k <= MAX_PATTERN_K):
         raise ValueError(f"k must be in 2..{MAX_PATTERN_K}")
     found: defaultdict[tuple[tuple[int, int], ...], array] = defaultdict(partial(array, "i"))
-    index = 0
-    for pairs in _matchings_raw(tuple(range(1, 2 * k + 1))):
-        if _is_valid_raw(pairs, k):
-            found[_interference_edges(pairs)].append(index)
-            index += 1
+    for index, pairs in enumerate(_valid_matchings_raw(k)):
+        found[_interference_edges(pairs)].append(index)
     return tuple(PatternClass(edges, found[edges]) for edges in sorted(found))
 
 

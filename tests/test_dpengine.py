@@ -58,6 +58,14 @@ def solve_one(inst, tour, m, assignment, part):
     return solve_fixed(inst, tour, m, assignment, part)
 
 
+def _class_and_plan(k, obs, p):
+    """Valid pattern p's class record and that class's cached plan under obs."""
+    from kopt.dpengine import _class_plans, _class_table
+
+    c = _class_table(k).class_of[p]
+    return _class_table(k).classes[c], _class_plans(k, obs)[0][c]
+
+
 def test_identity_pattern_single_bucket_gains_zero():
     inst = gen_random(8, 0, 100)
     tour = random_tour(8, 1)
@@ -241,11 +249,11 @@ def _reference_tables(inst, tour, m, assignment, part, nice):
 
 
 def _compare_all_tables(inst, tour, m, assignment, part, nice, reference):
-    from kopt.dpengine import _Cells, _compile, _run_plan, _shape_of_one
+    from kopt.dpengine import _Cells, _class_of_one, _compile, _run_plan
 
     arrays = TourArrays(inst, tour)
     plan = _compile(tuple(sorted(interference_graph(m).edges)), order_edges(assignment), nice)
-    cells = _Cells(arrays, part, [assignment]).over(_shape_of_one(m, plan), 0, 1)
+    cells = _Cells(arrays, part, [assignment]).over(_class_of_one(m), 0, 1)
     _, _, tables = _run_plan(plan, cells, keep_tables=True)
     for t, got in zip(nice.postorder(), tables, strict=True):
         bag = sorted(nice.nodes[t].bag)
@@ -386,7 +394,7 @@ def test_runs_refuse_a_cell_they_do_not_hold():
     inst, tour = gen_random(12, 0, 100), random_tour(12, 1)
     m, part = valid_patterns(3)[2], make_buckets(12, Fraction(1, 2))
     runs = dpengine._GroupRuns(TourArrays(inst, tour), part, [(1, 1, 1)])
-    nice = dpengine._shape_table(3, order_edges((1, 1, 1))).shape_of[2].plan.nice
+    nice = _class_and_plan(3, order_edges((1, 1, 1)), 2)[1].nice
     assert solve_fixed(inst, tour, m, (1, 1, 1), part, nice, runs=runs).gain is not None
     other = nice_decomposition_for(dependence_graph(interference_graph(m), frozenset()))
     assert other is not nice
@@ -499,8 +507,8 @@ def test_float32_exact_with_k10_and_small_weights(monkeypatch):
 @pytest.mark.parametrize("k", [6, 7])
 def test_a_standalone_solve_fixed_lists_and_groups_no_patterns(monkeypatch, k):
     """A standalone solve_fixed runs its pattern's own plan: it lists no
-    valid patterns, builds no pattern classes or shapes, and gives the gain
-    and embedding of its shape's run, which the brute force confirms. The
+    valid patterns, builds no class table or class plans, and gives the gain
+    and embedding of its class's run, which the brute force confirms. The
     pattern is the last of the largest class, so its sides are not the
     class's first pattern's."""
     from kopt import dpengine
@@ -516,15 +524,15 @@ def test_a_standalone_solve_fixed_lists_and_groups_no_patterns(monkeypatch, k):
     def fail(*args):
         raise AssertionError("a standalone solve_fixed must not list or group patterns")
 
-    for name in ("valid_patterns", "pattern_classes", "_pattern_index", "_shape_table"):
+    for name in ("valid_patterns", "pattern_classes", "_class_table", "_class_plans"):
         monkeypatch.setattr(dpengine, name, fail)
     res = solve_fixed(inst, tour, m, assignment, part)
     monkeypatch.undo()
 
-    shape = dpengine._shape_table(k, order_edges(assignment)).shape_of[p]
-    assert shape.patterns[0] != p
-    kept = dpengine._run_alone(TourArrays(inst, tour), part, shape, p, assignment)
-    ran = dpengine._solve_cell(inst, tour, m, shape.plan, kept)
+    cls, plan = _class_and_plan(k, order_edges(assignment), p)
+    assert cls.members[0] != p
+    kept = dpengine._run_alone(TourArrays(inst, tour), part, plan, cls, p, assignment)
+    ran = dpengine._solve_cell(inst, tour, m, plan, kept)
     brute = enumerate_b_monotone_max(inst, tour, m, assignment, part)
     assert res.gain is not None
     assert (res.gain, res.embedding) == (ran.gain, ran.embedding) == (brute.value, brute.witness)
@@ -532,11 +540,11 @@ def test_a_standalone_solve_fixed_lists_and_groups_no_patterns(monkeypatch, k):
 
 def _table_dtypes(inst, tour, k, part):
     """The dtypes of every table a k = len(assignment) plan builds."""
-    from kopt.dpengine import _Cells, _run_plan, _shape_of_one, compile_plan
+    from kopt.dpengine import _Cells, _class_of_one, _run_plan, compile_plan
 
     m, a = valid_patterns(k)[-1], (1,) * k
     plan = compile_plan(m, order_edges(a))
-    cells = _Cells(TourArrays(inst, tour), part, [a]).over(_shape_of_one(m, plan), 0, 1)
+    cells = _Cells(TourArrays(inst, tour), part, [a]).over(_class_of_one(m), 0, 1)
     _, _, tables = _run_plan(plan, cells, keep_tables=True)
     return {t.dtype for t in tables}
 
@@ -887,7 +895,7 @@ def test_reconstruction_matches_argmax_over_full_tables():
     weights in 1..3 make ties, buckets of 4, 4 and 3 pad the last one, and
     the rows with no legal embedding walk all -inf lines."""
     from kopt.buckets import BucketPartition
-    from kopt.dpengine import _Cells, _reconstruct, _run_plan, _shape_of_one, compile_plan
+    from kopt.dpengine import _Cells, _class_of_one, _reconstruct, _run_plan, compile_plan
 
     n = 11
     part = BucketPartition(n=n, count=3)
@@ -901,7 +909,7 @@ def test_reconstruction_matches_argmax_over_full_tables():
         for m in valid_patterns(k)[:: 3 if k == 5 else 1]:
             for obs, group in groups.items():
                 plan = compile_plan(m, obs)
-                cells = _Cells(arrays, part, group).over(_shape_of_one(m, plan), 0, 1)
+                cells = _Cells(arrays, part, group).over(_class_of_one(m), 0, 1)
                 root, forgets, _ = _run_plan(plan, cells)
                 _, _, tables = _run_plan(plan, cells, keep_tables=True)
                 joins_on_forgets += sum(
@@ -926,17 +934,17 @@ def test_first_max_positions_is_argmax(monkeypatch, max_entries):
     _solve_cell rebuilds from the forget tables _GroupRuns.take hands over,
     or from a run of its group of one when the latest chunk did not run its
     pattern alone and hold it, is argmax over the full tables of the group's
-    batch. Over three buckets a group runs every pattern of a shape at once,
-    so only a shape of one pattern is handed over; past MAX_BATCH_ENTRIES
-    each pattern and each row is its own chunk, so only the shape's last
+    batch. Over three buckets a group runs every pattern of a class at once,
+    so only a class of one pattern is handed over; past MAX_BATCH_ENTRIES
+    each pattern and each row is its own chunk, so only the class's last
     pattern's last row is. The reference tables are those of the pattern's
-    plan run with its shape of one; the move is rebuilt from its shape's
+    plan run with its class of one; the move is rebuilt from its class's
     runs."""
     from kopt import dpengine
     from kopt.buckets import BucketPartition
     from kopt.dpengine import (
-        _Cells, _fits, _GroupRuns, _run_alone, _run_plan, _shape_of_one, _shape_table,
-        _solve_cell, compile_plan,
+        _Cells, _class_of_one, _fits, _GroupRuns, _run_alone, _run_plan, _solve_cell,
+        compile_plan,
     )
 
     monkeypatch.setattr(dpengine, "MAX_BATCH_ENTRIES", max_entries)
@@ -952,23 +960,23 @@ def test_first_max_positions_is_argmax(monkeypatch, max_entries):
         for obs, group in groups.items():
             plan = compile_plan(m, obs)
             forget_intos += sum(op[0] == FORGET_INTO for op in plan.ops)
-            cells = _Cells(arrays, part, group).over(_shape_of_one(m, plan), 0, 1)
+            cells = _Cells(arrays, part, group).over(_class_of_one(m), 0, 1)
             root, _, tables = _run_plan(plan, cells, keep_tables=True)
-            shape = _shape_table(k, obs).shape_of[p]
+            cls, class_plan = _class_and_plan(k, obs, p)
             for row, a in enumerate(group):
                 runs = _GroupRuns(arrays, part, group)
                 gain = runs.gain(m, a, None)
                 assert gain == (None if root[row] == float("-inf") else root[row])
                 kept = runs.take(p, a)
                 if max_entries == 1:
-                    held = shape.patterns[-1] == p and row == len(group) - 1
+                    held = cls.members[-1] == p and row == len(group) - 1
                 else:
-                    held = len(shape.patterns) == 1
+                    held = len(cls.members) == 1
                 assert (kept is not None) == held
                 handed += kept is not None
                 rerun += kept is None
-                kept = kept or _run_alone(arrays, part, shape, p, a)
-                got = _solve_cell(inst, tour, m, shape.plan, kept)
+                kept = kept or _run_alone(arrays, part, class_plan, cls, p, a)
+                got = _solve_cell(inst, tour, m, class_plan, kept)
                 pos = _argmax_positions(plan, tables, row)
                 want = tuple(int(cells.dom[row, v, pos[v]]) + 1 for v in range(k))
                 assert got.gain == int(round(root[row]))
@@ -1014,7 +1022,7 @@ def test_one_position_slices_give_the_whole_tables(monkeypatch, k):
     hold some, w < v."""
     from kopt import dpengine
     from kopt.buckets import BucketPartition
-    from kopt.dpengine import _Cells, _run_plan, _shape_of_one, compile_plan
+    from kopt.dpengine import _Cells, _class_of_one, _run_plan, compile_plan
 
     # piece widths per parent: FORGET, (FORGET_INTO, w > v), or None (whole)
     widths, parent, ran = {}, [None], set()
@@ -1056,7 +1064,7 @@ def test_one_position_slices_give_the_whole_tables(monkeypatch, k):
         for m in valid_patterns(k)[:: {5: 7, 6: 97}.get(k, 1)]:
             for obs, group in groups.items():
                 plan = compile_plan(m, obs)
-                cells = _Cells(arrays, part, group).over(_shape_of_one(m, plan), 0, 1)
+                cells = _Cells(arrays, part, group).over(_class_of_one(m), 0, 1)
                 by_kind = []
                 for min_step_slab in (1, 1 << 62):
                     monkeypatch.setattr(dpengine, "MIN_STEP_SLAB", min_step_slab)
@@ -1138,28 +1146,28 @@ def _group_runs_made(monkeypatch) -> list:
 
 @pytest.mark.parametrize("k", [3, 4, 5, 6])
 def test_shape_runs_give_every_cell_the_value_of_its_pattern_run_alone(monkeypatch, k):
-    """Over more than one bucket best_move runs all patterns of a shape as
+    """Over more than one bucket best_move runs all patterns of a class as
     one batch. Every cell's gain from those runs equals the root value of
     its pattern's own plan run alone over the cell's group, and for every
     seventh pattern one cell of each group equals _run_alone. Alpha 1/2, 2/3
     and 3/4 on 13 vertices (12 at k = 6), so that buckets are padded;
     weights in float32 and, with 4kW >= 2^24, in float64; MAX_BATCH_ENTRIES
-    at its default, where every shape runs whole, and at 1,000, which cuts
-    shapes into chunks of whole patterns that start past a shape's first
+    at its default, where every class runs whole, and at 1,000, which cuts
+    classes into chunks of whole patterns that start past a class's first
     pattern and hold more than one. k = 6 checks every 97th pattern in 3 of
     the 12 configurations, which between them take every value. Runs
     alone, best_move's winner's and this test's, each run one pattern of
-    its shape."""
+    its class."""
     from kopt import dpengine
-    from kopt.dpengine import _Cells, _run_plan, _shape_of_one, _shape_table, compile_plan
+    from kopt.dpengine import _Cells, _class_of_one, _run_plan, compile_plan
 
     made = _group_runs_made(monkeypatch)
     # chunks of the runs of best_move's search, and of the runs alone
     chunks, alone, real_over, real_alone = [], [], dpengine._Cells.over, dpengine._run_alone
 
-    def over(self, shape, lo, hi):
-        chunks.append((dpengine.MAX_BATCH_ENTRIES, lo, hi, len(shape.patterns)))
-        return real_over(self, shape, lo, hi)
+    def over(self, cls, lo, hi):
+        chunks.append((dpengine.MAX_BATCH_ENTRIES, lo, hi, len(cls.members)))
+        return real_over(self, cls, lo, hi)
 
     def run_alone(*args):
         before = len(chunks)
@@ -1194,13 +1202,13 @@ def test_shape_runs_give_every_cell_the_value_of_its_pattern_run_alone(monkeypat
             for p in range(0, len(patterns), step):
                 m = patterns[p]
                 plan = compile_plan(m, obs)
-                root = _run_plan(plan, cells.over(_shape_of_one(m, plan), 0, 1))[0]
+                root = _run_plan(plan, cells.over(_class_of_one(m), 0, 1))[0]
                 want = [None if v == float("-inf") else int(v) for v in root]
                 assert [runs.gain(m, a, None) for a in assignments] == want, (m, obs)
                 if p % (7 * step) == 0:
                     row = p % len(assignments)
-                    shape = _shape_table(k, obs).shape_of[p]
-                    kept = dpengine._run_alone(arrays, part, shape, p, assignments[row])
+                    cls, class_plan = _class_and_plan(k, obs, p)
+                    kept = dpengine._run_alone(arrays, part, class_plan, cls, p, assignments[row])
                     assert kept[3] == want[row]
     cut = [(lo, hi) for entries, lo, hi, _ in chunks if entries == 1000]
     assert any(lo > 0 and hi - lo > 1 for lo, hi in cut)
@@ -1285,7 +1293,7 @@ def test_shared_blocks_give_every_pattern_the_tables_of_fresh_cells(k):
     table entry for entry: weights in 1..3 make ties, buckets of 4, 4 and 3
     pad the last one. Every stored block is read-only."""
     from kopt.buckets import BucketPartition
-    from kopt.dpengine import _Cells, _GroupRuns, _run_plan, _shape_of_one, compile_plan
+    from kopt.dpengine import _Cells, _class_of_one, _GroupRuns, _run_plan, compile_plan
 
     inst, tour = gen_random(11, 150 + k, 3), random_tour(11, 160 + k)
     part = BucketPartition(n=11, count=3)
@@ -1296,7 +1304,7 @@ def test_shared_blocks_give_every_pattern_the_tables_of_fresh_cells(k):
     for obs, shared in groups:
         for m in valid_patterns(k):
             plan = compile_plan(m, obs)
-            alone = _shape_of_one(m, plan)
+            alone = _class_of_one(m)
             fresh = _Cells(arrays, part, shared.assignments)
             assert fresh.memo is None
             got = _run_plan(plan, shared.over(alone, 0, 1), keep_tables=True)
@@ -1424,14 +1432,14 @@ def test_cold_best_move_leaves_no_reference_cycles():
 
 
 def _with_sides(m, plan):
-    """plan's ops with m's own pair sides (from its shape of one) in place of
+    """plan's ops with m's own pair sides (from its class of one) in place of
     each block's pair count, in the order the compiler emitted them when it
     compiled each pattern's own plan: sorted by the lower slot's side, as in
     a variant, but by (higher slot's side, lower slot's side) in an introduce
     or forget-into block whose introduced slot is the block's higher slot."""
-    from kopt.dpengine import _shape_of_one
+    from kopt.dpengine import _class_of_one
 
-    shape = _shape_of_one(m, plan)
+    alone = _class_of_one(m)
     ops = []
     for op, nd in zip(plan.ops, plan.nice.nodes, strict=True):
         if op[0] not in (INTRODUCE, FORGET_INTO, JOIN):
@@ -1440,7 +1448,7 @@ def _with_sides(m, plan):
         introduced = {INTRODUCE: nd.vertex, FORGET_INTO: nd.into}.get(op[0])
         blocks = []
         for slots, unary, count, *rest in op[-1]:
-            pairs = shape.variants[shape.columns[slots]][0] if count else ()
+            pairs = alone.variants[alone.columns[slots]][0] if count else ()
             assert len(pairs) == count
             if introduced == slots[-1] + 1:
                 pairs = tuple(sorted(pairs, key=lambda sides: sides[::-1]))
@@ -1552,33 +1560,37 @@ def test_plans_are_compiled_once_per_shape():
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 def test_every_pattern_of_a_shape_runs_its_shape_plan_with_its_own_sides(k):
-    """Each valid pattern's plan (compile_plan) is its shape's plan, over the
-    same decomposition object, and its row of the shape's sides table gives
-    every pair block as many pairs as the block declares: the pattern's own
-    sides, those of its shape of one. Every order-edge set for k = 2..5; the
-    empty and the full one for k = 6."""
-    from kopt.dpengine import _shape_of_one, _shape_table, compile_plan
+    """Each valid pattern's plan (compile_plan) is its class's plan, the one
+    at its class id in the order-edge set's plan tuple, over the same
+    decomposition object, and its row of the class's sides table gives every
+    pair block as many pairs as the block declares: the pattern's own sides,
+    those of its class of one. The plan tuple holds one plan per class.
+    Every order-edge set for k = 2..5; the empty and the full one for k = 6."""
+    from kopt.dpengine import _class_of_one, _class_plans, _class_table, compile_plan
 
     path = [(i, i + 1) for i in range(1, k)]
     subsets = ([frozenset(), frozenset(path)] if k == 6 else
                [frozenset(c) for size in range(k) for c in combinations(path, size)])
+    table = _class_table(k)
     blocks = 0
     for obs in subsets:
-        table = _shape_table(k, obs)
+        plans, whole_width = _class_plans(k, obs)
+        assert len(plans) == len(table.classes) == len(pattern_classes(k))
         for p, m in enumerate(valid_patterns(k)):
-            own, shape = compile_plan(m, obs), table.shape_of[p]
-            assert own == shape.plan and own.nice is shape.plan.nice
-            alone, i = _shape_of_one(m, own), shape.patterns.index(p)
-            assert alone.columns == shape.columns
+            c = table.class_of[p]
+            own, cls, plan = compile_plan(m, obs), table.classes[c], plans[c]
+            assert own == plan and own.nice is plan.nice
+            alone, i = _class_of_one(m), cls.members.index(p)
+            assert alone.columns == cls.columns
             blocked = [op for op in own.ops if op[0] in (INTRODUCE, FORGET_INTO, JOIN)]
             for slots, _, count, *_ in (block for op in blocked for block in op[-1]):
                 if count:
-                    col = shape.columns[slots]
-                    sides = shape.variants[col][shape.ids[i, col]]
+                    col = cls.columns[slots]
+                    sides = cls.variants[col][cls.ids[i, col]]
                     assert len(sides) == count
                     assert sides == alone.variants[col][0]
                     blocks += 1
-        assert table.whole_width == max(shape.plan.whole_width for shape in table.shape_of)
+        assert whole_width == max(plan.whole_width for plan in plans)
     assert blocks > 0
 
 

@@ -10,6 +10,7 @@ from kopt.instance import Tour, euclidean_instance, gen_random, random_tour, tou
 from kopt.moves import (
     ConnectionPattern,
     DegenerateMoveError,
+    _valid_matchings_raw,
     apply_move,
     as_kmove,
     enumerate_matchings,
@@ -17,6 +18,7 @@ from kopt.moves import (
     interference_graph,
     is_valid_pattern,
     matching_count,
+    pattern_classes,
     valid_pattern_count,
     valid_patterns,
 )
@@ -62,6 +64,24 @@ def test_k2_validity_classification():
     assert is_valid_pattern(SWAP_2)
     assert not is_valid_pattern(ConnectionPattern(2, ((1, 4), (2, 3))))
     assert len(valid_patterns(2)) == 2
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7])
+def test_valid_patterns_are_the_valid_matchings_in_order(k):
+    """valid_patterns walks the valid matchings alone; the reference lists
+    every matching and tests each."""
+    assert valid_patterns(k) == tuple(m for m in enumerate_matchings(k) if is_valid_pattern(m))
+
+
+def test_the_k8_walk_yields_every_valid_matching():
+    assert sum(1 for _ in _valid_matchings_raw(8)) == valid_pattern_count(8)
+
+
+@pytest.mark.parametrize("walk", [valid_patterns, pattern_classes])
+def test_valid_pattern_walks_guard_k(walk):
+    for k in (1, 13):
+        with pytest.raises(ValueError, match="k must be in 2..12"):
+            walk(k)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7])

@@ -1,5 +1,5 @@
 """The pattern-class table (moves.pattern_classes) against valid_patterns
-and both of its readers: c_of_k and the engine's shapes."""
+and both of its readers: c_of_k and the engine's class table."""
 
 import hashlib
 from itertools import combinations
@@ -7,8 +7,15 @@ from itertools import combinations
 import pytest
 
 from kopt.alpha import c_of_k
-from kopt.dpengine import _shape_table
-from kopt.moves import interference_graph, pattern_classes, valid_pattern_count, valid_patterns
+from kopt.decomp import dependence_graph
+from kopt.dpengine import _class_plans, _class_table, nice_decomposition_for
+from kopt.moves import (
+    InterferenceGraph,
+    interference_graph,
+    pattern_classes,
+    valid_pattern_count,
+    valid_patterns,
+)
 
 CLASS_COUNTS = {2: 2, 3: 5, 4: 17, 5: 73, 6: 388, 7: 2461}
 
@@ -32,17 +39,28 @@ def test_classes_partition_the_valid_patterns_by_interference_edges(k):
 
 @pytest.mark.parametrize("k", sorted(CLASS_COUNTS))
 def test_every_shape_is_the_class_of_its_patterns(k):
-    """The engine's shape of each pattern holds the pattern's class, under
-    every order-edge set for k <= 5 and the empty and the full one past."""
+    """The engine's class table gives each pattern the id of its class, and
+    the plan tuple of every order-edge set holds one plan per class, at the
+    class's id: under every order-edge set for k <= 5 and the empty and the
+    full one past."""
     path = [(i, i + 1) for i in range(1, k)]
     subsets = ([frozenset(), frozenset(path)] if k > 5 else
                [frozenset(c) for size in range(k) for c in combinations(path, size)])
     classes = pattern_classes(k)
+    table = _class_table(k)
+    assert len(table.class_of) == valid_pattern_count(k)
+    for c, (edges, members) in enumerate(classes):
+        assert table.classes[c].edges == edges
+        assert all(table.class_of[p] == c for p in members)
+        assert all(list(table.classes[table.class_of[p]].members) == list(members)
+                   for p in members)
     for obs in subsets:
-        shape_of = _shape_table(k, obs).shape_of
-        assert len(shape_of) == valid_pattern_count(k)
-        for _, members in classes:
-            assert all(list(shape_of[p].patterns) == list(members) for p in members)
+        plans = _class_plans(k, obs)[0]
+        assert len(plans) == CLASS_COUNTS[k]
+        for c, (edges, members) in enumerate(classes):
+            ig = InterferenceGraph(k, frozenset(edges))
+            assert plans[c].nice is nice_decomposition_for(dependence_graph(ig, obs),
+                                                           obs - ig.edges)
 
 
 def test_c_of_k_reports_are_pinned():
