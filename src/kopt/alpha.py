@@ -16,13 +16,7 @@ from functools import cache
 from itertools import combinations
 
 from .decomp import adjacency, treewidth
-from .moves import (
-    ConnectionPattern,
-    interference_graph,
-    matching_count,
-    pattern_classes,
-    valid_pattern_count,
-)
+from .moves import matching_count, pattern_classes, valid_pattern_count
 
 MAX_PROFILE_K = 10
 
@@ -45,24 +39,21 @@ class WidthProfile:
             raise ValueError("profile entries must lie in 1..k")
 
 
-def width_profile_from_edges(iedges, k: int) -> WidthProfile:
+def width_profile(edges, k: int) -> WidthProfile:
+    """The profile of the interference class `edges` (moves.interference_graph)."""
+    if k > MAX_PROFILE_K:
+        raise ValueError(f"width profiles support k <= {MAX_PROFILE_K}")
     path = consecutive_pairs(k)
-    iedges = frozenset(iedges)
+    edges = frozenset(edges)
     t = []
     for s in range(k):
         best = 0
         for subset in combinations(path, s):
-            width = treewidth(adjacency(k, iedges | frozenset(subset)))
+            width = treewidth(adjacency(k, edges | frozenset(subset)))
             if width > best:
                 best = width
         t.append(best + 1)
     return WidthProfile(k=k, t=tuple(t))
-
-
-def width_profile(m: ConnectionPattern) -> WidthProfile:
-    if m.k > MAX_PROFILE_K:
-        raise ValueError(f"width profiles support k <= {MAX_PROFILE_K}")
-    return width_profile_from_edges(interference_graph(m).edges, m.k)
 
 
 @dataclass(frozen=True)
@@ -152,7 +143,7 @@ def c_of_k(
     aggregate = [0] * k
     c_max_min = None
     for edges, members in classes:
-        profile = width_profile_from_edges(edges, k)
+        profile = width_profile(edges, k)
         sol = optimal_alpha(profile)
         if c_max_min is None or sol.c > c_max_min:
             c_max_min = sol.c

@@ -76,7 +76,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 
-from .moves import InterferenceGraph, InvariantError
+from .moves import InvariantError
 
 MAX_TW_VERTICES = 24
 
@@ -101,6 +101,8 @@ class DepGraph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
+        if self.k < 1:
+            raise ValueError(f"a dependence graph needs k >= 1 slots, got {self.k}")
         object.__setattr__(self, "edges", _normalize_edges(self.edges, self.k))
 
 
@@ -113,9 +115,10 @@ def adjacency(k: int, edges) -> dict[int, set[int]]:
     return adj
 
 
-def dependence_graph(interference: InterferenceGraph, order_edge_set) -> DepGraph:
-    """Union of interference edges and order edges (parallel edges collapse)."""
-    return DepGraph(k=interference.k, edges=interference.edges | frozenset(order_edge_set))
+def dependence_graph(k: int, edges, order_edge_set) -> DepGraph:
+    """Union of an interference class's edges (moves.interference_graph) and
+    order edges (parallel edges collapse)."""
+    return DepGraph(k=k, edges=frozenset(edges) | frozenset(order_edge_set))
 
 
 # ---------------------------------------------------------------------------

@@ -170,11 +170,10 @@ from .decomp import (
     treewidth_exact,
     validate_decomposition,
 )
-from .instance import Instance, Tour, tour_weight
+from .instance import MAX_TABLE_BYTES, Instance, Tour, tour_weight
 # gain_partial is unused here but stays bound: perfbench/layers.py traces it
 from .moves import (
     ConnectionPattern,
-    InterferenceGraph,
     InvariantError,
     KMove,
     apply_move,
@@ -219,11 +218,6 @@ MAX_ASSIGNMENT_ENTRIES = 2_000_000
 # 8-byte gain until the call returns, so a call at the bound spends about 9 s
 # and 67 MB on that alone.
 MAX_CELLS = 1 << 23
-# Largest table one cell's plan builds whole, in bytes: 2^26 float32 or 2^25
-# float64 entries. A k = 4 plan at alpha 1 holds one such table at a time (a
-# forget-into op's output; its input is summed in pieces), and peaked at 290 MB
-# RSS for n = 400 (400^3 float32 entries) and 301 MB for n = 320 in float64.
-MAX_TABLE_BYTES = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -464,16 +458,10 @@ def _compile(
 def _class_plan(
     k: int, edges: tuple[tuple[int, int], ...], obs: frozenset[tuple[int, int]]
 ) -> Plan:
-    """_compile's plan over the cached decomposition of least width."""
-    ig = InterferenceGraph(k, frozenset(edges))
-    return _compile(edges, obs, nice_decomposition_for(dependence_graph(ig, obs), obs - ig.edges))
-
-
-def compile_plan(m: ConnectionPattern, obs: frozenset[tuple[int, int]]) -> Plan:
-    """Pattern m's plan under order-edge set obs, not cached: its
-    interference class's, which every pattern of the class runs with its own
-    pair sides."""
-    return _class_plan(m.k, tuple(sorted(interference_graph(m).edges)), obs)
+    """_compile's plan over the cached decomposition of least width; every
+    pattern of the class runs it with its own pair sides."""
+    return _compile(edges, obs, nice_decomposition_for(dependence_graph(k, edges, obs),
+                                                       obs.difference(edges)))
 
 
 def _pattern_sides(edges: tuple[tuple[int, int], ...], patterns) -> tuple:
@@ -516,7 +504,7 @@ class _Class:
 def _class_of_one(m: ConnectionPattern) -> _Class:
     """Pattern m's class with m alone in it: how a standalone solve_fixed
     runs m, with no index in valid_patterns."""
-    edges = tuple(sorted(interference_graph(m).edges))
+    edges = interference_graph(m.pairs)
     return _Class(edges, (None,), *_pattern_sides(edges, [m]))
 
 
@@ -976,7 +964,7 @@ def solve_fixed(
     if nice is not None and nice is not plan.nice:
         if nice.k != m.k:
             raise ValueError("decomposition is for a different k")
-        ok, diags = validate_decomposition(dependence_graph(interference_graph(m), obs), nice)
+        ok, diags = validate_decomposition(dependence_graph(m.k, cls.edges, obs), nice)
         if not ok:
             raise ValueError(f"invalid decomposition: {'; '.join(diags)}")
         plan = _compile(cls.edges, obs, nice)

@@ -10,6 +10,13 @@ import numpy as np
 
 # Any sum of ~4k weights must stay well inside int64 (and float64 exactness).
 MAX_ABS_WEIGHT = 1 << 40
+# Largest array one allocation may hold, in bytes: a generated or Euclidean
+# n x n int64 weight matrix (n <= 5,792), and a DP table that one cell's plan
+# builds whole (dpengine), 2^26 float32 or 2^25 float64 entries. A k = 4 plan
+# at alpha 1 holds one such table at a time (a forget-into op's output; its
+# input is summed in pieces), and peaked at 290 MB RSS for n = 400 (400^3
+# float32 entries) and 301 MB for n = 320 in float64.
+MAX_TABLE_BYTES = 1 << 28
 
 KIND_EXPLICIT = "explicit-matrix"
 KIND_EUCLIDEAN = "euclidean-2d"
@@ -23,6 +30,15 @@ class FormatError(ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+def _check_matrix_bytes(n: int) -> None:
+    """ValueError, before any allocation, if an n x n int64 weight matrix
+    would hold more than MAX_TABLE_BYTES."""
+    size = 8 * n * n
+    if size > MAX_TABLE_BYTES:
+        raise ValueError(f"a weight matrix on {n:,} vertices holds {size:,} bytes;"
+                         f" at most {MAX_TABLE_BYTES:,} fit in memory")
 
 
 def _as_weight_matrix(weights, n: int) -> np.ndarray:
@@ -146,6 +162,7 @@ def euclidean_instance(coords) -> Instance:
     """Instance from 2D points; distances rounded with the TSPLIB convention."""
     pts = [(float(x), float(y)) for x, y in coords]
     n = len(pts)
+    _check_matrix_bytes(n)
     mat = np.zeros((n, n), dtype=np.int64)
     for i in range(n):
         for j in range(i + 1, n):
@@ -351,6 +368,7 @@ def gen_random(n: int, seed: int, wmax: int) -> Instance:
         raise ValueError("n must be >= 5")
     if wmax < 1:
         raise ValueError("wmax must be >= 1")
+    _check_matrix_bytes(n)
     rng = np.random.default_rng(seed)
     upper = np.triu(rng.integers(1, wmax + 1, size=(n, n), dtype=np.int64), 1)
     upper += upper.T
@@ -365,6 +383,7 @@ def random_tour(n: int, seed: int) -> Tour:
 def random_reduction_input(n: int, seed: int, wmax: int) -> Instance:
     """Random symmetric weights uniform in [-wmax, wmax], an input to the
     negative-triangle reduction; deterministic per seed."""
+    _check_matrix_bytes(n)
     rng = np.random.default_rng(seed)
     upper = np.triu(rng.integers(-wmax, wmax + 1, size=(n, n), dtype=np.int64), 1)
     upper += upper.T
@@ -383,6 +402,7 @@ def gen_negative_triangle_reduction(
     so preserves gains.
     """
     n = g.n
+    _check_matrix_bytes(4 * n)
     w_max = int(np.abs(g.weights).max())
     m1 = 5 * w_max + 1
     m2 = 21 * m1 + 1

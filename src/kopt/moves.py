@@ -165,27 +165,15 @@ def valid_patterns(k: int) -> tuple[ConnectionPattern, ...]:
     return tuple(ConnectionPattern(k, pairs) for pairs in _valid_matchings_raw(k))
 
 
-def _interference_edges(pairs) -> tuple[tuple[int, int], ...]:
-    """The sorted (slot, slot) pairs, lo < hi, that pattern pairs join; each
-    pattern pair (a, b) has a < b, so its slots come in order."""
+def interference_graph(pairs) -> tuple[tuple[int, int], ...]:
+    """The interference class of the pattern with these pairs: the sorted
+    (lo, hi) slot pairs, lo < hi, that its pairs join, the graph on move
+    slots that identifies the two endpoint ids of each slot. A pair within
+    one slot re-adds that removed edge and adds no edge; two pairs between
+    the same two slots make one edge. Each pattern pair (a, b) has a < b, so
+    its slots come in order. The edges fix the rest (pattern_classes)."""
     joined = {((a + 1) // 2, (b + 1) // 2) for a, b in pairs}
     return tuple(sorted(edge for edge in joined if edge[0] != edge[1]))
-
-
-@dataclass(frozen=True)
-class InterferenceGraph:
-    """Graph on move slots recording which removed edges are joined by added
-    edges, obtained from the pattern by identifying the two endpoint ids of
-    each slot. A pair within one slot re-adds that removed edge and adds no
-    edge; two pairs between the same two slots make one edge. The edge set
-    fixes the rest (pattern_classes)."""
-
-    k: int
-    edges: frozenset[tuple[int, int]]
-
-
-def interference_graph(m: ConnectionPattern) -> InterferenceGraph:
-    return InterferenceGraph(k=m.k, edges=frozenset(_interference_edges(m.pairs)))
 
 
 class PatternClass(NamedTuple):
@@ -212,7 +200,7 @@ def pattern_classes(k: int) -> tuple[PatternClass, ...]:
         raise ValueError(f"k must be in 2..{MAX_PATTERN_K}")
     found: defaultdict[tuple[tuple[int, int], ...], array] = defaultdict(partial(array, "i"))
     for index, pairs in enumerate(_valid_matchings_raw(k)):
-        found[_interference_edges(pairs)].append(index)
+        found[interference_graph(pairs)].append(index)
     return tuple(PatternClass(edges, found[edges]) for edges in sorted(found))
 
 

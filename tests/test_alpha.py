@@ -6,12 +6,12 @@ from itertools import combinations
 import pytest
 
 from kopt.alpha import (
+    MAX_PROFILE_K,
     WidthProfile,
     c_of_k,
     consecutive_pairs,
     optimal_alpha,
     width_profile,
-    width_profile_from_edges,
 )
 from kopt.decomp import DepGraph
 from kopt.dpengine import default_alpha
@@ -35,15 +35,15 @@ def brute_profile(iedges, k):
 def test_profile_identity_pattern_k2():
     # the identity pattern re-adds both edges: no interference edges at all
     m = ConnectionPattern(2, ((1, 2), (3, 4)))
-    assert interference_graph(m).edges == frozenset()
-    prof = width_profile(m)
+    assert interference_graph(m.pairs) == ()
+    prof = width_profile(interference_graph(m.pairs), m.k)
     assert prof.t == brute_profile(frozenset(), 2) == (1, 2)
 
 
 def test_profile_swap_pattern_k2():
     # the crossing-reconnect pattern has the doubled {1,2} interference edge
     m = ConnectionPattern(2, ((1, 3), (2, 4)))
-    prof = width_profile(m)
+    prof = width_profile(interference_graph(m.pairs), m.k)
     assert prof.t == brute_profile(frozenset({(1, 2)}), 2) == (2, 2)
 
 
@@ -51,19 +51,24 @@ def test_profile_swap_pattern_k2():
 def test_profiles_match_bruteforce_all_patterns(k):
     seen = set()
     for m in valid_patterns(k):
-        iedges = interference_graph(m).edges
+        iedges = interference_graph(m.pairs)
         if iedges in seen:
             continue
         seen.add(iedges)
-        assert width_profile(m).t == brute_profile(iedges, k)
+        assert width_profile(iedges, k).t == brute_profile(iedges, k)
 
 
 def test_profiles_nondecreasing_and_bounded_k5():
     for m in valid_patterns(5):
-        t = width_profile(m).t
+        t = width_profile(interference_graph(m.pairs), 5).t
         assert all(t[s] <= t[s + 1] for s in range(4))
         assert all(v <= 4 for v in t)
         assert t[0] <= 3 and t[1] <= 3
+
+
+def test_width_profile_refuses_k_past_its_bound():
+    with pytest.raises(ValueError, match=f"width profiles support k <= {MAX_PROFILE_K}"):
+        width_profile((), MAX_PROFILE_K + 1)
 
 
 def test_optimal_alpha_k5_worst_case():

@@ -267,6 +267,42 @@ def test_gen_rejects_bad_sizes(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("kind,n", [("random", 300000), ("neg-triangle", 1449)])
+def test_gen_refuses_a_weight_matrix_too_large_for_memory(tmp_path, capsys, kind, n):
+    """300,000 vertices would take 671 GiB; the reduction of 1,449 vertices
+    has 5,796, one past the 5,792 that fit in MAX_TABLE_BYTES."""
+    code = main(["gen", "--type", kind, "--n", str(n), "--out-prefix", str(tmp_path / "x")])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: a weight matrix on "), lines
+    assert "bytes; at most 268,435,456 fit in memory" in lines[0]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_tsplib_dimension_too_large_for_memory_is_refused(tmp_path, capsys, monkeypatch):
+    """An EUC_2D file of 5,793 points is refused before its distance matrix
+    is allocated: np.zeros fails if it is reached."""
+    import numpy as np
+
+    def fail(*args, **kwargs):
+        raise AssertionError("np.zeros must not run")
+
+    monkeypatch.setattr(np, "zeros", fail)
+    n = 5793
+    text = "\n".join(["TYPE : TSP", f"DIMENSION : {n}", "EDGE_WEIGHT_TYPE : EUC_2D",
+                      "NODE_COORD_SECTION", *(f"{i} {i} 0" for i in range(1, n + 1)), "EOF"])
+    ipath = tmp_path / "big.tsp"
+    ipath.write_text(text + "\n")
+    tpath = tmp_path / "tour.json"
+    tpath.write_text(tour_to_json(Tour(tuple(range(1, n + 1)))))
+    code = main(["find-move", "--k", "2", "--in", str(ipath), "--tour", str(tpath)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == ("error: a weight matrix on 5,793 vertices holds 268,470,792 bytes;"
+                            " at most 268,435,456 fit in memory\n")
+
+
 def test_oracle_neg_triangle(tmp_path, capsys):
     path = tmp_path / "g.json"
     path.write_text(json.dumps({"n": 3, "weights": [[0, 1, -3], [1, 0, 1], [-3, 1, 0]]}))
@@ -343,6 +379,16 @@ TSPLIB_SQUARE = (
             ["oracle", "treewidth"],
             {"--graph": "[[1, 2], [2, 3]]"},
             id="graph-not-an-object",
+        ),
+        pytest.param(
+            ["oracle", "treewidth"],
+            {"--graph": json.dumps({"k": -3, "edges": []})},
+            id="graph-k-negative",
+        ),
+        pytest.param(
+            ["oracle", "treewidth"],
+            {"--graph": json.dumps({"k": 0, "edges": []})},
+            id="graph-k-zero",
         ),
         pytest.param(
             ["oracle", "treewidth"],

@@ -49,15 +49,16 @@ def random_graph(k, seed, p=0.5):
 
 def test_dependence_graph_union():
     m = ConnectionPattern(3, ((2, 5), (4, 1), (6, 3)))
-    dep = dependence_graph(interference_graph(m), order_edges((1, 1, 1)))
+    dep = dependence_graph(3, interference_graph(m.pairs), order_edges((1, 1, 1)))
     assert dep.edges == frozenset({(1, 2), (2, 3), (1, 3)})
     assert treewidth_exact(dep)[0] == 2
+    assert dependence_graph(3, ((1, 3),), order_edges((1, 1, 2))).edges == {(1, 2), (1, 3)}
 
 
 def test_dependence_graph_max_degree_four():
     for k in (3, 4, 5):
         for m in valid_patterns(k):
-            dep = dependence_graph(interference_graph(m), order_edges((1,) * k))
+            dep = dependence_graph(k, interference_graph(m.pairs), order_edges((1,) * k))
             deg = {v: 0 for v in range(1, k + 1)}
             for a, b in dep.edges:
                 deg[a] += 1
@@ -139,7 +140,7 @@ def test_treewidth_on_interference_unions_vs_bruteforce():
     path = [(i, i + 1) for i in range(1, 5)]
     seen = set()
     for m in valid_patterns(5):
-        iedges = interference_graph(m).edges
+        iedges = frozenset(interference_graph(m.pairs))
         for s in range(len(path) + 1):
             for subset in combinations(path, s):
                 key = iedges | frozenset(subset)
@@ -324,7 +325,7 @@ def test_separation_property_on_produced_decompositions():
     # (see the decomp module docstring); exercise it on many real dependence
     # graphs
     for m in valid_patterns(4):
-        dep = dependence_graph(interference_graph(m), order_edges((1, 1, 2, 2)))
+        dep = dependence_graph(4, interference_graph(m.pairs), order_edges((1, 1, 2, 2)))
         width, order = treewidth_exact(dep)
         nice = decomposition_from_order(dep, order)
         ok, diags = validate_decomposition(dep, nice)
@@ -335,7 +336,7 @@ def test_separation_property_on_produced_decompositions():
 def test_unconditional_width_bound():
     for k in (3, 4, 5):
         for m in valid_patterns(k):
-            dep = dependence_graph(interference_graph(m), order_edges((1,) * k))
+            dep = dependence_graph(k, interference_graph(m.pairs), order_edges((1,) * k))
             assert treewidth_exact(dep)[0] <= k - 1
 
 
@@ -523,11 +524,11 @@ def test_effective_width_matches_bruteforce_on_every_pattern_and_order_edge_set(
     path = [(i, i + 1) for i in range(1, k)]
     forget_intos = 0
     for m in valid_patterns(k):
-        iedges = interference_graph(m).edges
+        iedges = interference_graph(m.pairs)
         for size in range(k):
             for obs in combinations(path, size):
-                g = dependence_graph(interference_graph(m), frozenset(obs))
-                only = frozenset(obs) - iedges
+                g = dependence_graph(k, iedges, frozenset(obs))
+                only = frozenset(obs).difference(iedges)
                 brute = treewidth_bruteforce(g, order_only=only)
                 width, order, nice = effective_decomposition(g, only)
                 assert (width, order) == (brute.value, brute.witness), (m.pairs, obs)
@@ -569,9 +570,10 @@ def test_one_bucket_plans_hold_at_most_three_slots_for_k_up_to_5():
         obs = frozenset((i, i + 1) for i in range(1, k))
         widths = Counter()
         for m in valid_patterns(k):
-            ig = interference_graph(m)
-            g = dependence_graph(ig, obs)
-            widths[effective_decomposition(g, obs - ig.edges)[0], treewidth_exact(g)[0]] += 1
+            edges = interference_graph(m.pairs)
+            g = dependence_graph(k, edges, obs)
+            widths[effective_decomposition(g, obs.difference(edges))[0],
+                   treewidth_exact(g)[0]] += 1
         assert max(w for w, _ in widths) == 2
         assert max(tw for _, tw in widths) == 3
 

@@ -120,7 +120,7 @@ def test_dp_tables_match_definitional_maxima():
         part = BucketPartition(n=n, count=2)
         for assignment in enumerate_assignments(k, part.count):
             obs = order_edges(assignment)
-            dep = dependence_graph(interference_graph(m), obs)
+            dep = dependence_graph(k, interference_graph(m.pairs), obs)
             nice = nice_decomposition_for(dep)
             reference = _reference_tables(inst, tour, m, assignment, part, nice)
             _compare_all_tables(inst, tour, m, assignment, part, nice, reference)
@@ -157,7 +157,7 @@ def test_forget_into_tables_match_definitional_maxima():
     a smaller one (at k <= 4 none does). Buckets of 3, 3, 3 and 2 pad the
     last one."""
     from kopt.buckets import BucketPartition
-    from kopt.dpengine import compile_plan
+    from kopt.dpengine import _class_plan
 
     inst, tour = gen_random(11, 16, 100), random_tour(11, 17)
     part = BucketPartition(n=11, count=4)
@@ -175,7 +175,7 @@ def test_forget_into_tables_match_definitional_maxima():
         groups.setdefault(order_edges(a), []).append(a)
     for m in valid_patterns(5):
         for obs, group in groups.items():
-            nice = compile_plan(m, obs).nice
+            nice = _class_plan(m.k, interference_graph(m.pairs), obs).nice
             if any(nd.kind == FORGET_INTO and nd.into < nd.vertex for nd in nice.nodes):
                 cases += [(m, a, nice) for a in group[:2]]
     suffix = 0
@@ -252,7 +252,7 @@ def _compare_all_tables(inst, tour, m, assignment, part, nice, reference):
     from kopt.dpengine import _Cells, _class_of_one, _compile, _run_plan
 
     arrays = TourArrays(inst, tour)
-    plan = _compile(tuple(sorted(interference_graph(m).edges)), order_edges(assignment), nice)
+    plan = _compile(interference_graph(m.pairs), order_edges(assignment), nice)
     cells = _Cells(arrays, part, [assignment]).over(_class_of_one(m), 0, 1)
     _, _, tables = _run_plan(plan, cells, keep_tables=True)
     for t, got in zip(nice.postorder(), tables, strict=True):
@@ -284,8 +284,8 @@ def test_join_rule_against_synthetic_decomposition():
     tour = random_tour(9, 9)
     # valid k=3 pattern: slots 1,2 doubly interfere, slot 3 re-added
     m = ConnectionPattern(3, ((1, 3), (2, 4), (5, 6)))
-    ig = interference_graph(m)
-    assert ig.edges == frozenset({(1, 2)})
+    edges = interference_graph(m.pairs)
+    assert edges == ((1, 2),)
 
     nodes = (
         NiceNode("leaf", frozenset(), None, ()),
@@ -306,7 +306,7 @@ def test_join_rule_against_synthetic_decomposition():
     for count, assignment in [(1, (1, 1, 1)), (2, (1, 1, 2)), (3, (1, 2, 3))]:
         part = BucketPartition(n=9, count=count)
         obs = order_edges(assignment)
-        dep = dependence_graph(ig, obs)
+        dep = dependence_graph(3, edges, obs)
         if any(not any(a in nd.bag and b in nd.bag for nd in nodes) for a, b in dep.edges):
             continue
         res = solve_fixed(inst, tour, m, assignment, part, nice)
@@ -323,7 +323,7 @@ def test_solve_fixed_rejects_wrong_decomposition():
     tour = random_tour(8, 11)
     part = make_buckets(8, 1)
     m3 = ConnectionPattern(3, ((2, 5), (4, 1), (6, 3)))  # interference 3-cycle
-    dep_without_edges = dependence_graph(interference_graph(IDENTITY_2), frozenset())
+    dep_without_edges = dependence_graph(2, interference_graph(IDENTITY_2.pairs), frozenset())
     nice2 = nice_decomposition_for(dep_without_edges)
     with pytest.raises(ValueError):
         solve_fixed(inst, tour, m3, (1, 1, 1), part, nice2)
@@ -378,7 +378,7 @@ def test_solve_fixed_checks_its_assignment_before_compiling(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("no plan may be compiled or run")
 
-    for name in ("compile_plan", "_compile", "_run_plan"):
+    for name in ("_class_plan", "_compile", "_run_plan"):
         monkeypatch.setattr(dpengine, name, fail)
     with pytest.raises(ValueError, match=r"assignment \(2, 1, 3\) is not nondecreasing"):
         solve_fixed(inst, tour, m, (2, 1, 3), part)
@@ -396,7 +396,7 @@ def test_runs_refuse_a_cell_they_do_not_hold():
     runs = dpengine._GroupRuns(TourArrays(inst, tour), part, [(1, 1, 1)])
     nice = _class_and_plan(3, order_edges((1, 1, 1)), 2)[1].nice
     assert solve_fixed(inst, tour, m, (1, 1, 1), part, nice, runs=runs).gain is not None
-    other = nice_decomposition_for(dependence_graph(interference_graph(m), frozenset()))
+    other = nice_decomposition_for(dependence_graph(m.k, interference_graph(m.pairs), frozenset()))
     assert other is not nice
     invalid = ConnectionPattern(3, ((1, 2), (3, 6), (4, 5)))
     assert not is_valid_pattern(invalid)
@@ -442,7 +442,7 @@ def test_every_plan_runs_through_group_runs(monkeypatch):
     assert alone
     local_search(inst, tour, 3, alpha=alpha)
     m, a = valid_patterns(3)[-1], (1, 1, 2)
-    dep = dependence_graph(interference_graph(m), order_edges(a))
+    dep = dependence_graph(m.k, interference_graph(m.pairs), order_edges(a))
     for nice in (None, decomposition_from_order(dep, (1, 2, 3))):
         before = len(callers)
         assert solve_fixed(inst, tour, m, a, part, nice).gain is not None
@@ -540,10 +540,10 @@ def test_a_standalone_solve_fixed_lists_and_groups_no_patterns(monkeypatch, k):
 
 def _table_dtypes(inst, tour, k, part):
     """The dtypes of every table a k = len(assignment) plan builds."""
-    from kopt.dpengine import _Cells, _class_of_one, _run_plan, compile_plan
+    from kopt.dpengine import _Cells, _class_of_one, _class_plan, _run_plan
 
     m, a = valid_patterns(k)[-1], (1,) * k
-    plan = compile_plan(m, order_edges(a))
+    plan = _class_plan(k, interference_graph(m.pairs), order_edges(a))
     cells = _Cells(TourArrays(inst, tour), part, [a]).over(_class_of_one(m), 0, 1)
     _, _, tables = _run_plan(plan, cells, keep_tables=True)
     return {t.dtype for t in tables}
@@ -895,7 +895,7 @@ def test_reconstruction_matches_argmax_over_full_tables():
     weights in 1..3 make ties, buckets of 4, 4 and 3 pad the last one, and
     the rows with no legal embedding walk all -inf lines."""
     from kopt.buckets import BucketPartition
-    from kopt.dpengine import _Cells, _class_of_one, _reconstruct, _run_plan, compile_plan
+    from kopt.dpengine import _Cells, _class_of_one, _class_plan, _reconstruct, _run_plan
 
     n = 11
     part = BucketPartition(n=n, count=3)
@@ -908,7 +908,7 @@ def test_reconstruction_matches_argmax_over_full_tables():
             groups.setdefault(order_edges(a), []).append(a)
         for m in valid_patterns(k)[:: 3 if k == 5 else 1]:
             for obs, group in groups.items():
-                plan = compile_plan(m, obs)
+                plan = _class_plan(m.k, interference_graph(m.pairs), obs)
                 cells = _Cells(arrays, part, group).over(_class_of_one(m), 0, 1)
                 root, forgets, _ = _run_plan(plan, cells)
                 _, _, tables = _run_plan(plan, cells, keep_tables=True)
@@ -943,8 +943,8 @@ def test_first_max_positions_is_argmax(monkeypatch, max_entries):
     from kopt import dpengine
     from kopt.buckets import BucketPartition
     from kopt.dpengine import (
-        _Cells, _class_of_one, _fits, _GroupRuns, _run_alone, _run_plan, _solve_cell,
-        compile_plan,
+        _Cells, _class_of_one, _class_plan, _fits, _GroupRuns, _run_alone, _run_plan,
+        _solve_cell,
     )
 
     monkeypatch.setattr(dpengine, "MAX_BATCH_ENTRIES", max_entries)
@@ -958,7 +958,7 @@ def test_first_max_positions_is_argmax(monkeypatch, max_entries):
     handed = rerun = forget_intos = 0
     for p, m in enumerate(valid_patterns(k)):
         for obs, group in groups.items():
-            plan = compile_plan(m, obs)
+            plan = _class_plan(m.k, interference_graph(m.pairs), obs)
             forget_intos += sum(op[0] == FORGET_INTO for op in plan.ops)
             cells = _Cells(arrays, part, group).over(_class_of_one(m), 0, 1)
             root, _, tables = _run_plan(plan, cells, keep_tables=True)
@@ -1022,7 +1022,7 @@ def test_one_position_slices_give_the_whole_tables(monkeypatch, k):
     hold some, w < v."""
     from kopt import dpengine
     from kopt.buckets import BucketPartition
-    from kopt.dpengine import _Cells, _class_of_one, _run_plan, compile_plan
+    from kopt.dpengine import _Cells, _class_of_one, _class_plan, _run_plan
 
     # piece widths per parent: FORGET, (FORGET_INTO, w > v), or None (whole)
     widths, parent, ran = {}, [None], set()
@@ -1063,7 +1063,7 @@ def test_one_position_slices_give_the_whole_tables(monkeypatch, k):
         assert arrays.dtype(k) is dtype
         for m in valid_patterns(k)[:: {5: 7, 6: 97}.get(k, 1)]:
             for obs, group in groups.items():
-                plan = compile_plan(m, obs)
+                plan = _class_plan(m.k, interference_graph(m.pairs), obs)
                 cells = _Cells(arrays, part, group).over(_class_of_one(m), 0, 1)
                 by_kind = []
                 for min_step_slab in (1, 1 << 62):
@@ -1159,7 +1159,7 @@ def test_shape_runs_give_every_cell_the_value_of_its_pattern_run_alone(monkeypat
     alone, best_move's winner's and this test's, each run one pattern of
     its class."""
     from kopt import dpengine
-    from kopt.dpengine import _Cells, _class_of_one, _run_plan, compile_plan
+    from kopt.dpengine import _Cells, _class_of_one, _class_plan, _run_plan
 
     made = _group_runs_made(monkeypatch)
     # chunks of the runs of best_move's search, and of the runs alone
@@ -1201,7 +1201,7 @@ def test_shape_runs_give_every_cell_the_value_of_its_pattern_run_alone(monkeypat
             cells = _Cells(arrays, part, assignments)
             for p in range(0, len(patterns), step):
                 m = patterns[p]
-                plan = compile_plan(m, obs)
+                plan = _class_plan(m.k, interference_graph(m.pairs), obs)
                 root = _run_plan(plan, cells.over(_class_of_one(m), 0, 1))[0]
                 want = [None if v == float("-inf") else int(v) for v in root]
                 assert [runs.gain(m, a, None) for a in assignments] == want, (m, obs)
@@ -1293,7 +1293,7 @@ def test_shared_blocks_give_every_pattern_the_tables_of_fresh_cells(k):
     table entry for entry: weights in 1..3 make ties, buckets of 4, 4 and 3
     pad the last one. Every stored block is read-only."""
     from kopt.buckets import BucketPartition
-    from kopt.dpengine import _Cells, _class_of_one, _GroupRuns, _run_plan, compile_plan
+    from kopt.dpengine import _Cells, _class_of_one, _class_plan, _GroupRuns, _run_plan
 
     inst, tour = gen_random(11, 150 + k, 3), random_tour(11, 160 + k)
     part = BucketPartition(n=11, count=3)
@@ -1303,7 +1303,7 @@ def test_shared_blocks_give_every_pattern_the_tables_of_fresh_cells(k):
     assert groups
     for obs, shared in groups:
         for m in valid_patterns(k):
-            plan = compile_plan(m, obs)
+            plan = _class_plan(m.k, interference_graph(m.pairs), obs)
             alone = _class_of_one(m)
             fresh = _Cells(arrays, part, shared.assignments)
             assert fresh.memo is None
@@ -1466,7 +1466,7 @@ def test_compiled_plans_are_pinned():
     import hashlib
     from itertools import combinations
 
-    from kopt.dpengine import compile_plan
+    from kopt.dpengine import _class_plan
 
     digest = hashlib.sha256()
     plans = 0
@@ -1475,7 +1475,7 @@ def test_compiled_plans_are_pinned():
         subsets = [frozenset(c) for size in range(k) for c in combinations(path, size)]
         for m in valid_patterns(k):
             for obs in subsets:
-                plan = compile_plan(m, obs)
+                plan = _class_plan(m.k, interference_graph(m.pairs), obs)
                 digest.update(repr((_with_sides(m, plan), plan.width)).encode())
                 plans += 1
     assert plans == 6564
@@ -1492,7 +1492,7 @@ def test_plans_with_no_order_only_edge_are_unchanged():
     import hashlib
     from itertools import combinations
 
-    from kopt.dpengine import compile_plan
+    from kopt.dpengine import _class_plan
 
     digest = hashlib.sha256()
     plans = 0
@@ -1501,8 +1501,8 @@ def test_plans_with_no_order_only_edge_are_unchanged():
         subsets = [frozenset(c) for size in range(k) for c in combinations(path, size)]
         for m in valid_patterns(k):
             for obs in subsets:
-                if obs <= interference_graph(m).edges:
-                    plan = compile_plan(m, obs)
+                if obs.issubset(interference_graph(m.pairs)):
+                    plan = _class_plan(m.k, interference_graph(m.pairs), obs)
                     assert all(op[0] != FORGET_INTO for op in plan.ops)
                     digest.update(repr((_with_sides(m, plan), plan.width)).encode())
                     plans += 1
@@ -1523,7 +1523,7 @@ def test_compile_refuses_a_forget_into_without_a_pure_order_edge():
     inst, tour = gen_random(8, 18, 100), random_tour(8, 19)
     part = BucketPartition(n=8, count=1)
     chain = _forget_into_chain(2, (1,), 1, 2)
-    assert interference_graph(SWAP_2).edges == frozenset({(1, 2)})
+    assert interference_graph(SWAP_2.pairs) == ((1, 2),)
     refusal = "slots 1 and 2 must be joined by an order edge alone"
     with pytest.raises(InvariantError, match=refusal):
         solve_fixed(inst, tour, SWAP_2, (1, 1), part, chain)
@@ -1560,13 +1560,13 @@ def test_plans_are_compiled_once_per_shape():
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 def test_every_pattern_of_a_shape_runs_its_shape_plan_with_its_own_sides(k):
-    """Each valid pattern's plan (compile_plan) is its class's plan, the one
+    """Each valid pattern's plan (_class_plan of its edges) is its class's plan, the one
     at its class id in the order-edge set's plan tuple, over the same
     decomposition object, and its row of the class's sides table gives every
     pair block as many pairs as the block declares: the pattern's own sides,
     those of its class of one. The plan tuple holds one plan per class.
     Every order-edge set for k = 2..5; the empty and the full one for k = 6."""
-    from kopt.dpengine import _class_of_one, _class_plans, _class_table, compile_plan
+    from kopt.dpengine import _class_of_one, _class_plan, _class_plans, _class_table
 
     path = [(i, i + 1) for i in range(1, k)]
     subsets = ([frozenset(), frozenset(path)] if k == 6 else
@@ -1578,7 +1578,8 @@ def test_every_pattern_of_a_shape_runs_its_shape_plan_with_its_own_sides(k):
         assert len(plans) == len(table.classes) == len(pattern_classes(k))
         for p, m in enumerate(valid_patterns(k)):
             c = table.class_of[p]
-            own, cls, plan = compile_plan(m, obs), table.classes[c], plans[c]
+            own = _class_plan(m.k, interference_graph(m.pairs), obs)
+            cls, plan = table.classes[c], plans[c]
             assert own == plan and own.nice is plan.nice
             alone, i = _class_of_one(m), cls.members.index(p)
             assert alone.columns == cls.columns

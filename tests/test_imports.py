@@ -49,6 +49,16 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
+def test_decomp_takes_only_invariant_error_from_moves():
+    """decomp works on slot graphs: a caller passes an interference class's
+    edges (moves.interference_graph), so decomp needs no pattern type."""
+    tree = ast.parse((SRC / "decomp.py").read_text())
+    from_moves = [alias.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.module == "moves"
+                  for alias in node.names]
+    assert from_moves == ["InvariantError"]
+
+
 def test_the_gate_sees_an_unused_import_and_honours_all():
     tree = ast.parse(
         "import os\nfrom math import pi, tau\n__all__ = ['tau']\nprint(os.sep)\n"

@@ -186,7 +186,7 @@ def test_interference_components_are_cycles_edges_or_readds(k):
     pairs, and the components are re-added slots, doubled edges or
     cycles."""
     for m in enumerate_matchings(k):
-        edges = interference_graph(m).edges
+        edges = interference_graph(m.pairs)
         degree = {v: sum(v in e for e in edges) for v in range(1, k + 1)}
         assert max(degree.values()) <= 2
         given = sorted([(v, v) for v, d in degree.items() if d == 0]

@@ -9,13 +9,7 @@ import pytest
 from kopt.alpha import c_of_k
 from kopt.decomp import dependence_graph
 from kopt.dpengine import _class_plans, _class_table, nice_decomposition_for
-from kopt.moves import (
-    InterferenceGraph,
-    interference_graph,
-    pattern_classes,
-    valid_pattern_count,
-    valid_patterns,
-)
+from kopt.moves import interference_graph, pattern_classes, valid_pattern_count, valid_patterns
 
 CLASS_COUNTS = {2: 2, 3: 5, 4: 17, 5: 73, 6: 388, 7: 2461}
 
@@ -31,7 +25,7 @@ def test_classes_partition_the_valid_patterns_by_interference_edges(k):
     for edges, members in classes:
         assert list(edges) == sorted(edges)
         assert len(members) > 0 and list(members) == sorted(members)
-        assert all(interference_graph(patterns[p]).edges == frozenset(edges) for p in members)
+        assert all(interference_graph(patterns[p].pairs) == edges for p in members)
         found += members
     assert sum(len(members) for _, members in classes) == valid_pattern_count(k)
     assert sorted(found) == list(range(len(patterns)))
@@ -58,9 +52,8 @@ def test_every_shape_is_the_class_of_its_patterns(k):
         plans = _class_plans(k, obs)[0]
         assert len(plans) == CLASS_COUNTS[k]
         for c, (edges, members) in enumerate(classes):
-            ig = InterferenceGraph(k, frozenset(edges))
-            assert plans[c].nice is nice_decomposition_for(dependence_graph(ig, obs),
-                                                           obs - ig.edges)
+            assert plans[c].nice is nice_decomposition_for(dependence_graph(k, edges, obs),
+                                                           obs.difference(edges))
 
 
 def test_c_of_k_reports_are_pinned():
