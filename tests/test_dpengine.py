@@ -34,6 +34,7 @@ from kopt.instance import (
     Tour,
     euclidean_instance,
     gen_random,
+    random_reduction_input,
     random_tour,
     tour_weight,
 )
@@ -1146,23 +1147,27 @@ def _group_runs_made(monkeypatch) -> list:
 
 @pytest.mark.parametrize("k", [3, 4, 5, 6])
 def test_shape_runs_give_every_cell_the_value_of_its_pattern_run_alone(monkeypatch, k):
-    """Over more than one bucket best_move runs all patterns of a class as
-    one batch. Every cell's gain from those runs equals the root value of
-    its pattern's own plan run alone over the cell's group, and for every
-    seventh pattern one cell of each group equals _run_alone. Alpha 1/2, 2/3
-    and 3/4 on 13 vertices (12 at k = 6), so that buckets are padded;
-    weights in float32 and, with 4kW >= 2^24, in float64; MAX_BATCH_ENTRIES
-    at its default, where every class runs whole, and at 1,000, which cuts
-    classes into chunks of whole patterns that start past a class's first
-    pattern and hold more than one. k = 6 checks every 97th pattern in 3 of
-    the 12 configurations, which between them take every value. Runs
-    alone, best_move's winner's and this test's, each run one pattern of
-    its class."""
+    """Over more than one bucket a class run runs all patterns of a class
+    as one batch. On a fresh _GroupRuns over best_move's groups, which runs
+    every class exactly, every cell's gain equals the root value of its
+    pattern's own plan run alone over the cell's group, and for every
+    seventh pattern one cell of each group equals _run_alone. Each cell of
+    best_move's own runs reads that gain or was ruled out by its bound, and
+    every ruled-out cell's gain lies below best_move's; here bounds rule out
+    cells at k = 4..6, and none at k = 3. Alpha 1/2, 2/3 and
+    3/4 on 13 vertices (12 at k = 6), so that buckets are padded; weights in
+    float32 and, with 4kW >= 2^24, in float64; MAX_BATCH_ENTRIES at its
+    default, where every class runs whole, and at 1,000, which cuts classes
+    into chunks of whole patterns that start past a class's first pattern
+    and hold more than one. k = 6 checks every 97th pattern in 3 of the 12
+    configurations, which between them take every value. Runs alone,
+    best_move's winner's and this test's, each run one pattern of its
+    class."""
     from kopt import dpengine
-    from kopt.dpengine import _Cells, _class_of_one, _class_plan, _run_plan
+    from kopt.dpengine import _OUT, _Cells, _class_of_one, _class_plan, _GroupRuns, _run_plan
 
     made = _group_runs_made(monkeypatch)
-    # chunks of the runs of best_move's search, and of the runs alone
+    # chunks of the exact class runs, and of the runs alone
     chunks, alone, real_over, real_alone = [], [], dpengine._Cells.over, dpengine._run_alone
 
     def over(self, cls, lo, hi):
@@ -1185,6 +1190,7 @@ def test_shape_runs_give_every_cell_the_value_of_its_pattern_run_alone(monkeypat
         ((100, np.float32), (1 << 22, np.float64)),
         (Fraction(1, 2), Fraction(2, 3), Fraction(3, 4)),
     ))
+    ruled_out = 0
     # k = 6 takes each value once beside others: 3 of the 12 configurations
     for max_entries, (wmax, dtype), alpha in configs[::4] if k == 6 else configs:
         monkeypatch.setattr(dpengine, "MAX_BATCH_ENTRIES", max_entries)
@@ -1194,8 +1200,9 @@ def test_shape_runs_give_every_cell_the_value_of_its_pattern_run_alone(monkeypat
         part = make_buckets(n, alpha)
         assert part.count > 1
         made.clear()
-        best_move(inst, tour, k, alpha=alpha)
+        best = best_move(inst, tour, k, alpha=alpha).gain
         runs = made[0]
+        fresh = _GroupRuns(arrays, part, list(runs.where))
         for obs, group in runs.groups.items():
             assignments = [tuple(a) for a in group.cells.assignments.tolist()]
             cells = _Cells(arrays, part, assignments)
@@ -1204,44 +1211,84 @@ def test_shape_runs_give_every_cell_the_value_of_its_pattern_run_alone(monkeypat
                 plan = _class_plan(m.k, interference_graph(m.pairs), obs)
                 root = _run_plan(plan, cells.over(_class_of_one(m), 0, 1))[0]
                 want = [None if v == float("-inf") else int(v) for v in root]
-                assert [runs.gain(m, a, None) for a in assignments] == want, (m, obs)
+                assert [fresh.gain(m, a, None) for a in assignments] == want, (m, obs)
+                read = group.gains[p * group.cells.batch:(p + 1) * group.cells.batch]
+                assert all(got == _OUT or runs.gain(m, a, None) == gain
+                           for got, a, gain in zip(read, assignments, want)), (m, obs)
+                out = [gain for got, gain in zip(read, want) if got == _OUT]
+                assert all(gain is None or gain < best for gain in out), (m, obs)
+                ruled_out += len(out)
                 if p % (7 * step) == 0:
                     row = p % len(assignments)
                     cls, class_plan = _class_and_plan(k, obs, p)
                     kept = dpengine._run_alone(arrays, part, class_plan, cls, p, assignments[row])
                     assert kept[3] == want[row]
+    assert (ruled_out > 0) == (k > 3)
     cut = [(lo, hi) for entries, lo, hi, _ in chunks if entries == 1000]
     assert any(lo > 0 and hi - lo > 1 for lo, hi in cut)
     assert all((lo, hi) == (0, count) for entries, lo, hi, count in chunks if entries != 1000)
     assert alone and all(hi - lo == 1 for _, lo, hi, _ in alone)
 
 
-def test_a_warm_k5_n40_call_runs_each_group_and_shape_once(monkeypatch):
+def _run_kinds(monkeypatch) -> Counter:
+    """Counts every _run_plan call from here on by kind: "bound" (a bound
+    run), "class" (an exact run of several patterns) or "one" (an exact run
+    of one pattern), and every _run_alone call as "alone"."""
+    from kopt import dpengine
+
+    kinds, real_run_plan, real_alone = Counter(), dpengine._run_plan, dpengine._run_alone
+
+    def run_plan(plan, cells, **kwargs):
+        kinds["bound" if cells.sides[2] is None else "class" if cells.patterns > 1 else "one"] += 1
+        return real_run_plan(plan, cells, **kwargs)
+
+    def run_alone(*args):
+        kinds["alone"] += 1
+        return real_alone(*args)
+
+    monkeypatch.setattr(dpengine, "_run_plan", run_plan)
+    monkeypatch.setattr(dpengine, "_run_alone", run_alone)
+    return kinds
+
+
+def _ruled_out(runs) -> tuple[int, int]:
+    """(cells ruled out, probes ruled out) in best_move's runs: a probe is a
+    class of more than one member in the group with the most assignments."""
+    from kopt.dpengine import _OUT, _class_table
+
+    cells = sum(gain == _OUT for group in runs.groups.values() for gain in group.gains)
+    probe = max(runs.groups.values(), key=lambda group: group.cells.batch)
+    probes = sum(probe.gains[cls.members[0] * probe.cells.batch] == _OUT
+                 for cls in _class_table(runs.k).classes if len(cls.members) > 1)
+    return cells, probes
+
+
+def test_a_warm_k5_n40_call_bounds_every_larger_class_run_and_runs_ten_exactly(monkeypatch):
     """At k = 5 on 40 vertices (four buckets of 10) the 5,760 plans of the
-    fifteen order-edge groups fall into 1,095 shapes: a warm best_move runs
-    _run_plan once per group and shape, plus at most once for the winner,
-    while solve_fixed is still called once per cell."""
+    fifteen order-edge groups fall into 73 classes, 1,095 (group, class)
+    runs. A warm best_move runs the 21 classes of one member exactly in
+    every group (315 runs) and bounds the 52 larger ones in the largest
+    group, the probes. Their best gain rules out 44 probes, so it bounds the
+    other 728 runs too: 780 bound runs in all, and 10 exact class runs and
+    the winner's run alone. solve_fixed is still called once per cell, and
+    19,674 of the 21,504 cells were ruled out."""
     from kopt import dpengine
 
     inst, tour = gen_random(40, 0, 10000), random_tour(40, 1)
     want = best_move(inst, tour, 5)
-    plan_runs, cells = [], []
-    real_run_plan, real_solve_fixed = dpengine._run_plan, dpengine.solve_fixed
+    made, kinds = _group_runs_made(monkeypatch), _run_kinds(monkeypatch)
+    cells, real_solve_fixed = [], solve_fixed
 
-    def run_plan(*args, **kwargs):
-        plan_runs.append(args[0])
-        return real_run_plan(*args, **kwargs)
-
-    def solve_fixed(*args, **kwargs):
+    def count_cells(*args, **kwargs):
         cells.append(args[3])
         return real_solve_fixed(*args, **kwargs)
 
-    monkeypatch.setattr(dpengine, "_run_plan", run_plan)
-    monkeypatch.setattr(dpengine, "solve_fixed", solve_fixed)
+    monkeypatch.setattr(dpengine, "solve_fixed", count_cells)
     got = best_move(inst, tour, 5)
     assert (got.gain, got.embedding) == (want.gain, want.embedding)
     assert len(cells) == 21_504
-    assert 1_095 <= len(plan_runs) <= 1_096
+    assert kinds == {"bound": 780, "one": 315 + 1, "class": 10, "alone": 1}
+    assert _ruled_out(made[0]) == (19_674, 44)
 
 
 def test_forget_into_ops_step_only_where_the_slab_is_large(monkeypatch):
@@ -1279,6 +1326,115 @@ def test_forget_into_ops_step_only_where_the_slab_is_large(monkeypatch):
     inst, tour = gen_random(100, 0, 10_000), random_tour(100, 1)
     history = local_search(inst, tour, 3, policy="first")[1]
     assert history and ops and all(names == {"_max_accumulate"} for names in ops)
+
+
+# ---------------------------------------------------------------------------
+# Bounds: relaxed class runs rule out the runs that cannot hold the winner
+# ---------------------------------------------------------------------------
+
+# The three weight ranges of the bound tests on 13 vertices: ties, signs, and
+# float64 tables.
+BOUND_WEIGHTS = {
+    "1..3": lambda seed: gen_random(13, seed, 3),
+    "signed": lambda seed: random_reduction_input(13, seed, 100),
+    "past 2^24": lambda seed: gen_random(13, seed, 1 << 25),
+}
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_bound_runs_lie_above_every_member_in_every_cell(k):
+    """Every (group, class) bound run's root is at least every member's
+    gain in every cell of the group, chunked runs or not: alpha 1/2, 2/3
+    and 3/4 on 13 vertices, so that buckets are padded, with weights in
+    1..3, signed weights, and weights past 2^24, which make float64 tables.
+    k = 6 takes 3 of the 9 configurations, each alpha and each weight range
+    once."""
+    from kopt.dpengine import _class_table, _GroupRuns
+
+    alphas = (Fraction(1, 2), Fraction(2, 3), Fraction(3, 4))
+    configs = list(zip(alphas, BOUND_WEIGHTS)) if k == 6 else list(product(alphas, BOUND_WEIGHTS))
+    for alpha, weights in configs:
+        inst, tour = BOUND_WEIGHTS[weights](300 + k), random_tour(13, 310 + k)
+        part = make_buckets(13, alpha)
+        assert part.count >= 2 and 13 % part.count
+        arrays = TourArrays(inst, tour)
+        assert (arrays.dtype(k) is np.float64) == (weights == "past 2^24")
+        runs = _GroupRuns(arrays, part, enumerate_assignments(k, part.count))
+        for group in runs.groups.values():
+            plans = runs._plans(group)
+            for c, cls in enumerate(_class_table(k).classes):
+                bound = np.array(runs._run(group, plans[c], cls, 0, 1, bound=True))
+                exact = np.array(runs._run(group, plans[c], cls, 0, len(cls.members)))
+                exact = exact.reshape(len(cls.members), group.cells.batch)
+                assert (exact <= bound).all(), (alpha, weights, cls.edges, group.obs)
+
+
+def _bounds_patched_out(monkeypatch) -> None:
+    from kopt import dpengine
+
+    monkeypatch.setattr(dpengine._GroupRuns, "rule_out", lambda self, improving_only: None)
+
+
+TIE_CASES = [
+    (k, n, alpha, seed)
+    for k, n in ((3, 11), (3, 14), (4, 11), (4, 14), (5, 11), (5, 13))
+    for alpha in (Fraction(1, 2), Fraction(2, 3), Fraction(3, 4))
+    for seed in range(5)
+]
+
+
+@pytest.mark.parametrize("max_entries", [None, 1])
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_bounds_leave_every_move_as_it_was(monkeypatch, k, max_entries):
+    """best_move gives the same gain, embedding and move as with the bound
+    pass patched out, on 90 tie-heavy cases (weights in 1..3, over 2 to 4
+    buckets), with MAX_BATCH_ENTRIES at its default and at 1, where every
+    run is cut into chunks of one assignment (k = 5 there takes every fifth
+    case). local_search(policy="best"), whose steps rule out bounds of at
+    most 0, keeps the same history."""
+    from kopt import dpengine
+
+    if max_entries is not None:
+        monkeypatch.setattr(dpengine, "MAX_BATCH_ENTRIES", max_entries)
+    cases = [case for case in TIE_CASES if case[0] == k]
+    if max_entries is not None and k == 5:
+        cases = cases[::5]
+    for _, n, alpha, seed in cases:
+        assert make_buckets(n, alpha).count >= 2
+        inst, tour = gen_random(n, 400 + 10 * k + seed, 3), random_tour(n, 450 + seed)
+        got = best_move(inst, tour, k, alpha=alpha)
+        with monkeypatch.context() as patch:
+            _bounds_patched_out(patch)
+            want = best_move(inst, tour, k, alpha=alpha)
+        assert (got.gain, got.embedding, got.move) == (want.gain, want.embedding, want.move)
+    if max_entries is None:
+        for n in (11, 14):
+            inst, tour = gen_random(n, 480 + k, 3), random_tour(n, 490 + k)
+            got = local_search(inst, tour, k, alpha=Fraction(1, 2))
+            with monkeypatch.context() as patch:
+                _bounds_patched_out(patch)
+                assert local_search(inst, tour, k, alpha=Fraction(1, 2)) == got
+            assert got[1]
+
+
+def test_probes_decide_whether_the_other_runs_are_bounded(monkeypatch):
+    """k = 5 on 20 vertices: three buckets, eleven groups and 52 classes of
+    more than one member. At a random tour the probes' best gain rules out
+    40 of the 52 probes, so the other groups' 520 runs are bounded too. At
+    the 3-opt optimum that a first-improvement search reaches from it, it
+    rules out 8, and those runs run exactly."""
+    from kopt.dpengine import default_alpha
+
+    assert make_buckets(20, default_alpha(5)).count == 3
+    inst, start = gen_random(20, 0, 10000), random_tour(20, 1)
+    optimum = local_search(inst, start, 3, policy="first")[0]
+    made, kinds = _group_runs_made(monkeypatch), _run_kinds(monkeypatch)
+    for tour, bound_runs, probes in ((start, 52 + 520, 40), (optimum, 52, 8)):
+        made.clear()
+        kinds.clear()
+        best_move(inst, tour, 5)
+        assert len(made[0].groups) == 11
+        assert (kinds["bound"], _ruled_out(made[0])[1]) == (bound_runs, probes)
 
 
 # ---------------------------------------------------------------------------
@@ -1387,6 +1543,23 @@ def test_k4_n64_peak_memory_stays_small():
         finally:
             tracemalloc.stop()
         assert peak < bound, n
+
+
+def test_k5_n40_peak_memory_stays_small():
+    """One warm best_move at k = 5, n = 40 (four buckets of 10) peaks under
+    6 MiB of traced allocations, with its bound runs' blocks in the shared
+    memo beside the class runs'."""
+    import tracemalloc
+
+    inst, tour = gen_random(40, 0, 10_000), random_tour(40, 1)
+    best_move(inst, tour, 5)
+    tracemalloc.start()
+    try:
+        best_move(inst, tour, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 << 20
 
 
 def test_warm_best_move_leaves_no_reference_cycles():
@@ -1776,3 +1949,26 @@ def test_oracle_anchor_subset_under_python_O():
         "print(sys.flags.optimize, bad)\n"
     )
     assert stdout.strip() == "1 []"
+
+
+def test_a_gain_above_its_bound_raises_under_python_O():
+    """A run that was bounded and then runs exactly checks its gains against
+    its bound. With the relaxed blocks taking each block's worst side
+    variant, not its best, a gain exceeds its bound and best_move raises
+    InvariantError, also under python -O."""
+    stdout = _run_optimized(
+        "import sys\n"
+        "import numpy as np\n"
+        "import kopt\n"
+        "from kopt import dpengine\n"
+        "def worst(slots, variants, cells):\n"
+        "    return np.min([dpengine._stored((slots, (), v, 'neg_w', False), cells)\n"
+        "                   for v in variants], axis=0)\n"
+        "dpengine._relaxed = worst\n"
+        "inst, tour = kopt.gen_random(16, 1, 100), kopt.random_tour(16, 2)\n"
+        "try:\n"
+        "    dpengine.best_move(inst, tour, 4, alpha=0.5)\n"
+        "except kopt.InvariantError as exc:\n"
+        "    print('raised', sys.flags.optimize, exc)\n"
+    )
+    assert stdout.startswith("raised 1 a gain of class"), stdout
