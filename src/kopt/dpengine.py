@@ -33,9 +33,10 @@ added edges use.
   every cell through `solve_fixed`, which finds the cell's group and row
   with one dict lookup. Over more than one bucket, tables are small and
   Python dispatch sets the time, so a (group, class) run, made for the
-  first of its cells asked for or, under policy="best", before any cell is
-  (Bounds), runs all of the class's patterns at once, and every cell of
-  those patterns reads its gain from that run. Its rows are then
+  first of its cells asked for, or under policy="best" by the bound pass
+  before the cells are asked for (Bounds), runs all of the class's patterns
+  at once, and every cell of those patterns reads its gain from that run.
+  Its rows are then
   (pattern, assignment) pairs, pattern-major. A term over the assignments
   alone, such as a one-slot term, is added through a (P, B, s, ...) view of
   the table, so it broadcasts along the patterns, and so is a pair block
@@ -55,7 +56,8 @@ added edges use.
 - **Bounds.** best_move needs only the winning cell, so under
   policy="best" over more than one bucket a (group, class) run is bounded
   before it runs (`_GroupRuns.rule_out`). A bound run runs the class's plan
-  once over the group's assignments, one row each: every pair block takes,
+  once over the group's assignments, one row each, as a class of one member
+  whose sides are relaxed (`_relaxation`): every pair block takes,
   at each position pair, the largest of its added-edge terms over the
   class's side variants, and every join correction subtracts exactly that
   value, so that a term counted in both children of a join counts once.
@@ -70,7 +72,8 @@ added edges use.
   larger class is bounded first in the group with the most assignments,
   its probe, and the probes run best first while their bound reaches the
   best gain. The other groups' runs are bounded only where that gain rules
-  out half of the probes or more: measured at k = 5..7, it ruled out
+  out half of the probes or more; else each runs exactly, unbounded, at the
+  first request for one of its cells. Measured at k = 5..7, it ruled out
   77-100% of the probes at random tours, but 10-22% at 3- and 5-opt
   optima (61% at a k = 7, n = 14 4-opt optimum), where bounding every run
   made a k = 5, n = 40 call 25% slower. At one bucket a group is one
@@ -517,9 +520,10 @@ def _pattern_sides(edges: tuple[tuple[int, int], ...], patterns) -> tuple:
 class _Class:
     """An interference class of k (moves.pattern_classes): its sorted
     `edges`, its `members`, their indices in valid_patterns(k), ascending,
-    or (None,) for a pattern run on its own (_class_of_one), and their sides
-    table as _pattern_sides gives it. Every member runs the class's plan
-    with its own row of `ids`."""
+    or (None,) for a class of one member that has none: a pattern run on its
+    own (_class_of_one) or a class's relaxation (_relaxation); and their
+    sides table as _pattern_sides gives it. Every member runs the class's
+    plan with its own row of `ids`."""
 
     edges: tuple[tuple[int, int], ...]
     members: array | tuple
@@ -533,6 +537,26 @@ def _class_of_one(m: ConnectionPattern) -> _Class:
     runs m, with no index in valid_patterns."""
     edges = interference_graph(m.pairs)
     return _Class(edges, (None,), *_pattern_sides(edges, [m]))
+
+
+@dataclass(frozen=True, slots=True)
+class _Best:
+    """A relaxed pair side (_relaxation): at each position pair of its two
+    slots, the largest added-edge terms that any of `variants`, the class's
+    sides there, gives (_relaxed)."""
+
+    variants: tuple
+
+
+def _relaxation(cls: _Class) -> _Class:
+    """Class `cls` relaxed into one member, whose run is the class's bound
+    run: at each slot pair its one side variant is the best of the class's
+    (_Best). Every introduce op adds that best term, and every join
+    correction subtracts exactly it, so the root bounds every member's gain
+    in every cell (module docstring, Bounds)."""
+    ids = np.zeros((1, len(cls.columns)), np.int8)
+    ids.flags.writeable = False
+    return _Class(cls.edges, (None,), cls.columns, tuple((_Best(v),) for v in cls.variants), ids)
 
 
 @dataclass(frozen=True, slots=True)
@@ -611,7 +635,8 @@ class _Cells:
 
     A plan runs over the view `over` gives, which adds its patterns' count
     and pair sides: the batch is then `patterns` times the assignments,
-    pattern-major."""
+    pattern-major. A bound run is the view of a class's relaxation
+    (_relaxation)."""
 
     def __init__(
         self, arrays: TourArrays, part: BucketPartition, assignments, budget: _Budget | None = None
@@ -657,15 +682,6 @@ class _Cells:
         run.batch = run.patterns * self.batch
         return run
 
-    def bound(self, cls: _Class) -> _Cells:
-        """These cells under the relaxation of class `cls`, its bound run: one
-        row per assignment, and `sides` holds the class's columns and
-        variants with no member's ids, so that every pair block takes the
-        best of the class's variants (_relaxed). The memo is shared."""
-        run = copy.copy(self)
-        run.patterns, run.sides = 1, (cls.columns, cls.variants, None, None)
-        return run
-
 
 def _block_value(block: tuple, cells: _Cells) -> np.ndarray:
     """The block's terms summed over the batch, placed on the op's table axes.
@@ -680,8 +696,6 @@ def _block_value(block: tuple, cells: _Cells) -> np.ndarray:
         return _stored((slots, unary, (), matrix, order), cells)[index]
     columns, variants, ids, same = cells.sides
     col = columns[slots]
-    if ids is None:  # a bound run
-        return _stored((slots, unary, variants[col], _RELAXED[matrix], order), cells)[index]
     if same[col] is not None:
         return _stored((slots, unary, variants[col][same[col]], matrix, order), cells)[index]
     values = np.stack([_stored((slots, unary, v, matrix, order), cells) for v in variants[col]])
@@ -705,12 +719,6 @@ def _stored(key: tuple, cells: _Cells) -> np.ndarray:
     return value
 
 
-# The relaxed terms that a bound run's pair blocks read in place of their
-# matrix, by that matrix: an introduce's added edges (neg_w) and a join's
-# correction (wf), which takes out exactly what the introduces put in.
-_RELAXED = {"neg_w": "best", "wf": "less_best"}
-
-
 def _relaxed(slots: tuple[int, int], variants: tuple, cells: _Cells) -> np.ndarray:
     """(B, s, s): at each position pair of the two slots, the largest sum of
     added-edge terms (neg_w) that any of the class's pair-side `variants`
@@ -720,16 +728,16 @@ def _relaxed(slots: tuple[int, int], variants: tuple, cells: _Cells) -> np.ndarr
 
 def _pair_value(key: tuple, cells: _Cells) -> np.ndarray:
     """A two-slot block's terms (key as _stored's) summed over the cells'
-    assignments: (B, s, s), or (1, s, s) for an order edge alone. In a bound
-    run's key, `pairs` is the class's variants and `matrix` names a relaxed
-    term: "best", _relaxed's value, or "less_best", its negation, and 0
-    where it is -inf, since the table there is -inf already."""
+    assignments: (B, s, s), or (1, s, s) for an order edge alone. Relaxed
+    `pairs` (_Best) give an introduce op (neg_w) _relaxed's value, and a
+    join's correction (wf) its negation, 0 where it is -inf, since the table
+    there is -inf already."""
     slots, unary, pairs, matrix, order = key
     a, b = slots
     value = _order_mask(cells.s, cells.dtype) if order else None
-    if matrix in ("best", "less_best"):
-        best = _relaxed(slots, pairs, cells)
-        terms = [best if matrix == "best" else np.where(best == NEG_INF, 0, -best)]
+    if isinstance(pairs, _Best):
+        best = _relaxed(slots, pairs.variants, cells)
+        terms = [best if matrix == "neg_w" else np.where(best == NEG_INF, 0, -best)]
     else:
         mat = getattr(cells, matrix)
         terms = [mat[cells.side[ra][:, a, :, None], cells.side[rb][:, b, None, :]]
@@ -1073,8 +1081,11 @@ class _GroupRuns:
     at one bucket, where a group is one assignment with s^w-entry tables,
     under the cell's pattern alone. Every later cell of those patterns reads
     its gain from that run. Under policy="best" over more than one bucket,
-    rule_out runs or rules out every (group, class) run before any cell is
-    asked for. The cells and forget tables of the latest chunk are kept,
+    rule_out first runs or rules out the runs of classes of one member and
+    the probes (module docstring, Bounds); where it bounds the other runs
+    too it runs or rules out every run, else the other groups' runs of
+    larger classes are left to the first request for one of their cells,
+    which runs them unbounded. The cells and forget tables of the latest chunk are kept,
     when it ran one pattern, until the next chunk starts.
 
     Over more than one bucket each group's cells memoize their two-slot
@@ -1162,13 +1173,14 @@ class _GroupRuns:
     def rule_out(self, improving_only: bool) -> None:
         """Rules out, under policy="best" over more than one bucket, the
         (group, class) runs whose bound (_Cells.bound) lies strictly below a
-        gain already found, or, with improving_only, is at most 0; every
-        other run has run exactly when it returns, and a ruled-out cell
-        reads no gain (module docstring, Bounds). Classes of one member run
-        exactly; every larger class is bounded first in the group with the
-        most assignments, its probe. Where the probes' best gain rules out
-        half of them or more, the remaining runs are bounded too; else they
-        run exactly."""
+        gain already found, or, with improving_only, is at most 0; a
+        ruled-out cell reads no gain (module docstring, Bounds). Classes of
+        one member run exactly; every larger class is bounded first in the
+        group with the most assignments, its probe. Where the probes' best
+        gain rules out half of them or more, the remaining runs are bounded
+        too, so every run has run or been ruled out when this returns; else
+        the other groups' runs of larger classes stay unrun, and the first
+        request for one of their cells runs its run exactly, unbounded."""
         classes = _class_table(self.k).classes
         groups = list(self.groups.values())
         bar = 1 if improving_only else NEG_INF  # a run whose bound is below it cannot win
@@ -1191,7 +1203,7 @@ class _GroupRuns:
         one after it, is ruled out. Returns the bar and how many were ruled
         out."""
         classes = _class_table(self.k).classes
-        bounds = [self._run(group, self._plans(group)[c], classes[c], 0, 1, bound=True)
+        bounds = [self._run(group, self._plans(group)[c], _relaxation(classes[c]), 0, 1)
                   for group, c in runs]
         tops = [max(bound) for bound in bounds]
         order = sorted(range(len(runs)), key=lambda i: -tops[i])
@@ -1206,16 +1218,14 @@ class _GroupRuns:
             bar = max(bar, max(self._fill(group, c, classes[c].members[0], bounds[i])))
         return bar, 0
 
-    def _run(self, group: _Group, plan: Plan, cls: _Class, start: int, stop: int,
-             bound: bool = False) -> array:
+    def _run(self, group: _Group, plan: Plan, cls: _Class, start: int, stop: int) -> array:
         """Gains of the group's cells under members start..stop-1 of `cls`,
-        through `plan`, the class's, pattern-major; with `bound`, the root
-        values of the class's bound run (_Cells.bound) as gains, one per
-        assignment, for start..stop = 0..1. Chunks hold whole patterns, so
-        that no table holds more than MAX_BATCH_ENTRIES entries; a pattern
-        that does not fit alone is cut into chunks of assignments. The last
-        chunk's cells and forget tables stay in self.last if it ran one
-        pattern."""
+        through `plan`, the class's, pattern-major; under a class's
+        relaxation, its bound run's root values. Chunks hold whole patterns,
+        so that no table holds more than MAX_BATCH_ENTRIES entries; a
+        pattern that does not fit alone is cut into chunks of assignments.
+        The last chunk's cells and forget tables stay in self.last if it ran
+        one pattern."""
         cells = group.cells
         count, batch = stop - start, cells.batch
         fit = max(1, MAX_BATCH_ENTRIES // cells.s**plan.width)  # rows of one chunk
@@ -1226,10 +1236,10 @@ class _GroupRuns:
             for first in range(0, batch, step):
                 self.last = None  # free the previous chunk's tables first
                 rows = cells if step == batch else cells.rows(first, first + step)
-                rows = rows.bound(cls) if bound else rows.over(cls, lo, hi)
+                rows = rows.over(cls, lo, hi)
                 root, forgets, _ = _run_plan(plan, rows)
                 gains += _gains(root)
-                if hi - lo == 1 and not bound:
+                if hi - lo == 1:
                     self.last = group, cls.members[lo], first, rows, forgets
         if len(gains) != count * batch:
             raise InvariantError(f"{len(gains)} gains from a run of {count} x {batch} cells")

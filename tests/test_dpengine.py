@@ -1239,7 +1239,8 @@ def _run_kinds(monkeypatch) -> Counter:
     kinds, real_run_plan, real_alone = Counter(), dpengine._run_plan, dpengine._run_alone
 
     def run_plan(plan, cells, **kwargs):
-        kinds["bound" if cells.sides[2] is None else "class" if cells.patterns > 1 else "one"] += 1
+        bound = any(isinstance(v[0], dpengine._Best) for v in cells.sides[1])
+        kinds["bound" if bound else "class" if cells.patterns > 1 else "one"] += 1
         return real_run_plan(plan, cells, **kwargs)
 
     def run_alone(*args):
@@ -1349,7 +1350,7 @@ def test_bound_runs_lie_above_every_member_in_every_cell(k):
     1..3, signed weights, and weights past 2^24, which make float64 tables.
     k = 6 takes 3 of the 9 configurations, each alpha and each weight range
     once."""
-    from kopt.dpengine import _class_table, _GroupRuns
+    from kopt.dpengine import _class_table, _GroupRuns, _relaxation
 
     alphas = (Fraction(1, 2), Fraction(2, 3), Fraction(3, 4))
     configs = list(zip(alphas, BOUND_WEIGHTS)) if k == 6 else list(product(alphas, BOUND_WEIGHTS))
@@ -1363,7 +1364,7 @@ def test_bound_runs_lie_above_every_member_in_every_cell(k):
         for group in runs.groups.values():
             plans = runs._plans(group)
             for c, cls in enumerate(_class_table(k).classes):
-                bound = np.array(runs._run(group, plans[c], cls, 0, 1, bound=True))
+                bound = np.array(runs._run(group, plans[c], _relaxation(cls), 0, 1))
                 exact = np.array(runs._run(group, plans[c], cls, 0, len(cls.members)))
                 exact = exact.reshape(len(cls.members), group.cells.batch)
                 assert (exact <= bound).all(), (alpha, weights, cls.edges, group.obs)
