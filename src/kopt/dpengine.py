@@ -36,10 +36,9 @@ added edges use.
   first of its cells asked for, or under policy="best" by the bound pass
   before the cells are asked for (Bounds), runs all of the class's patterns
   at once, and every cell of those patterns reads its gain from that run.
-  Its rows are then
-  (pattern, assignment) pairs, pattern-major. A term over the assignments
-  alone, such as a one-slot term, is added through a (P, B, s, ...) view of
-  the table, so it broadcasts along the patterns, and so is a pair block
+  Its rows are then (pattern, assignment) pairs, pattern-major. A term over
+  the assignments alone, such as a one-slot term, is added through a
+  (P, B, s, ...) view of the table, so it broadcasts along the patterns, and so is a pair block
   whose sides all of the run's patterns share; a pair block whose sides
   differ stacks each pattern's value from the group's memo. At one bucket a
   group is one assignment with s^w-entry tables, and a run holds the
