@@ -38,9 +38,10 @@ added edges use.
   at once, and every cell of those patterns reads its gain from that run.
   Its rows are then (pattern, assignment) pairs, pattern-major. A term over
   the assignments alone, such as a one-slot term, is added through a
-  (P, B, s, ...) view of the table, so it broadcasts along the patterns, and so is a pair block
-  whose sides all of the run's patterns share; a pair block whose sides
-  differ stacks each pattern's value from the group's memo. At one bucket a
+  (P, B, s, ...) view of the table, so it broadcasts along the patterns,
+  and so is a pair block whose sides all of the run's patterns share; a
+  pair block whose sides differ stacks each pattern's value from the
+  group's memo. At one bucket a
   group is one assignment with s^w-entry tables, and a run holds the
   requested pattern alone: batching there made a policy="first" search pay
   for patterns it never reached. Every chunk of every run reads its
