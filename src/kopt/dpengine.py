@@ -30,25 +30,23 @@ added edges use.
   6,208 for 61,440.
 - **Batch axis.** Every plan runs through `_GroupRuns`, over a group of
   fitting assignments that share an order-edge set. `best_move` still visits
-  every cell through `solve_fixed`, which finds the cell's group and row
-  with one dict lookup. Over more than one bucket, tables are small and
-  Python dispatch sets the time, so a (group, class) run, made for the
-  first of its cells asked for, or under policy="best" by the bound pass
-  before the cells are asked for (Bounds), runs all of the class's patterns
-  at once, and every cell of those patterns reads its gain from that run.
-  Its rows are then (pattern, assignment) pairs, pattern-major. A term over
-  the assignments alone, such as a one-slot term, is added through a
-  (P, B, s, ...) view of the table, so it broadcasts along the patterns,
-  and so is a pair block whose sides all of the run's patterns share; a
-  pair block whose sides differ stacks each pattern's value from the
-  group's memo. At one bucket a
-  group is one assignment with s^w-entry tables, and a run holds the
-  requested pattern alone: batching there made a policy="first" search pay
-  for patterns it never reached. Every chunk of every run reads its
-  patterns' sides through `_Cells.over`. A standalone `solve_fixed` call,
-  and a winner that the latest chunk did not run alone, run as a group of
-  one, so chunks, shared blocks and the memory bound below hold for every
-  run.
+  every cell through `solve_fixed`, which finds the cell's group and row with
+  one dict lookup. Over more than one bucket, tables are small and Python
+  dispatch sets the time, so a (group, class) run, made for the first of its
+  cells asked for, or under policy="best" by the bound pass before the cells
+  are asked for (Bounds), runs all of the class's patterns at once, and every
+  cell of those patterns reads its gain from that run. Its rows are then
+  (pattern, assignment) pairs, pattern-major. A term over the assignments
+  alone, such as a one-slot term, is added through a (P, B, s, ...) view of
+  the table, so it broadcasts along the patterns, and so is a pair block whose
+  sides all of the run's patterns share; a pair block whose sides differ
+  stacks each pattern's value from the group's memo. At one bucket a group is
+  one assignment with s^w-entry tables, and a run holds the requested pattern
+  alone: batching there made a policy="first" search pay for patterns it never
+  reached. Every chunk of every run reads its patterns' sides through
+  `_Cells.over`. A standalone `solve_fixed` call, and a winner that the latest
+  chunk did not run alone, run as a group of one, so chunks, shared blocks and
+  the memory bound below hold for every run.
   Every table has shape `(R, s, ..., s)`: axis 0 runs over the run's rows,
   and each bag slot has one axis over `s = part.size` positions, the
   largest bucket's size: position j of a slot in bucket b is the tour edge j
